@@ -15,36 +15,11 @@ import sys
 from . import io as io_mod
 from . import simulate as sim
 from . import verify as verify_mod
-from .contrast import (
-    full_substitute_set,
-    mse_sub_epsem,
-    substitute_counts,
-    substitution_mode,
-    v_pair,
-    v_sub,
-)
-from .core import (
-    EST_RTOL,
-    MC_DEFAULT_DRAWS,
-    AssumptionError,
-    ValidationError,
-    as_value,
-)
-from .decomposition import default_q_crd, estimate_decomposition, v_am, validate_q
+from .contrast import full_substitute_set, substitute_counts, substitution_mode
+from .core import EST_RTOL, MC_DEFAULT_DRAWS, AssumptionError, ValidationError
+from .decomposition import default_q_crd
 from .designs import ExplicitDesign, check_assumptions
-from .estimators import neyman_variance
-from .imputation import GammaSpec, v_imputation, v_imputation_mc
 from .oracles import estimator_expectation, true_variance
-
-ANALYZE_ESTIMATORS = (
-    "neyman",
-    "decomposition",
-    "contrast",
-    "mse-sub",
-    "pair",
-    "am",
-    "imputation",
-)
 
 
 def _print(payload: dict, as_json: bool) -> None:
@@ -65,44 +40,26 @@ def _load_substitutes(arg: str | None):
     )
 
 
-def _estimate_callable(args, d):
-    """Build obs -> estimate for the chosen estimator (shared by analyze/oracle)."""
+def _load_q(arg: str | None, n: int):
+    if arg is None:
+        return None
+    if arg == "default-crd":
+        return default_q_crd(n)
+    return io_mod.load_matrix(arg[5:] if arg.startswith("file:") else arg)
+
+
+def _estimate_from_args(args, d):
+    """The registry estimator named by --estimator, with the CLI's inputs."""
     name = args.estimator
-    if name == "neyman":
-        return lambda obs: neyman_variance(obs)
-    if name == "pair":
-        return lambda obs: v_pair(obs)
-    if name == "am":
-        return lambda obs: v_am(d, obs)
-    if name == "contrast":
-        g = _load_substitutes(args.substitutes)
-        return lambda obs: v_sub(d, obs, g)
-    if name == "mse-sub":
-        g = _load_substitutes(args.substitutes)
-        return lambda obs: mse_sub_epsem(d, obs, g)
-    if name == "decomposition":
-        if args.q is None:
-            if d.kind != "crd":
-                raise ValidationError(
-                    "decomposition needs --q <csv> for designs without a default Q"
-                )
-            q = default_q_crd(d.n)
-        elif args.q == "default-crd":
-            q = default_q_crd(d.n)
-        elif args.q.startswith("file:"):
-            q = io_mod.load_matrix(args.q[5:])
-        else:
-            q = io_mod.load_matrix(args.q)
-        return lambda obs: estimate_decomposition(d, obs, q)
     if name == "imputation":
-        spec = GammaSpec.parse(args.gamma)
-        if args.mc:
-            draws = args.mc_draws
-            seed = args.seed
-            return lambda obs: v_imputation_mc(d, obs, spec, m=draws, seed=seed)
-        return lambda obs: v_imputation(d, obs, spec)
-    raise ValidationError(
-        f"unknown estimator {name!r}; expected one of {', '.join(ANALYZE_ESTIMATORS)}"
+        name = f"imputation:{args.gamma}"
+    return sim.resolve_estimator(
+        name,
+        d,
+        substitutes=_load_substitutes(args.substitutes),
+        q=_load_q(args.q, d.n),
+        mc_draws=args.mc_draws if args.mc else None,
+        seed=args.seed,
     )
 
 
@@ -136,7 +93,7 @@ def cmd_design_inspect(args) -> int:
 def cmd_analyze(args) -> int:
     d = io_mod.load_design(args.design)
     obs = io_mod.load_observed(args.data)
-    est = _estimate_callable(args, d)
+    est = _estimate_from_args(args, d)
     result = est(obs)
     if hasattr(result, "value"):
         payload = {
@@ -158,9 +115,9 @@ def cmd_analyze(args) -> int:
 def cmd_oracle(args) -> int:
     d = io_mod.load_design(args.design)
     po = io_mod.load_science_table(args.table)
-    est = _estimate_callable(args, d)
+    est = _estimate_from_args(args, d)
     var = true_variance(d, po)
-    mean = estimator_expectation(d, po, lambda obs: as_value(est(obs)))
+    mean = estimator_expectation(d, po, est)
     payload = {
         "estimator": args.estimator,
         "true_variance": var,
@@ -206,6 +163,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             n_replications=args.reps,
             n_inner_draws=args.inner_draws,
+            n_outer=args.outer,
         )
     elif args.study == "appendix-c":
         res = sim.run_appendix_c(seed=args.seed, n_replications=args.reps)
@@ -256,14 +214,6 @@ def _scenario_from_json(payload: dict, args) -> sim.ScenarioSpec:
 
 _GLOBAL_FLAGS = (
     (("--seed",), {"type": int, "default": 0, "help": "seed for stochastic paths"}),
-    (
-        ("--threads",),
-        {
-            "type": int,
-            "default": 1,
-            "help": "thread budget for numerical kernels (currently advisory)",
-        },
-    ),
     (("--json",), {"action": "store_true", "help": "machine-readable output"}),
     (
         ("--tolerance-verify",),
@@ -326,7 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", "--observed", dest="data", required=True)
         else:
             p.add_argument(data_flag, dest=data_flag.lstrip("-"), required=True)
-        p.add_argument("--estimator", required=True, choices=ANALYZE_ESTIMATORS)
+        p.add_argument(
+            "--estimator", required=True,
+            help=f"{sim.ESTIMATOR_NAMES}; bare 'imputation' takes --gamma",
+        )
         p.add_argument(
             "--gamma", default="theta-loo",
             help="imputation gamma: fixed:<v>, tau-hat, tau-loo, or theta-loo",
@@ -352,6 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="JSON scenario file (alternative to --study)")
     p.add_argument("--reps", type=int, default=sim.DEFAULT_REPLICATIONS)
     p.add_argument("--inner-draws", type=int, default=sim.DEFAULT_INNER_DRAWS)
+    p.add_argument(
+        "--outer", type=int, default=sim.DEFAULT_OUTER_EVALUATIONS,
+        help="study b: realizations scored per replication",
+    )
     p.add_argument("--out", help="output directory (default sim-<study>)")
     p.set_defaults(func=cmd_simulate)
     return parser
@@ -360,8 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except ValidationError as exc:

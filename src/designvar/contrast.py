@@ -59,7 +59,7 @@ def _constant_propensity(d: Design) -> float:
     if float(np.ptp(pi)) > PROB_TOL:
         raise AssumptionError(
             "substitution undefined: propensities vary across units "
-            f"(min {pi.min()!r}, max {pi.max()!r})"
+            f"(min {float(pi.min())!r}, max {float(pi.max())!r})"
         )
     return float(pi[0])
 

@@ -7,9 +7,8 @@ the canonical lexicographic order equal to integer order on the mask.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -31,11 +30,6 @@ class ValidationError(ValueError):
 class AssumptionError(RuntimeError):
     """A design assumption an estimator relies on does not hold; the
     estimator refuses to run rather than returning a silently wrong value."""
-
-
-def weighted_fsum(weights: Iterable[float], values: Iterable[float]) -> float:
-    """Compensated sum of ``w * v`` terms (used for support-weighted sums)."""
-    return math.fsum(w * v for w, v in zip(weights, values))
 
 
 @dataclass(frozen=True, order=True)
@@ -244,7 +238,3 @@ class VarianceEstimate:
             out["warnings"] = list(self.warnings)
         return out
 
-
-def as_value(est: "VarianceEstimate | float") -> float:
-    """Accept either a raw float or a VarianceEstimate."""
-    return float(est)

@@ -69,19 +69,23 @@ def validate_q(q: np.ndarray) -> QReport:
     symmetric = sym_gap <= Q_TOL
     if not symmetric:
         i, j = np.unravel_index(np.argmax(np.abs(q - q.T)), q.shape)
-        details["symmetric"] = f"q[{i},{j}]={q[i, j]!r} but q[{j},{i}]={q[j, i]!r}"
+        details["symmetric"] = (
+            f"q[{i},{j}]={float(q[i, j])!r} but q[{j},{i}]={float(q[j, i])!r}"
+        )
 
     diag_gap = np.abs(np.diag(q) - 1.0 / n**2)
     diagonal_ok = bool(np.all(diag_gap <= Q_TOL))
     if not diagonal_ok:
         i = int(np.argmax(diag_gap))
-        details["diagonal"] = f"q[{i},{i}]={q[i, i]!r}, expected 1/N^2={1.0 / n**2!r}"
+        details["diagonal"] = (
+            f"q[{i},{i}]={float(q[i, i])!r}, expected 1/N^2={1.0 / n**2!r}"
+        )
 
     row_sums = q.sum(axis=1)
     row_sums_ok = bool(np.all(np.abs(row_sums) <= Q_TOL * n))
     if not row_sums_ok:
         i = int(np.argmax(np.abs(row_sums)))
-        details["row_sums"] = f"row {i} sums to {row_sums[i]!r}, expected 0"
+        details["row_sums"] = f"row {i} sums to {float(row_sums[i])!r}, expected 0"
 
     if symmetric:
         min_eig = float(np.linalg.eigvalsh(q).min())

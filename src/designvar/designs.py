@@ -69,12 +69,6 @@ class AssumptionReport:
         return {"flags": flags, "details": dict(self.details)}
 
 
-def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class Design:
     """Common interface of explicit and sampler-backed designs."""
 
@@ -201,7 +195,9 @@ class ExplicitDesign(Design):
     # -- probability queries -------------------------------------------------
     @cached_property
     def propensities(self) -> np.ndarray:
-        pi = self._probs @ self.matrix
+        # Pairwise sums along the contiguous support axis: a plain dot drifts
+        # with the support size (3e-12 on CRD(22,11)) and fails the EPSEM check.
+        pi = np.multiply(self.matrix.T, self._probs, order="C").sum(axis=1)
         pi.setflags(write=False)
         return pi
 
@@ -259,7 +255,7 @@ class ExplicitDesign(Design):
 
     # -- sampling ------------------------------------------------------------
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         rows = rng.choice(self.support_size, size=m, p=self._probs)
         return self.matrix[rows].astype(np.int8)
 
@@ -363,7 +359,7 @@ class SampledDesign(Design):
         return MCEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / m), m)
 
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         return self._sampler(rng, m)
 
 
@@ -626,7 +622,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
     positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
     if not positivity:
         bad = int(np.argmax(~((pi > 0.0) & (pi < 1.0))))
-        details["positivity"] = f"unit {bad} has propensity {pi[bad]!r}"
+        details["positivity"] = f"unit {bad} has propensity {float(pi[bad])!r}"
 
     epsem = bool(np.ptp(pi) <= PROB_TOL)
     if not epsem:

@@ -25,7 +25,8 @@ def check_propensities(pi: np.ndarray | list[float], n: int) -> np.ndarray:
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         bad = int(np.argmax((pi <= 0.0) | (pi >= 1.0)))
         raise AssumptionError(
-            f"propensity of unit {bad} is {pi[bad]!r}; inverse weighting needs 0 < pi < 1"
+            f"propensity of unit {bad} is {float(pi[bad])!r}; "
+            "inverse weighting needs 0 < pi < 1"
         )
     return pi
 

@@ -18,12 +18,13 @@ from .core import (
     ObservedData,
     PotentialOutcomes,
     ValidationError,
-    as_value,
     reveal,
-    weighted_fsum,
 )
 from .designs import Design, ExplicitDesign, MCEstimate
 from .estimators import hajek
+
+# Elements of the (rows, support) contrast block psi holds at once.
+_PSI_BLOCK = 1 << 21
 
 
 def _require_explicit(d: Design, what: str) -> ExplicitDesign:
@@ -32,19 +33,32 @@ def _require_explicit(d: Design, what: str) -> ExplicitDesign:
     return d
 
 
-def psi(d: Design, v: np.ndarray) -> float:
+def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
     """Design-weighted squared-contrast functional of a unit vector v.
 
     psi(v) = (1/N^2) sum_w p_w (sum_treated v/pi - sum_control v/(1-pi))^2.
     Equals Var_d of the inverse-propensity estimator when v is the
-    propensity-weighted average potential outcome vector c.
+    propensity-weighted average potential outcome vector c. ``v`` is one
+    length-N vector (returns a float) or a (k, N) batch (returns a (k,)
+    array); each row is summed pairwise along the support.
     """
     d = _require_explicit(d, "psi")
     v = np.asarray(v, dtype=float)
-    if v.shape != (d.n,):
-        raise ValidationError(f"psi needs a length-{d.n} vector, got shape {v.shape}")
-    contrasts = d.contrast_matrix @ v
-    return weighted_fsum(d.probs, contrasts * contrasts) / d.n**2
+    if v.ndim not in (1, 2) or v.shape[-1] != d.n:
+        raise ValidationError(
+            f"psi needs a length-{d.n} vector or a (k, {d.n}) batch, got shape {v.shape}"
+        )
+    rows = np.atleast_2d(v)
+    out = np.empty(len(rows))
+    contrast_t = d.contrast_matrix.T
+    step = max(1, _PSI_BLOCK // d.support_size)
+    for start in range(0, len(rows), step):
+        g = rows[start:start + step] @ contrast_t
+        g *= g
+        g *= d.probs
+        out[start:start + len(g)] = g.sum(axis=1)
+    out /= d.n**2
+    return float(out[0]) if v.ndim == 1 else out
 
 
 def psi_mc(d: Design, v: np.ndarray, m: int, seed: int) -> MCEstimate:
@@ -79,7 +93,32 @@ def true_variance(d: Design, po: PotentialOutcomes) -> float:
     """
     d = _require_explicit(d, "true_variance")
     dev = ht_values(d, po) - po.tau
-    return weighted_fsum(d.probs, dev * dev)
+    return math.fsum(d.probs * (dev * dev))
+
+
+def _support_values(
+    d: ExplicitDesign,
+    po: PotentialOutcomes,
+    est: Callable[[ObservedData], "float | object"],
+) -> np.ndarray:
+    """``float(est(obs))`` for the table revealed at every support row."""
+    if po.n != d.n:
+        raise ValidationError(f"table has {po.n} units but design has {d.n}")
+    values = np.empty(d.support_size)
+    for k, w in enumerate(d.support):
+        try:
+            values[k] = float(est(reveal(po, w, pair_labels=d.pairs)))
+        except Exception as exc:
+            exc.args = (f"{exc} (estimator failed at support vector {w})",)
+            raise
+    return values
+
+
+def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, float]:
+    values = _support_values(d, po, est)
+    mean = math.fsum(d.probs * values)
+    var = math.fsum(d.probs * (values - mean) ** 2)
+    return mean, math.sqrt(max(var, 0.0))
 
 
 def estimator_expectation(
@@ -88,19 +127,7 @@ def estimator_expectation(
     est: Callable[[ObservedData], "float | object"],
 ) -> float:
     """Design expectation of an estimator evaluated on every revealed table."""
-    d = _require_explicit(d, "estimator_expectation")
-    if po.n != d.n:
-        raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    pairs = getattr(d, "pairs", None)
-    values = []
-    for w, _ in d.enumerate_support():
-        obs = reveal(po, w, pair_labels=pairs)
-        try:
-            values.append(as_value(est(obs)))
-        except Exception as exc:
-            exc.args = (f"{exc} (estimator failed at support vector {w})",)
-            raise
-    return weighted_fsum(d.probs, values)
+    return _moments(_require_explicit(d, "estimator_expectation"), po, est)[0]
 
 
 def estimator_moments(
@@ -109,36 +136,12 @@ def estimator_moments(
     est: Callable[[ObservedData], "float | object"],
 ) -> tuple[float, float]:
     """Design expectation and standard deviation of an estimator."""
-    d = _require_explicit(d, "estimator_moments")
-    pairs = getattr(d, "pairs", None)
-    values = []
-    for w, _ in d.enumerate_support():
-        obs = reveal(po, w, pair_labels=pairs)
-        try:
-            values.append(as_value(est(obs)))
-        except Exception as exc:
-            exc.args = (f"{exc} (estimator failed at support vector {w})",)
-            raise
-    vals = np.asarray(values)
-    mean = weighted_fsum(d.probs, vals)
-    var = weighted_fsum(d.probs, (vals - mean) ** 2)
-    return mean, math.sqrt(max(var, 0.0))
+    return _moments(_require_explicit(d, "estimator_moments"), po, est)
 
 
 def true_mse_hajek(d: Design, po: PotentialOutcomes) -> float:
     """Exact design MSE of the ratio estimator about the true effect."""
     d = _require_explicit(d, "true_mse_hajek")
-    if po.n != d.n:
-        raise ValidationError(f"table has {po.n} units but design has {d.n}")
     pi = d.propensities
-    tau = po.tau
-    devs = []
-    for w, _ in d.enumerate_support():
-        obs = reveal(po, w)
-        try:
-            devs.append(hajek(obs, pi) - tau)
-        except AssumptionError as exc:
-            exc.args = (f"{exc} (at support vector {w})",)
-            raise
-    devs = np.asarray(devs)
-    return weighted_fsum(d.probs, devs * devs)
+    devs = _support_values(d, po, lambda obs: hajek(obs, pi)) - po.tau
+    return math.fsum(d.probs * (devs * devs))

@@ -35,10 +35,9 @@ from .core import (
     ObservedData,
     PotentialOutcomes,
     ValidationError,
-    as_value,
     reveal,
 )
-from .decomposition import v_am
+from .decomposition import default_q_crd, estimate_decomposition, v_am
 from .designs import (
     Design,
     ExplicitDesign,
@@ -49,8 +48,8 @@ from .designs import (
     max_asmd,
 )
 from .estimators import neyman_variance
-from .imputation import GammaSpec, gamma_vector, impute_c, v_imputation
-from .oracles import estimator_moments, true_variance
+from .imputation import GammaSpec, gamma_vector, impute_c, v_imputation, v_imputation_mc
+from .oracles import estimator_moments, psi, true_variance
 
 __all__ = [
     "OutcomeModel",
@@ -63,6 +62,7 @@ __all__ = [
     "gen_covariate_study_a",
     "gen_covariates_hainmueller",
     "gen_outcomes",
+    "resolve_estimator",
     "study_a_design",
     "run_study",
     "run_study_a",
@@ -89,12 +89,6 @@ _MODEL_KINDS = ("no_effect", "constant_fixed", "constant_random", "heterogeneous
 # Distinct seed stream for the study-B design draws so they never collide
 # with the per-replication outcome streams (seed, model, replication).
 _DESIGN_STREAM = 104729
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ def gen_covariates_hainmueller(n: int, seed=None) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"need at least one unit, got n={n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x123 = rng.multivariate_normal(np.zeros(3), _HAINMUELLER_COV, size=n)
     x4 = rng.uniform(-3.0, 3.0, size=n)
     x5 = rng.chisquare(1.0, size=n)
@@ -247,7 +241,7 @@ def gen_covariate_study_a(n: int = 12, seed=None) -> np.ndarray:
     """
     if n < 3:
         raise ValidationError(f"need at least three units, got n={n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, size=n)
     x[:2] += 10.0
     return x
@@ -255,7 +249,7 @@ def gen_covariate_study_a(n: int = 12, seed=None) -> np.ndarray:
 
 def gen_outcomes(model: OutcomeModel, n: int, seed=None) -> PotentialOutcomes:
     """Draw a science table from one of the four outcome models."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     y0 = rng.uniform(0.0, 10.0, size=n)
     if model.kind == "no_effect":
         effect = np.zeros(n)
@@ -272,31 +266,59 @@ def gen_outcomes(model: OutcomeModel, n: int, seed=None) -> PotentialOutcomes:
 # estimator registry
 # ---------------------------------------------------------------------------
 
-def _resolve_estimator(name: str, d: Design) -> Callable[[ObservedData], object]:
-    """Map an estimator name to a callable on observed data.
+# The one estimator registry, shared by the simulator and the CLI. Names
+# after the slash are aliases; <gamma> is fixed:<v>, tau-hat, tau-loo or
+# theta-loo.
+ESTIMATOR_NAMES = (
+    "neyman, v_sub/contrast, mse_sub/mse-sub, v_pair/pair, v_am/am, "
+    "decomposition, imputation:<gamma>"
+)
+_ALIASES = {"contrast": "v_sub", "mse-sub": "mse_sub", "pair": "v_pair", "am": "v_am"}
 
-    Names: ``neyman``, ``v_am``, ``v_sub``, ``mse_sub``, ``v_pair``, and
-    ``imputation:<gamma>`` where ``<gamma>`` is ``fixed:<v>``, ``tau-hat``,
-    ``tau-loo``, or ``theta-loo``.
+
+def resolve_estimator(
+    name: str,
+    d: Design,
+    *,
+    substitutes: Mapping | None = None,
+    q: np.ndarray | None = None,
+    mc_draws: int | None = None,
+    seed: int = 0,
+) -> Callable[[ObservedData], object]:
+    """Map an estimator name (see ``ESTIMATOR_NAMES``) to a callable on observed data.
+
+    ``substitutes`` is the substitute map of v_sub and mse_sub (None: the
+    full map). ``q`` is the decomposition Q matrix (None: the default Q of a
+    CRD design). With ``mc_draws`` the imputation estimators are Monte Carlo
+    estimates from that many draws at ``seed``; otherwise they are exact.
     """
     key = name.strip()
+    key = _ALIASES.get(key, key)
     if key == "neyman":
         return lambda obs: neyman_variance(obs)
     if key == "v_am":
         return lambda obs: v_am(d, obs)
     if key == "v_sub":
-        return lambda obs: v_sub(d, obs)
+        return lambda obs: v_sub(d, obs, substitutes)
     if key == "mse_sub":
-        return lambda obs: mse_sub_epsem(d, obs)
+        return lambda obs: mse_sub_epsem(d, obs, substitutes)
     if key == "v_pair":
         return lambda obs: v_pair(obs)
+    if key == "decomposition":
+        if q is None:
+            if d.kind != "crd":
+                raise ValidationError(
+                    "decomposition needs a Q matrix (--q on the command line) "
+                    "for designs without a default Q"
+                )
+            q = default_q_crd(d.n)
+        return lambda obs: estimate_decomposition(d, obs, q)
     if key.startswith("imputation:"):
         spec = GammaSpec.parse(key.split(":", 1)[1])
-        return lambda obs: v_imputation(d, obs, spec)
-    raise ValidationError(
-        f"unknown estimator {name!r}; expected neyman, v_am, v_sub, mse_sub, "
-        "v_pair, or imputation:<gamma>"
-    )
+        if mc_draws is None:
+            return lambda obs: v_imputation(d, obs, spec)
+        return lambda obs: v_imputation_mc(d, obs, spec, m=mc_draws, seed=seed)
+    raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +339,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "run_study scores estimators by exact enumeration and needs an "
             "enumerable design; use run_study_b for sampler-backed designs"
         )
-    estimators = [(name, _resolve_estimator(name, d)) for name in spec.estimators]
+    estimators = [(name, resolve_estimator(name, d)) for name in spec.estimators]
     records: list[SimRecord] = []
     excluded = 0
     for rep in range(spec.n_replications):
@@ -526,24 +548,6 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     )
 
 
-def _psi_batch(d: ExplicitDesign, c_rows: np.ndarray) -> np.ndarray:
-    """psi evaluated for each row of ``c_rows`` in one pass.
-
-    Matches oracles.psi up to summation order (this path uses ordinary
-    float64 accumulation for speed; the single-vector oracle uses compensated
-    summation).
-    """
-    out = np.empty(len(c_rows))
-    contrast = d.contrast_matrix
-    probs = d.probs
-    chunk = 256
-    for start in range(0, len(c_rows), chunk):
-        block = c_rows[start:start + chunk]
-        g = contrast @ block.T
-        out[start:start + len(block)] = probs @ (g * g)
-    return out / d.n**2
-
-
 def _imputation_values(
     d: ExplicitDesign,
     spec: GammaSpec,
@@ -554,7 +558,7 @@ def _imputation_values(
     c_rows = np.stack(
         [impute_c(obs, pi, gamma_vector(spec, obs, d)) for obs in observations]
     )
-    return _psi_batch(d, c_rows)
+    return psi(d, c_rows)
 
 
 def run_study_b(
@@ -587,16 +591,12 @@ def run_study_b(
     draws = d.sample_matrix(n_inner_draws, draw_rng)
     emp = _empirical_design(draws)
 
+    resolved = {name: resolve_estimator(name, emp) for name in estimators}
     gamma_specs = {
         name: GammaSpec.parse(name.split(":", 1)[1])
         for name in estimators
         if name.startswith("imputation:")
     }
-    plain = [
-        (name, _resolve_estimator(name, emp))
-        for name in estimators
-        if not name.startswith("imputation:")
-    ]
 
     records: list[SimRecord] = []
     excluded = 0
@@ -611,15 +611,11 @@ def run_study_b(
                 continue
             idx = rng.choice(emp.support_size, size=n_outer, p=emp.probs)
             observations = [reveal(po, emp.support[r]) for r in idx]
-            value_sets: list[tuple[str, np.ndarray]] = []
-            for name, est in plain:
-                vals = np.array([as_value(est(obs)) for obs in observations])
-                value_sets.append((name, vals))
-            for name, gspec in gamma_specs.items():
-                value_sets.append((name, _imputation_values(emp, gspec, observations)))
-            order = {name: pos for pos, name in enumerate(estimators)}
-            value_sets.sort(key=lambda item: order[item[0]])
-            for name, vals in value_sets:
+            for name in estimators:
+                if name in gamma_specs:
+                    vals = _imputation_values(emp, gamma_specs[name], observations)
+                else:
+                    vals = np.array([float(resolved[name](obs)) for obs in observations])
                 mean = float(vals.mean())
                 sd = float(vals.std(ddof=1))
                 records.append(

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .contrast import v_pair, v_sub
-from .core import PotentialOutcomes, as_value, reveal
+from .core import PotentialOutcomes, reveal
 from .decomposition import (
     default_q_crd,
     estimate_decomposition,
@@ -97,7 +97,7 @@ def _suite_contrast_crd(rng: np.random.Generator, tol: float) -> list[CheckResul
                 obs = reveal(po, w)
                 worst = max(
                     worst,
-                    _rel(as_value(v_sub(d, obs)), as_value(neyman_variance(obs))),
+                    _rel(float(v_sub(d, obs)), float(neyman_variance(obs))),
                 )
         out.append(CheckResult("thm2", f"contrast-equals-two-sample-crd-{n}", worst, tol))
     return out
@@ -116,7 +116,7 @@ def _suite_contrast_pairs(rng: np.random.Generator, tol: float) -> list[CheckRes
                 obs = reveal(po, w, pair_labels=pairs)
                 worst = max(
                     worst,
-                    _rel(as_value(v_sub(d, obs)), as_value(v_pair(obs))),
+                    _rel(float(v_sub(d, obs)), float(v_pair(obs))),
                 )
         out.append(CheckResult("thm3", f"contrast-equals-pair-estimator-n{n}", worst, tol))
     return out
@@ -136,8 +136,8 @@ def _suite_contrast_decomposition(rng: np.random.Generator, tol: float) -> list[
             worst = max(
                 worst,
                 _rel(
-                    as_value(v_sub(d, obs)),
-                    as_value(estimate_decomposition(d, obs, q)),
+                    float(v_sub(d, obs)),
+                    float(estimate_decomposition(d, obs, q)),
                 ),
             )
     return [
@@ -171,8 +171,8 @@ def _suite_decomposition_crd(rng: np.random.Generator, tol: float) -> list[Check
                 worst_est = max(
                     worst_est,
                     _rel(
-                        as_value(estimate_decomposition(d, obs, q)),
-                        as_value(neyman_variance(obs)),
+                        float(estimate_decomposition(d, obs, q)),
+                        float(neyman_variance(obs)),
                     ),
                 )
         out.append(CheckResult("prop2", f"variance-split-exact-crd-{n}", worst_split, tol))
@@ -197,8 +197,8 @@ def _suite_imputation_tau_hat(rng: np.random.Generator, tol: float) -> list[Chec
                 worst = max(
                     worst,
                     _rel(
-                        as_value(v_imputation(d, obs, spec)),
-                        ratio * as_value(neyman_variance(obs)),
+                        float(v_imputation(d, obs, spec)),
+                        ratio * float(neyman_variance(obs)),
                     ),
                 )
         out.append(CheckResult("prop4", f"tau-hat-scaling-crd-{n}", worst, tol))
@@ -214,9 +214,7 @@ def _suite_imputation_theta_loo(rng: np.random.Generator, tol: float) -> list[Ch
         worst = 0.0
         for _ in range(5):
             po = _random_table(rng, n, homogeneous=True)
-            mean = estimator_expectation(
-                d, po, lambda obs: as_value(v_imputation(d, obs, spec))
-            )
+            mean = estimator_expectation(d, po, lambda obs: v_imputation(d, obs, spec))
             target = true_variance(d, po) * (n - 1) / (n - 2)
             worst = max(worst, _rel(mean, target))
         out.append(CheckResult("thm4", f"theta-loo-expectation-crd-{n}", worst, tol))

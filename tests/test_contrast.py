@@ -28,7 +28,6 @@ from designvar import (
     v_pair,
     v_sub,
 )
-from designvar.core import as_value
 
 from conftest import random_table
 
@@ -117,11 +116,11 @@ class TestSubstitutionMode:
 class TestVSub:
     def test_crossed_pairs_hand_value(self, crossed_pairs):
         obs = ObservedData(_av("1001"), np.array([3.0, 2.0, 3.0, 6.0]))
-        assert as_value(v_sub(crossed_pairs, obs)) == pytest.approx(4.0, rel=1e-12)
+        assert float(v_sub(crossed_pairs, obs)) == pytest.approx(4.0, rel=1e-12)
 
     def test_constant_outcomes_give_zero(self, crossed_pairs):
         obs = ObservedData(_av("1100"), np.full(4, 9.0))
-        assert as_value(v_sub(crossed_pairs, obs)) == pytest.approx(0.0, abs=1e-12)
+        assert float(v_sub(crossed_pairs, obs)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_two_sample_on_crd(self):
         d = build_crd(8, 4)
@@ -129,8 +128,8 @@ class TestVSub:
         po = random_table(rng, 8)
         for w, _ in d.enumerate_support():
             obs = reveal(po, w)
-            assert as_value(v_sub(d, obs)) == pytest.approx(
-                as_value(neyman_variance(obs)), rel=1e-10
+            assert float(v_sub(d, obs)) == pytest.approx(
+                float(neyman_variance(obs)), rel=1e-10
             )
             break  # spot check one vector here; the acceptance suite sweeps all
 
@@ -139,7 +138,7 @@ class TestVSub:
         for _ in range(20):
             po = random_table(rng, 4)
             for w, _ in crossed_pairs.enumerate_support():
-                assert as_value(v_sub(crossed_pairs, reveal(po, w))) >= 0.0
+                assert float(v_sub(crossed_pairs, reveal(po, w))) >= 0.0
 
     def test_string_keyed_substitute_map(self, crossed_pairs):
         g = {
@@ -149,7 +148,7 @@ class TestVSub:
             "0110": ["1100", "0011"],
         }
         obs = ObservedData(_av("1001"), np.array([3.0, 2.0, 3.0, 6.0]))
-        assert as_value(v_sub(crossed_pairs, obs, g)) == pytest.approx(4.0, rel=1e-12)
+        assert float(v_sub(crossed_pairs, obs, g)) == pytest.approx(4.0, rel=1e-12)
 
     def test_missing_anchor_in_custom_map(self, crossed_pairs):
         g = {"1100": ["1001"], "0011": ["1001"], "1001": ["1100"]}
@@ -175,7 +174,7 @@ class TestVSub:
 
     def test_conservative_with_homogeneous_sharpness(self, crossed_pairs):
         rng = np.random.default_rng(2)
-        est = lambda obs: as_value(v_sub(crossed_pairs, obs))
+        est = lambda obs: float(v_sub(crossed_pairs, obs))
         for _ in range(20):
             po = random_table(rng, 4)
             gap = estimator_expectation(crossed_pairs, po, est) - true_variance(
@@ -196,7 +195,7 @@ class TestVPair:
             np.array([1.0, 2.0, 3.0, 4.0]),
             pair_labels=((0, 2), (1, 3)),
         )
-        assert as_value(v_pair(obs)) == pytest.approx(0.0, abs=1e-12)
+        assert float(v_pair(obs)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_substitute_estimator_on_pairs(self):
         pairs = [(0, 4), (1, 5), (2, 6), (3, 7)]
@@ -205,8 +204,8 @@ class TestVPair:
         po = random_table(rng, 8)
         for w, _ in d.enumerate_support():
             obs = reveal(po, w, pair_labels=tuple(pairs))
-            assert as_value(v_pair(obs)) == pytest.approx(
-                as_value(v_sub(d, obs)), rel=1e-10
+            assert float(v_pair(obs)) == pytest.approx(
+                float(v_sub(d, obs)), rel=1e-10
             )
 
     def test_missing_labels_rejected(self):
@@ -236,14 +235,14 @@ class TestMseSubEpsem:
         d = build_crd(16, 4)
         rng = np.random.default_rng(4)
         po = random_table(rng, 16, homogeneous=True)
-        est = lambda obs: as_value(mse_sub_epsem(d, obs))
+        est = lambda obs: float(mse_sub_epsem(d, obs))
         assert estimator_expectation(d, po, est) == pytest.approx(
             true_mse_hajek(d, po), rel=1e-9
         )
 
     def test_conservative_on_equal_group_closed_design(self, crossed_pairs):
         rng = np.random.default_rng(5)
-        est = lambda obs: as_value(mse_sub_epsem(crossed_pairs, obs))
+        est = lambda obs: float(mse_sub_epsem(crossed_pairs, obs))
         for _ in range(20):
             po = random_table(rng, 4)
             gap = estimator_expectation(crossed_pairs, po, est) - true_mse_hajek(
@@ -255,7 +254,7 @@ class TestMseSubEpsem:
         d = build_crd(16, 4)
         w = _av("1111" + "0" * 12)
         obs = ObservedData(w, np.full(16, 3.0))
-        assert as_value(mse_sub_epsem(d, obs)) == pytest.approx(0.0, abs=1e-12)
+        assert float(mse_sub_epsem(d, obs)) == pytest.approx(0.0, abs=1e-12)
 
     def test_non_integral_overlap_rejected(self):
         d = build_crd(8, 2)

@@ -23,7 +23,6 @@ from designvar import (
     v_tilde,
     validate_q,
 )
-from designvar.core import as_value
 
 from conftest import random_table
 
@@ -143,21 +142,21 @@ class TestEstimateDecomposition:
         po = random_table(np.random.default_rng(3), 4)
         for w, _ in crd42.enumerate_support():
             obs = reveal(po, w)
-            assert as_value(estimate_decomposition(crd42, obs, q)) == pytest.approx(
-                as_value(neyman_variance(obs)), rel=1e-10
+            assert float(estimate_decomposition(crd42, obs, q)) == pytest.approx(
+                float(neyman_variance(obs)), rel=1e-10
             )
 
     def test_crossed_pairs_hand_values(self, crossed_pairs):
         obs1 = ObservedData(
             AssignmentVector.from_string("1100"), np.array([1.0, 2.0, 3.0, 4.0])
         )
-        assert as_value(estimate_decomposition(crossed_pairs, obs1, CROSS_Q)) == pytest.approx(
+        assert float(estimate_decomposition(crossed_pairs, obs1, CROSS_Q)) == pytest.approx(
             0.0, abs=1e-12
         )
         obs2 = ObservedData(
             AssignmentVector.from_string("1001"), np.array([3.0, 2.0, 3.0, 6.0])
         )
-        assert as_value(estimate_decomposition(crossed_pairs, obs2, CROSS_Q)) == pytest.approx(
+        assert float(estimate_decomposition(crossed_pairs, obs2, CROSS_Q)) == pytest.approx(
             4.0, rel=1e-12
         )
 
@@ -173,7 +172,7 @@ class TestEstimateDecomposition:
     def test_unbiased_for_v_tilde(self, crossed_pairs):
         rng = np.random.default_rng(4)
         po = random_table(rng, 4)
-        est = lambda obs: as_value(estimate_decomposition(crossed_pairs, obs, CROSS_Q))
+        est = lambda obs: float(estimate_decomposition(crossed_pairs, obs, CROSS_Q))
         assert estimator_expectation(crossed_pairs, po, est) == pytest.approx(
             v_tilde(crossed_pairs, po, CROSS_Q), rel=1e-9
         )
@@ -184,12 +183,12 @@ class TestEstimateDecomposition:
         for _ in range(10):
             po = random_table(rng, 6)
             q = _random_valid_q(6, rng)
-            est = lambda obs: as_value(estimate_decomposition(d, obs, q))
+            est = lambda obs: float(estimate_decomposition(d, obs, q))
             gap = estimator_expectation(d, po, est) - true_variance(d, po)
             assert gap >= -1e-9
         po = random_table(rng, 6, homogeneous=True)
         q = _random_valid_q(6, rng)
-        est = lambda obs: as_value(estimate_decomposition(d, obs, q))
+        est = lambda obs: float(estimate_decomposition(d, obs, q))
         assert estimator_expectation(d, po, est) == pytest.approx(
             true_variance(d, po), rel=1e-10
         )
@@ -242,7 +241,7 @@ class TestVAm:
     def test_measurable_design_gap_is_effect_deviation_sum(self):
         d = build_crd(6, 3)
         po = random_table(np.random.default_rng(7), 6)
-        est = lambda obs: as_value(v_am(d, obs))
+        est = lambda obs: float(v_am(d, obs))
         gap = estimator_expectation(d, po, est) - true_variance(d, po)
         dev = po.y1 - po.y0 - po.tau
         assert gap == pytest.approx(float(dev @ dev) / (6 * 5), rel=1e-9)
@@ -250,7 +249,7 @@ class TestVAm:
 
     def test_conservative_on_nonmeasurable_design(self, crossed_pairs):
         rng = np.random.default_rng(8)
-        est = lambda obs: as_value(v_am(crossed_pairs, obs))
+        est = lambda obs: float(v_am(crossed_pairs, obs))
         for _ in range(100):
             po = random_table(rng, 4)
             gap = estimator_expectation(crossed_pairs, po, est) - true_variance(
@@ -260,4 +259,4 @@ class TestVAm:
 
     def test_constant_outcomes_nonnegative_with_dead_cells(self, crossed_pairs):
         obs = ObservedData(AssignmentVector.from_string("1100"), np.full(4, 2.0))
-        assert as_value(v_am(crossed_pairs, obs)) >= 0.0
+        assert float(v_am(crossed_pairs, obs)) >= 0.0

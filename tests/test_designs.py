@@ -20,7 +20,10 @@ from designvar import (
     build_rerandomized,
     check_assumptions,
     max_asmd,
+    substitution_mode,
+    validate_q,
 )
+from designvar.estimators import check_propensities
 
 
 class TestBuildCrd:
@@ -255,6 +258,28 @@ class TestCheckAssumptions:
         assert report.fixed_total_weight is True
         assert report.equal_size_constant_propensity is False
         assert report.epsem is True
+
+    def test_crd_22_11_propensities_do_not_drift(self):
+        # 705,432 rows: a plain dot of the row probabilities spreads the
+        # propensities by about 3e-12, past PROB_TOL, and fails EPSEM.
+        report = check_assumptions(build_crd(22, 11))
+        assert report.epsem is True
+        assert report.equal_size_constant_propensity is True
+        assert report.substitution is False
+        assert "not an integer" in report.details["substitution"]
+
+    def test_messages_print_plain_floats(self):
+        always_treated = build_explicit(["10", "11"], [0.5, 0.5])
+        messages = list(check_assumptions(always_treated).details.values())
+        with pytest.raises(AssumptionError) as exc:
+            check_propensities(np.array([0.5, 1.0]), 2)
+        messages.append(str(exc.value))
+        with pytest.raises(AssumptionError) as exc:
+            substitution_mode(build_explicit(["10", "01", "11"], [0.5, 0.25, 0.25]))
+        messages.append(str(exc.value))
+        messages += validate_q(np.array([[1.0, 2.0], [0.0, 1.0]])).details.values()
+        assert "unit 0 has propensity 1.0" in messages
+        assert not [m for m in messages if "np.float64" in m]
 
     def test_to_dict_round_trip(self, crossed_pairs):
         payload = check_assumptions(crossed_pairs).to_dict()

@@ -32,7 +32,6 @@ from designvar import (
     v_imputation,
     v_imputation_mc,
 )
-from designvar.core import as_value
 
 from conftest import random_table
 
@@ -255,8 +254,8 @@ class TestVImputation:
         spec = GammaSpec.parse("tau-hat")
         for w, _ in d.enumerate_support():
             obs = reveal(po, w)
-            expected = as_value(neyman_variance(obs)) * (n - 2) / (n - 1)
-            assert as_value(v_imputation(d, obs, spec)) == pytest.approx(
+            expected = float(neyman_variance(obs)) * (n - 2) / (n - 1)
+            assert float(v_imputation(d, obs, spec)) == pytest.approx(
                 expected, rel=1e-10
             )
 
@@ -265,7 +264,7 @@ class TestVImputation:
         d = build_crd(n, n // 2)
         po = random_table(np.random.default_rng(20), n, homogeneous=True)
         beta = 1.25
-        est = lambda obs: as_value(v_imputation(d, obs, GammaSpec.fixed(beta)))
+        est = lambda obs: float(v_imputation(d, obs, GammaSpec.fixed(beta)))
         gap = estimator_expectation(d, po, est) - true_variance(d, po)
         assert gap == pytest.approx((po.tau - beta) ** 2 / (n - 1), rel=1e-10)
 
@@ -274,7 +273,7 @@ class TestVImputation:
         d = build_crd(n, n // 2)
         po = random_table(np.random.default_rng(21), n, homogeneous=True)
         spec = GammaSpec.parse("theta-loo")
-        est = lambda obs: as_value(v_imputation(d, obs, spec))
+        est = lambda obs: float(v_imputation(d, obs, spec))
         assert estimator_expectation(d, po, est) == pytest.approx(
             true_variance(d, po) * (n - 1) / (n - 2), rel=1e-10
         )
@@ -285,7 +284,7 @@ class TestVImputation:
             po = random_table(rng, 4)
             for w, _ in crossed_pairs.enumerate_support():
                 obs = reveal(po, w)
-                value = as_value(v_imputation(crossed_pairs, obs, GammaSpec.fixed(0.0)))
+                value = float(v_imputation(crossed_pairs, obs, GammaSpec.fixed(0.0)))
                 assert value >= 0.0
 
     def test_non_enumerable_design_refused(self):
@@ -302,7 +301,7 @@ class TestVImputationMc:
         po = random_table(np.random.default_rng(23), 4, homogeneous=True)
         obs = reveal(po, AssignmentVector.from_string("1100"))
         spec = GammaSpec.fixed(po.tau)
-        exact = as_value(v_imputation(crossed_pairs, obs, spec))
+        exact = float(v_imputation(crossed_pairs, obs, spec))
         mc = v_imputation_mc(crossed_pairs, obs, spec, m=20_000, seed=3)
         assert abs(mc.value - exact) <= 3.0 * mc.mc_se
         assert mc.exact is False

@@ -194,20 +194,21 @@ class TestCliAnalyze:
     def test_contrast_hand_value(self, crossed_pairs_file, tmp_path, capsys):
         obs = tmp_path / "obs2.csv"
         obs.write_text("unit_id,w,y_obs\n1,1,3\n2,0,2\n3,0,3\n4,1,6\n")
-        code = main(
-            [
-                "analyze",
-                "--design",
-                crossed_pairs_file,
-                "--data",
-                str(obs),
-                "--estimator",
-                "contrast",
-                "--json",
-            ]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(4.0)
+        for name in ("contrast", "v_sub"):
+            code = main(
+                [
+                    "analyze",
+                    "--design",
+                    crossed_pairs_file,
+                    "--data",
+                    str(obs),
+                    "--estimator",
+                    name,
+                    "--json",
+                ]
+            )
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(4.0)
 
     def test_decomposition_q_forms(self, crd_file, obs_file, tmp_path, capsys):
         q_file = tmp_path / "q.csv"
@@ -359,6 +360,17 @@ class TestCliSimulate:
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 2
 
+    def test_study_b_outer_draws(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(
+            ["simulate", "--study", "b", "--reps", "1", "--inner-draws", "8",
+             "--outer", "6", "--out", str(out)]
+        )
+        assert code == 0
+        rows = (out / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 3  # header, four models x three estimators
+        assert json.loads((out / "summary.json").read_text())["meta"]["n_outer"] == 6
+
     def test_study_and_scenario_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "s.json"
         cfg.write_text("{}")
@@ -370,11 +382,6 @@ class TestCliParsing:
     def test_bad_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
-        assert exc.value.code == 2
-
-    def test_threads_must_be_positive(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "verify"])
         assert exc.value.code == 2
 
     def test_global_flags_accepted_before_and_after_subcommand(self, capsys):

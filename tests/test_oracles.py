@@ -22,7 +22,6 @@ from designvar import (
     true_mse_hajek,
     true_variance,
 )
-from designvar.core import as_value
 
 from conftest import random_table
 
@@ -124,9 +123,9 @@ class TestEstimatorExpectation:
 
     def test_moments_match_enumeration(self, crd42):
         po = random_table(np.random.default_rng(8), 4)
-        mean, sd = estimator_moments(crd42, po, lambda obs: as_value(neyman_variance(obs)))
+        mean, sd = estimator_moments(crd42, po, lambda obs: float(neyman_variance(obs)))
         values = np.array(
-            [as_value(neyman_variance(reveal(po, w))) for w, _ in crd42.enumerate_support()]
+            [float(neyman_variance(reveal(po, w))) for w, _ in crd42.enumerate_support()]
         )
         probs = np.asarray(crd42.probs)
         assert mean == pytest.approx(float(probs @ values), rel=1e-12)

@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
+import designvar as dv
 from designvar import (
     OutcomeModel,
     PotentialOutcomes,
     ScenarioSpec,
     SimResult,
     ValidationError,
+    build_crd,
     build_explicit,
     emit_outputs,
     gen_covariate_study_a,
@@ -25,7 +27,8 @@ from designvar import (
     study_a_design,
     study_models,
 )
-from designvar.simulate import _empirical_design, _imputation_values, _psi_batch
+from designvar.core import EST_RTOL
+from designvar.simulate import _empirical_design, _imputation_values, resolve_estimator
 
 from conftest import random_table
 
@@ -111,6 +114,76 @@ class TestScenarioSpec:
             run_study(spec)
 
 
+# Every name the CLI or the simulator accepted before the two estimator
+# registries were merged, and the direct call it stands for.
+_DIRECT_CALLS = {
+    "neyman": lambda d, obs: dv.neyman_variance(obs),
+    "v_sub": lambda d, obs: dv.v_sub(d, obs),
+    "mse_sub": lambda d, obs: dv.mse_sub_epsem(d, obs),
+    "v_pair": lambda d, obs: dv.v_pair(obs),
+    "v_am": lambda d, obs: dv.v_am(d, obs),
+    "decomposition": lambda d, obs: dv.estimate_decomposition(d, obs, dv.default_q_crd(d.n)),
+    **{
+        f"imputation:{g}": (
+            lambda d, obs, g=g: dv.v_imputation(d, obs, dv.GammaSpec.parse(g))
+        )
+        for g in ("fixed:0", "tau-hat", "tau-loo", "theta-loo")
+    },
+}
+_REGISTRY_NAMES = {
+    **{name: name for name in _DIRECT_CALLS},
+    "contrast": "v_sub",
+    "mse-sub": "mse_sub",
+    "pair": "v_pair",
+    "am": "v_am",
+}
+_REGISTRY_DESIGNS = {
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+    "crd-8-4": lambda: build_crd(8, 4),
+    "matched-pairs": lambda: dv.build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]),
+}
+
+
+def _value_or_error(call):
+    try:
+        return float(call())
+    except (dv.AssumptionError, ValidationError) as exc:
+        return type(exc)
+
+
+class TestEstimatorRegistry:
+    @pytest.mark.parametrize("design", sorted(_REGISTRY_DESIGNS))
+    @pytest.mark.parametrize("name", sorted(_REGISTRY_NAMES))
+    def test_matches_direct_call(self, name, design):
+        d = _REGISTRY_DESIGNS[design]()
+        po = random_table(np.random.default_rng(9), d.n)
+        q = dv.default_q_crd(d.n)
+        for w in d.support[:3]:
+            obs = dv.reveal(po, w, pair_labels=d.pairs)
+            want = _value_or_error(lambda: _DIRECT_CALLS[_REGISTRY_NAMES[name]](d, obs))
+            got = _value_or_error(lambda: resolve_estimator(name, d, q=q)(obs))
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=EST_RTOL)
+            else:
+                assert got is want
+
+    def test_keyword_inputs(self, crossed_pairs):
+        obs = dv.reveal(random_table(np.random.default_rng(10), 4), crossed_pairs.support[2])
+        g = {"1100": ["1001"], "0011": ["0110"], "1001": ["1100"], "0110": ["0011"]}
+        contrast = resolve_estimator("contrast", crossed_pairs, substitutes=g)
+        mse = resolve_estimator("mse-sub", crossed_pairs, substitutes=g)
+        assert contrast(obs) == dv.v_sub(crossed_pairs, obs, g)
+        assert mse(obs) == dv.mse_sub_epsem(crossed_pairs, obs, g)
+        no_anchor = {"1100": ["1001"], "0011": ["1001"], "1001": ["1100"]}
+        with pytest.raises(ValidationError, match="0110"):
+            resolve_estimator("v_sub", crossed_pairs, substitutes=no_anchor)(obs)
+        spec = dv.GammaSpec.parse("tau-hat")
+        mc = resolve_estimator("imputation:tau-hat", crossed_pairs, mc_draws=500, seed=3)
+        assert mc(obs) == dv.v_imputation_mc(crossed_pairs, obs, spec, m=500, seed=3)
+        with pytest.raises(ValidationError, match="Q matrix"):
+            resolve_estimator("decomposition", crossed_pairs)
+
+
 class TestRunStudy:
     def _spec(self, d, reps=3, seed=0):
         return ScenarioSpec(
@@ -156,13 +229,28 @@ class TestPsiBatch:
     def test_matches_single_vector_oracle(self, crossed_pairs):
         rng = np.random.default_rng(4)
         rows = rng.uniform(-5.0, 5.0, size=(17, 4))
-        batch = _psi_batch(crossed_pairs, rows)
+        batch = psi(crossed_pairs, rows)
+        assert batch.shape == (17,)
         for k in range(rows.shape[0]):
             assert batch[k] == pytest.approx(psi(crossed_pairs, rows[k]), rel=1e-12)
 
+    def test_matches_compensated_reference_on_crd_16_8(self):
+        d = build_crd(16, 8)
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(0.0, 10.0, size=(5, 16))
+        batch = psi(d, rows)
+        for k in range(rows.shape[0]):
+            g = d.contrast_matrix @ rows[k]
+            ref = math.fsum((d.probs * (g * g)).tolist()) / d.n**2
+            assert psi(d, rows[k]) == pytest.approx(batch[k], rel=EST_RTOL)
+            assert batch[k] == pytest.approx(ref, rel=EST_RTOL)
+
+    def test_rejects_wrong_width(self, crossed_pairs):
+        with pytest.raises(ValidationError):
+            psi(crossed_pairs, np.ones((3, 5)))
+
     def test_imputation_values_match_exact_estimator(self, crossed_pairs):
         from designvar import GammaSpec, reveal, v_imputation
-        from designvar.core import as_value
 
         po = random_table(np.random.default_rng(5), 4)
         observations = [reveal(po, w) for w, _ in crossed_pairs.enumerate_support()]
@@ -170,7 +258,7 @@ class TestPsiBatch:
         values = _imputation_values(crossed_pairs, spec, observations)
         for obs, got in zip(observations, values):
             assert got == pytest.approx(
-                as_value(v_imputation(crossed_pairs, obs, spec)), rel=1e-10
+                float(v_imputation(crossed_pairs, obs, spec)), rel=1e-10
             )
 
 
