@@ -12,11 +12,10 @@ equal-propensity designs with unequal group sizes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,7 +33,10 @@ from .designs import Design, ExplicitDesign
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
 
-_MEMBERSHIP_CACHE: "weakref.WeakKeyDictionary[ExplicitDesign, dict]" = (
+# Elements of the (rows, support) overlap block a substitute scan holds at once.
+_SCAN_BLOCK = 1 << 18
+
+_COUNTS_CACHE: "weakref.WeakKeyDictionary[ExplicitDesign, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -66,7 +68,7 @@ def _constant_propensity(d: Design) -> float:
 
 def _group_sizes(d: Design) -> set[int]:
     if isinstance(d, ExplicitDesign):
-        return {int(w.n_treated) for w in d.support}
+        return set(np.flatnonzero(np.bincount(d.group_sizes)).tolist())
     if d.kind == "crd" and "n_treated" in d.meta:
         return {int(d.meta["n_treated"])}
     raise AssumptionError(
@@ -163,64 +165,49 @@ class SubstituteSet:
         return all(m.complement().mask in self._masks for m in self.members)
 
 
-def _crd_substitutes(w: AssignmentVector, k: int, cap: int) -> list[AssignmentVector]:
-    nt = w.n_treated
-    count = math.comb(nt, k) * math.comb(w.n - nt, nt - k)
+def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
+    """(len(rows), S) boolean block: entry (i, s) says support[s] substitutes
+    for support[rows[i]].
+
+    A substitute has the anchor's group size and treats exactly k of the
+    anchor's treated units. The relation is symmetric, so row r also lists
+    the anchors whose substitute set contains support[r].
+    """
+    u = d.matrix
+    sizes = d.group_sizes
+    anchor_sizes = sizes[rows]
+    nts = anchor_sizes.tolist()
+    k_of = {nt: _overlap_count(d.n, nt, mode) for nt in set(nts)}
+    k = np.array([k_of[nt] for nt in nts], dtype=float)
+    # overlaps of 0/1 rows are small integers, exact in floating point
+    return (u[rows] @ u.T == k[:, None]) & (anchor_sizes[:, None] == sizes)
+
+
+def _row_blocks(d: ExplicitDesign) -> Iterator[np.ndarray]:
+    s = d.support_size
+    step = max(1, _SCAN_BLOCK // s)
+    for start in range(0, s, step):
+        yield np.arange(start, min(start + step, s))
+
+
+def _check_count(w: AssignmentVector, count: int, cap: float = math.inf) -> None:
     if count > cap:
         raise AssumptionError(
             f"substitute set too large: {count} members exceeds cap {cap}"
         )
-    top = w.n - 1
-    members = []
-    for keep in itertools.combinations(w.treated, k):
-        base = 0
-        for i in keep:
-            base |= 1 << (top - i)
-        for take in itertools.combinations(w.controls, nt - k):
-            mask = base
-            for i in take:
-                mask |= 1 << (top - i)
-            members.append(AssignmentVector(w.n, mask))
-    return members
-
-
-def _pair_substitutes(
-    pairs: Sequence[tuple[int, int]], w: AssignmentVector, cap: int
-) -> list[AssignmentVector]:
-    j = len(pairs)
-    count = math.comb(j, j // 2)
-    if count > cap:
+    if not count:
         raise AssumptionError(
-            f"substitute set too large: {count} members exceeds cap {cap}"
+            f"no substitutes exist for assignment {w}: the substitution "
+            "assumption fails at this vector"
         )
-    top = w.n - 1
-    toggles = [(1 << (top - a)) | (1 << (top - b)) for a, b in pairs]
-    members = []
-    # a substitute agrees with w on exactly half the pairs and swaps the rest
-    for keep in itertools.combinations(range(j), j // 2):
-        mask = w.mask
-        keep_set = frozenset(keep)
-        for pj in range(j):
-            if pj not in keep_set:
-                mask ^= toggles[pj]
-        members.append(AssignmentVector(w.n, mask))
-    return members
 
 
-def _scan_substitutes(
-    d: ExplicitDesign, w: AssignmentVector, k: int, cap: int
-) -> list[AssignmentVector]:
-    nt = w.n_treated
-    members = [
-        cand
-        for cand in d.support
-        if cand.n_treated == nt and (cand.mask & w.mask).bit_count() == k
-    ]
-    if len(members) > cap:
+def _require_explicit(d: Design, what: str) -> ExplicitDesign:
+    if not isinstance(d, ExplicitDesign):
         raise AssumptionError(
-            f"substitute set too large: {len(members)} members exceeds cap {cap}"
+            f"cannot {what} substitutes for a sampler-backed {d.kind} design"
         )
-    return members
+    return d
 
 
 def full_substitute_set(
@@ -230,69 +217,34 @@ def full_substitute_set(
     *,
     cap: int = SUBSTITUTE_CAP,
 ) -> SubstituteSet:
-    """All substitutes of ``w`` within the design.
+    """All substitutes of ``w`` within the design, in support order.
 
-    Completely randomized and matched-pair designs get direct combinatorial
-    generation; other explicit designs are scanned with the predicate. Raises
-    when the set is empty, which breaks the assumption the estimators rest on.
+    Scans the support with the substitute predicate. Raises when the set is
+    empty, which breaks the assumption the estimators rest on.
     """
+    d = _require_explicit(d, "enumerate")
     w = _as_assignment(w, d.n)
     if mode is None:
         mode = substitution_mode(d)
-    if isinstance(d, ExplicitDesign) and w not in d:
-        raise ValidationError(f"assignment {w} is not in the design support")
-    k = _overlap_count(d.n, w.n_treated, mode)
-    if d.kind == "crd":
-        members = _crd_substitutes(w, k, cap)
-    elif d.kind == "matched_pair" and getattr(d, "pairs", None):
-        members = _pair_substitutes(d.pairs, w, cap)
-    elif isinstance(d, ExplicitDesign):
-        members = _scan_substitutes(d, w, k, cap)
-    else:
-        raise AssumptionError(
-            f"cannot enumerate substitutes for a sampler-backed {d.kind} design"
-        )
-    if not members:
-        raise AssumptionError(
-            f"no substitutes exist for assignment {w}: the substitution "
-            "assumption fails at this vector"
-        )
-    return SubstituteSet(anchor=w, members=tuple(members), mode=mode)
-
-
-def _membership(d: ExplicitDesign, mode: str) -> np.ndarray:
-    """S x S boolean matrix: entry (r, s) says support[s] substitutes for support[r]."""
-    per_design = _MEMBERSHIP_CACHE.setdefault(d, {})
-    if mode not in per_design:
-        u = d.matrix.astype(np.int64)
-        sizes = u.sum(axis=1)
-        if mode == EQUAL_SIZE:
-            k = np.full(sizes.shape, d.n // 4, dtype=np.int64)
-        else:
-            k_float = sizes.astype(np.int64) ** 2 / d.n
-            k = np.rint(k_float).astype(np.int64)
-            if np.any(k != k_float):
-                bad = int(sizes[int(np.argmax(k != k_float))])
-                raise AssumptionError(
-                    f"substitution undefined: overlap count N_t(w)^2/N = "
-                    f"{bad * bad / d.n} is not an integer (N_t = {bad}, N = {d.n})"
-                )
-        overlap = u @ u.T
-        a = (overlap == k[:, None]) & (sizes[None, :] == sizes[:, None])
-        a.setflags(write=False)
-        per_design[mode] = a
-    return per_design[mode]
+    hits = _substitute_rows(d, [d.index_of(w)], mode)[0]
+    _check_count(w, int(hits.sum()), cap)
+    members = tuple(d.support[s] for s in np.flatnonzero(hits))
+    return SubstituteSet(anchor=w, members=members, mode=mode)
 
 
 def substitute_counts(d: Design, mode: str | None = None) -> np.ndarray:
     """|G*(w)| for every support vector, in support order."""
-    if not isinstance(d, ExplicitDesign):
-        raise AssumptionError(
-            f"cannot count substitutes for a sampler-backed {d.kind} design"
-        )
+    d = _require_explicit(d, "count")
     if mode is None:
         mode = substitution_mode(d)
-    return _membership(d, mode).sum(axis=1)
+    per_design = _COUNTS_CACHE.setdefault(d, {})
+    if mode not in per_design:
+        counts = np.concatenate(
+            [_substitute_rows(d, rows, mode).sum(axis=1) for rows in _row_blocks(d)]
+        )
+        counts.setflags(write=False)
+        per_design[mode] = counts
+    return per_design[mode]
 
 
 def full_substitute_map(
@@ -302,28 +254,20 @@ def full_substitute_map(
     cap: int = SUBSTITUTE_CAP,
 ) -> dict[AssignmentVector, SubstituteSet]:
     """G*(w) for every support vector, keyed by anchor."""
-    if not isinstance(d, ExplicitDesign):
-        raise AssumptionError(
-            f"cannot enumerate substitutes for a sampler-backed {d.kind} design"
-        )
+    d = _require_explicit(d, "enumerate")
     if mode is None:
         mode = substitution_mode(d)
-    a = _membership(d, mode)
-    counts = a.sum(axis=1)
-    if counts.max(initial=0) > cap:
-        raise AssumptionError(
-            f"substitute set too large: {int(counts.max())} members exceeds cap {cap}"
-        )
     support = d.support
+    counts = substitute_counts(d, mode)
+    # the largest set trips the cap first, then the first empty set
+    for r in (int(np.argmax(counts)), int(np.argmin(counts))):
+        _check_count(support[r], int(counts[r]), cap)
     out = {}
-    for r, w in enumerate(support):
-        members = tuple(support[s] for s in np.flatnonzero(a[r]))
-        if not members:
-            raise AssumptionError(
-                f"no substitutes exist for assignment {w}: the substitution "
-                "assumption fails at this vector"
-            )
-        out[w] = SubstituteSet(anchor=w, members=members, mode=mode)
+    for rows in _row_blocks(d):
+        for r, hits in zip(rows, _substitute_rows(d, rows, mode)):
+            w = support[r]
+            members = tuple(support[s] for s in np.flatnonzero(hits))
+            out[w] = SubstituteSet(anchor=w, members=members, mode=mode)
     return out
 
 
@@ -331,21 +275,21 @@ def _normalize_g(
     d: ExplicitDesign,
     g: Mapping,
     mode: str,
+    r_obs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a user map and return per-anchor (membership, sizes) arrays.
+    """Validate a user map; return the anchors whose set holds support[r_obs],
+    ascending, with their set sizes.
 
     Every support vector must appear with a nonempty set of genuine in-support
     substitutes; the estimators refuse partial coverage because their
     unbiasedness argument sums over all anchors.
     """
-    s = d.support_size
-    covered = np.zeros(s, dtype=bool)
-    member_of = np.zeros((s, s), dtype=bool)
+    member_rows: dict[int, set[int]] = {}
     for key, val in g.items():
         w = _as_assignment(key, d.n)
         if w not in d:
             raise ValidationError(f"anchor {w} is not in the design support")
-        r = d.index_of(w)
+        rows = member_rows.setdefault(d.index_of(w), set())
         members: Iterable = val.members if isinstance(val, SubstituteSet) else val
         members = tuple(_as_assignment(m, d.n) for m in members)
         if not members:
@@ -359,34 +303,30 @@ def _normalize_g(
                 )
             if not is_substitute(w, m, mode):
                 raise ValidationError(f"{m} is not a substitute of {w}")
-            member_of[r, d.index_of(m)] = True
-        covered[r] = True
-    if not covered.all():
-        w = d.support[int(np.argmin(covered))]
+            rows.add(d.index_of(m))
+    if len(member_rows) < d.support_size:
+        w = next(v for r, v in enumerate(d.support) if r not in member_rows)
         raise ValidationError(
             f"substitute map does not cover the support: no entry for {w}"
         )
-    return member_of, member_of.sum(axis=1)
+    anchors = sorted(r for r, held in member_rows.items() if r_obs in held)
+    sizes = [len(member_rows[r]) for r in anchors]
+    return np.array(anchors, dtype=np.intp), np.array(sizes, dtype=np.int64)
 
 
 def _anchor_arrays(
     d: ExplicitDesign, obs: ObservedData, g: Mapping | None, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of anchors whose substitute set contains the realized W, with sizes."""
-    if g is None:
-        a = _membership(d, mode)
-        counts = a.sum(axis=1)
-        if not counts.all():
-            w = d.support[int(np.argmin(counts > 0))]
-            raise AssumptionError(
-                f"no substitutes exist for assignment {w}: the substitution "
-                "assumption fails at this vector"
-            )
-    else:
-        a, counts = _normalize_g(d, g, mode)
+    """Rows of anchors whose substitute set contains the realized W, with
+    those anchors' set sizes."""
     r_obs = d.index_of(obs.w)
-    anchors = np.flatnonzero(a[:, r_obs])
-    return anchors, counts
+    if g is not None:
+        return _normalize_g(d, g, mode, r_obs)
+    counts = substitute_counts(d, mode)
+    r = int(np.argmin(counts))
+    _check_count(d.support[r], int(counts[r]))
+    anchors = np.flatnonzero(_substitute_rows(d, [r_obs], mode)[0])
+    return anchors, counts[anchors]
 
 
 def _require_realized(d: Design, obs: ObservedData) -> ExplicitDesign:
@@ -423,7 +363,7 @@ def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEst
     contrasts = d.sign_matrix @ obs.y_obs
     p_obs = d.prob_of(obs.w)
     terms = (
-        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts[anchors]
+        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts
     )
     value = 4.0 / n**2 * math.fsum(terms.tolist())
     return VarianceEstimate(
@@ -469,13 +409,13 @@ def mse_sub_epsem(
     mode = substitution_mode(d)
     anchors, counts = _anchor_arrays(d, obs, g, mode)
     u = d.matrix
-    sizes = u.sum(axis=1)
+    sizes = d.group_sizes
     treated_sum = u @ obs.y_obs
     total = float(obs.y_obs.sum())
     contrasts = treated_sum / sizes - (total - treated_sum) / (d.n - sizes)
     p_obs = d.prob_of(obs.w)
     terms = (
-        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts[anchors]
+        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts
     )
     value = math.fsum(terms.tolist())
     return VarianceEstimate(

@@ -188,9 +188,22 @@ class ExplicitDesign(Design):
     @cached_property
     def matrix(self) -> np.ndarray:
         """(support_size, n) float matrix of assignment indicators."""
-        m = np.array([v.bits for v in self._vectors], dtype=float)
+        width = (self.n + 7) // 8
+        packed = b"".join(v.mask.to_bytes(width, "big") for v in self._vectors)
+        bits = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(-1, width), axis=1
+        )
+        # the mask's top bit is unit 0; the leading 8 * width - n bits are padding
+        m = np.ascontiguousarray(bits[:, 8 * width - self.n:], dtype=float)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def group_sizes(self) -> np.ndarray:
+        """(support_size,) treated-group size N_t(w) of each support vector."""
+        sizes = self.matrix.sum(axis=1).astype(np.int64)
+        sizes.setflags(write=False)
+        return sizes
 
     # -- probability queries -------------------------------------------------
     @cached_property
@@ -628,7 +641,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
     if not epsem:
         details["epsem"] = f"propensities range over [{pi.min():.6g}, {pi.max():.6g}]"
 
-    group_sizes = u.sum(axis=1).astype(int)
+    group_sizes = d.group_sizes
     equal_groups = bool(n % 2 == 0 and np.all(group_sizes == n // 2))
     equal_size = equal_groups and epsem
     if not equal_size:
@@ -639,12 +652,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
         else:
             details["equal_size_constant_propensity"] = "propensities are not constant"
 
-    cells = np.stack([
-        d._p11,
-        pi[:, None] - d._p11,
-        pi[None, :] - d._p11,
-        1.0 - pi[:, None] - pi[None, :] + d._p11,
-    ])
+    cells = np.stack(d.pairwise_cells())
     off = ~np.eye(n, dtype=bool)
     measurable = bool(np.all(cells[:, off] > PROB_TOL))
     if not measurable:

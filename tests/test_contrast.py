@@ -14,7 +14,9 @@ from designvar import (
     PotentialOutcomes,
     ValidationError,
     build_crd,
+    build_explicit,
     build_matched_pair,
+    build_rerandomized,
     estimator_expectation,
     full_substitute_map,
     full_substitute_set,
@@ -28,6 +30,7 @@ from designvar import (
     v_pair,
     v_sub,
 )
+from designvar.contrast import substitute_counts
 
 from conftest import random_table
 
@@ -270,3 +273,41 @@ def test_full_substitute_map_covers_support():
     for anchor, sub in mapping.items():
         assert anchor in d.support
         assert all(is_substitute(anchor, m, "equal-size") for m in sub.members)
+
+
+class TestSubstituteScanParity:
+    """The support scan agrees with the pairwise predicate, in support order."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+            lambda: build_crd(16, 4),
+            lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]),
+            lambda: build_rerandomized(build_crd(8, 4), np.arange(8.0) ** 1.5, 0.6),
+        ],
+        ids=["crossed-pairs", "crd-16-4", "matched-pairs-4", "rerandomized-8-4"],
+    )
+    def test_matches_brute_force_predicate(self, make):
+        d = make()
+        mode = substitution_mode(d)
+        sizes = []
+        for w in d.support:
+            brute = tuple(c for c in d.support if is_substitute(w, c, mode))
+            assert full_substitute_set(d, w).members == brute
+            sizes.append(len(brute))
+        assert substitute_counts(d).tolist() == sizes
+
+    def test_user_map_matches_default_on_crd_8_4(self):
+        d = build_crd(8, 4)
+        g = full_substitute_map(d)
+        po = random_table(np.random.default_rng(6), 8)
+        for w in d.support:
+            obs = reveal(po, w)
+            assert v_sub(d, obs, g).value == v_sub(d, obs).value
+
+    def test_sampler_backed_design_refused(self):
+        d = build_crd(32, 16)
+        assert not d.is_enumerable
+        with pytest.raises(AssumptionError, match="sampler-backed"):
+            full_substitute_set(d, _av("1" * 16 + "0" * 16))

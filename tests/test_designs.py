@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ class TestBuildExplicit:
     def test_ragged_lengths_rejected(self):
         with pytest.raises(ValidationError, match="length"):
             build_explicit(["10", "011"], [0.5, 0.5])
+
+    @pytest.mark.parametrize("n", [13, 70])
+    def test_matrix_matches_bits(self, n):
+        # n = 70 packs each mask into more than 64 bits
+        rng = np.random.default_rng(n)
+        masks = {0, (1 << n) - 1} | {
+            int.from_bytes(rng.bytes(9), "big") % (1 << n) for _ in range(40)
+        }
+        vectors = [AssignmentVector(n, m) for m in masks]
+        d = build_explicit(vectors, [1.0 / len(vectors)] * len(vectors))
+        expected = np.array([w.bits for w in d.support], dtype=float)
+        assert d.matrix.dtype == expected.dtype
+        assert np.array_equal(d.matrix, expected)
 
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(ValidationError):
@@ -267,6 +281,18 @@ class TestCheckAssumptions:
         assert report.equal_size_constant_propensity is True
         assert report.substitution is False
         assert "not an integer" in report.details["substitution"]
+
+    def test_matched_pairs_memory_is_bounded(self):
+        # 4,096 rows: an S x S substitute matrix alone would take 16 MB or more
+        d = build_matched_pair([(i, i + 12) for i in range(12)])
+        tracemalloc.start()
+        try:
+            report = check_assumptions(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.substitution is True
+        assert peak < 16 * 2**20
 
     def test_messages_print_plain_floats(self):
         always_treated = build_explicit(["10", "11"], [0.5, 0.5])
