@@ -59,6 +59,7 @@ from .imputation import (
     GammaSpec,
     gamma_vector,
     imputation_bias_terms,
+    imputation_values,
     impute_c,
     impute_potential_outcomes,
     implicit_beta,

@@ -24,7 +24,7 @@ from .core import (
     ValidationError,
     VarianceEstimate,
 )
-from .designs import Design, ExplicitDesign, SampledDesign
+from .designs import Design
 
 Q_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -116,30 +116,11 @@ def default_q_crd(n: int) -> np.ndarray:
     return (np.eye(n) - np.full((n, n), 1.0 / n)) / (n * (n - 1))
 
 
-def _pairwise_cells(d: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(d, ExplicitDesign):
-        return d.pairwise_cells()
-    if isinstance(d, SampledDesign) and d._pairwise is not None:
-        n = d.n
-        cells = [np.zeros((n, n)) for _ in range(4)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k, (wi, wj) in enumerate(((1, 1), (1, 0), (0, 1), (0, 0))):
-                    cells[k][i, j] = d.pairwise_prob(i, j, wi, wj)
-        return cells[0], cells[1], cells[2], cells[3]
-    raise AssumptionError(
-        "this estimator needs exact pairwise assignment probabilities, "
-        f"which a {d.kind} sampler-backed design does not provide"
-    )
-
-
 def _coefficients(d: Design, q: np.ndarray):
     """Per-pair coefficient matrices C_cell = p_cell/(N^2 prod) + q - 1/N^2."""
     n = d.n
     pi = d.propensities
-    p11, p10, p01, p00 = _pairwise_cells(d)
+    p11, p10, p01, p00 = d.pairwise_cells()
     shift = q - 1.0 / n**2
     c11 = p11 / (n**2 * np.outer(pi, pi)) + shift
     c10 = p10 / (n**2 * np.outer(pi, 1.0 - pi)) + shift
@@ -272,7 +253,7 @@ def v_am(d: Design, obs: ObservedData) -> VarianceEstimate:
     if n < 2:
         raise ValidationError("variance expansion needs at least 2 units")
     pi = d.propensities
-    cells = _pairwise_cells(d)
+    cells = d.pairwise_cells()
     y = obs.y_obs
     t = obs.w.to_array().astype(float)
     scale = n / (n - 1.0)

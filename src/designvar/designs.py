@@ -95,6 +95,29 @@ class Design:
         row = self.sample_matrix(1, seed)[0]
         return AssignmentVector.from_bits(row.tolist())
 
+    def pairwise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(P11, P10, P01, P00) joint-assignment matrices; off-diagonal
+        entries are the pairwise cell probabilities, diagonals are
+        degenerate and should be ignored."""
+        raise NotImplementedError
+
+    @cached_property
+    def conditional_tables(self) -> np.ndarray:
+        """(2, n, n) array whose entry [wi, i, j] is Pr(W_j = 1 | W_i = wi).
+
+        Built on first use from :meth:`pairwise_cells` (P11/pi_i and
+        P01/(1-pi_i)) and clipped to [0, 1]. Diagonals are degenerate, and a
+        row conditioning on a probability-0 event is meaningless: callers
+        check the event first.
+        """
+        pi = self.propensities
+        p11, _, p01, _ = self.pairwise_cells()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tables = np.stack([p01 / (1.0 - pi)[:, None], p11 / pi[:, None]])
+        np.clip(tables, 0.0, 1.0, out=tables)
+        tables.setflags(write=False)
+        return tables
+
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ValidationError(f"unit index {i} out of range for n={self.n}")
@@ -261,8 +284,7 @@ class ExplicitDesign(Design):
             raise AssumptionError(
                 f"cannot condition on W_{i}={wi}: that event has probability 0"
             )
-        cell = self._p11[i] if wi == 1 else pi - self._p11[i]
-        out = np.clip(cell / denom, 0.0, 1.0)
+        out = self.conditional_tables[int(wi), i].copy()
         out[i] = np.nan
         return out
 
@@ -370,6 +392,27 @@ class SampledDesign(Design):
         m = hits.shape[0]
         p = float(hits.mean())
         return MCEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / m), m)
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        if self._pairwise is None:
+            raise AssumptionError(
+                "this estimator needs exact pairwise assignment probabilities, "
+                f"which a {self.kind} sampler-backed design does not provide"
+            )
+        n = self.n
+        cells = np.zeros((4, n, n))
+        for i, j in itertools.permutations(range(n), 2):
+            for k, (wi, wj) in enumerate(((1, 1), (1, 0), (0, 1), (0, 0))):
+                cells[k, i, j] = self._pairwise(i, j, wi, wj)
+        cells.setflags(write=False)
+        return cells
+
+    def pairwise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(P11, P10, P01, P00) from the closed-form pairwise probabilities,
+        built once per design; diagonals are 0. Raises AssumptionError when
+        the design has no closed form."""
+        return tuple(self._cells)
 
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)

@@ -27,11 +27,15 @@ from .core import (
     VarianceEstimate,
     _as_float_vector,
 )
-from .designs import Design, ExplicitDesign, MCEstimate
-from .estimators import check_propensities, horvitz_thompson
+from .designs import Design, ExplicitDesign
+from .estimators import check_propensities
 from .oracles import psi
 
 GAMMA_KINDS = ("fixed", "tau_hat", "tau_loo", "theta_loo")
+
+# Elements of the (rows, n, n) conditional-probability block the
+# leave-one-out gammas hold at once.
+_GAMMA_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,11 @@ def impute_c(obs: ObservedData, pi: np.ndarray, gamma) -> np.ndarray:
     """
     pi = check_propensities(pi, obs.n)
     gamma = _per_unit(gamma, obs.n, "gamma")
-    t = obs.w.to_array().astype(bool)
-    y = obs.y_obs
+    return _impute_c_rows(obs.w.to_array().astype(bool), obs.y_obs, pi, gamma)
+
+
+def _impute_c_rows(t: np.ndarray, y: np.ndarray, pi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """impute_c's formula, row-wise over (k, n) treatment masks, outcomes and gammas."""
     treated = (1.0 - pi) / pi * y - (1.0 - pi) * gamma
     control = pi / (1.0 - pi) * y + pi * gamma
     return np.where(t, treated, control)
@@ -167,110 +174,140 @@ def implicit_beta(obs: ObservedData, pi: np.ndarray, gamma) -> np.ndarray:
     return np.where(t, treated, control)
 
 
-def _conditional_row(d: Design, i: int, wi: int) -> np.ndarray:
-    """Pr(W_j = 1 | W_i = wi) for all j, with entry i undefined."""
-    if isinstance(d, ExplicitDesign):
-        return d.conditional_propensities(i, wi)
-    pi = d.propensities
-    base = float(pi[i]) if wi else 1.0 - float(pi[i])
-    if base <= PROB_TOL:
-        raise AssumptionError(f"conditioning event W_{i}={wi} has probability 0")
-    out = np.full(d.n, np.nan)
-    for j in range(d.n):
-        if j == i:
-            continue
-        cell = d.pairwise_prob(i, j, wi, 1)
-        if isinstance(cell, MCEstimate):
-            raise AssumptionError(
-                "exact conditional assignment probabilities are unavailable "
-                f"for this sampler-backed {d.kind} design"
+def _row_failure(exc: Exception, row: int) -> Exception:
+    """Record on a kernel error which batch row it failed on (``exc.row``)."""
+    exc.row = row
+    return exc
+
+
+def _loo_failure(t: np.ndarray, bad: np.ndarray, i: int) -> AssumptionError:
+    """The first leave-one-out failure for unit i of one row, in unit order.
+
+    ``t`` is the row's treatment mask and ``bad`` flags the units j whose
+    conditional probability leaves their weight undefined.
+    """
+    wi = int(t[i])
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        j = int(hits[0])
+        if t[j]:
+            return AssumptionError(
+                f"unit {j} is treated but Pr(W_{j}=1 | W_{i}={wi}) = 0; "
+                "leave-one-out weight undefined"
             )
-        out[j] = cell / base
+        return AssumptionError(
+            f"unit {j} is control but Pr(W_{j}=1 | W_{i}={wi}) = 1; "
+            "leave-one-out weight undefined"
+        )
+    arm = "treated" if t.sum() - t[i] == 0 else "control"
+    return AssumptionError(
+        f"leave-one-out estimate undefined: no {arm} units remain "
+        f"after excluding unit {i}"
+    )
+
+
+def _loo_rows(
+    tables: np.ndarray, pi: np.ndarray, t: np.ndarray, y: np.ndarray, reweighted: bool
+) -> np.ndarray:
+    """Leave-one-out inverse-probability estimates excluding each unit, per row.
+
+    With cond[r, i, j] = Pr(W_j = 1 | W_i = t[r, i]) read from the design's
+    conditional tables, entry (r, i) is the sum over units j != i of
+    y_j/cond (treated j) minus y_j/(1 - cond) (control j), over n - 1. With
+    reweighted=True the summands carry the extra (1-pi_j)/pi_j and
+    pi_j/(1-pi_j) factors that target theta instead of the effect. Rows are
+    processed in blocks of at most _GAMMA_BLOCK (rows, n, n) elements.
+    """
+    k, n = t.shape
+    others = ~np.eye(n, dtype=bool)
+    diag = np.arange(n)
+    out = np.empty((k, n))
+    step = max(1, _GAMMA_BLOCK // (n * n))
+    for start in range(0, k, step):
+        tb, yb = t[start:start + step], y[start:start + step]
+        treated = tb[:, None, :]
+        cond = np.where(tb[:, :, None], tables[1], tables[0])
+        bad = np.where(treated, cond <= PROB_TOL, cond >= 1.0 - PROB_TOL)
+        bad &= others
+        n_treated = tb.sum(axis=1, keepdims=True) - tb
+        failed = bad.any(axis=2) | (n_treated == 0) | (n_treated == n - 1)
+        if failed.any():
+            r, i = (int(v) for v in np.argwhere(failed)[0])
+            raise _row_failure(_loo_failure(tb[r], bad[r, i], i), start + r)
+        # cond becomes Pr(W_j = t_rj | W_i = t_ri), then each unit's signed term
+        np.subtract(1.0, cond, out=cond, where=~treated)
+        np.divide(np.where(tb, yb, -yb)[:, None, :], cond, out=cond, where=others)
+        cond[:, diag, diag] = 0.0
+        if reweighted:
+            cond *= np.where(tb, (1.0 - pi) / pi, pi / (1.0 - pi))[:, None, :]
+        out[start:start + len(tb)] = cond.sum(axis=2) / (n - 1)
     return out
 
 
-def _loo_estimate(
-    obs: ObservedData, pi: np.ndarray, cond: np.ndarray, i: int, reweighted: bool
-) -> float:
-    """Leave-one-out inverse-probability estimate excluding unit i.
-
-    With reweighted=True the summands carry the extra (1-pi_j)/pi_j and
-    pi_j/(1-pi_j) factors that target theta instead of the effect.
-    """
-    bits = obs.w.bits
-    y = obs.y_obs
-    n = obs.n
-    treated_terms = []
-    control_terms = []
-    for j in range(n):
-        if j == i:
-            continue
-        ptilde = cond[j]
-        if bits[j] == 1:
-            if ptilde <= PROB_TOL:
-                raise AssumptionError(
-                    f"unit {j} is treated but Pr(W_{j}=1 | W_{i}={bits[i]}) = 0; "
-                    "leave-one-out weight undefined"
-                )
-            term = y[j] / ptilde
-            if reweighted:
-                term *= (1.0 - pi[j]) / pi[j]
-            treated_terms.append(term)
-        else:
-            if ptilde >= 1.0 - PROB_TOL:
-                raise AssumptionError(
-                    f"unit {j} is control but Pr(W_{j}=1 | W_{i}={bits[i]}) = 1; "
-                    "leave-one-out weight undefined"
-                )
-            term = y[j] / (1.0 - ptilde)
-            if reweighted:
-                term *= pi[j] / (1.0 - pi[j])
-            control_terms.append(term)
-    if not treated_terms:
-        raise AssumptionError(
-            f"leave-one-out estimate undefined: no treated units remain "
-            f"after excluding unit {i}"
-        )
-    if not control_terms:
-        raise AssumptionError(
-            f"leave-one-out estimate undefined: no control units remain "
-            f"after excluding unit {i}"
-        )
-    return (math.fsum(treated_terms) - math.fsum(control_terms)) / (n - 1)
+def _gamma_rows(spec: GammaSpec, d: Design, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(k, n) effect-guess vectors for k realized tables: 0/1 rows w, outcomes y."""
+    k, n = w.shape
+    if spec.kind == "fixed":
+        return np.tile(_per_unit(spec.value, n, "gamma"), (k, 1))
+    if d.n != n:
+        raise ValidationError(f"design has {d.n} units but data has {n}")
+    pi = check_propensities(d.propensities, n)
+    t = w.astype(bool)
+    if spec.kind == "tau_hat":
+        ht = np.where(t, y / pi, -(y / (1.0 - pi))).sum(axis=1) / n
+        return np.repeat(ht[:, None], n, axis=1)
+    return _loo_rows(d.conditional_tables, pi, t, y, reweighted=spec.kind == "theta_loo")
 
 
 def gamma_vector(spec: GammaSpec, obs: ObservedData, d: Design) -> np.ndarray:
     """Evaluate the effect-guess vector once from the realized data."""
-    n = obs.n
-    if spec.kind == "fixed":
-        return _per_unit(spec.value, n, "gamma")
-    if d.n != n:
-        raise ValidationError(f"design has {d.n} units but data has {n}")
-    pi = check_propensities(d.propensities, n)
-    if spec.kind == "tau_hat":
-        return np.full(n, horvitz_thompson(obs, pi))
-    bits = obs.w.bits
-    out = np.empty(n)
-    for i in range(n):
-        cond = _conditional_row(d, i, bits[i])
-        out[i] = _loo_estimate(obs, pi, cond, i, reweighted=spec.kind == "theta_loo")
-    return out
+    return _gamma_rows(spec, d, obs.w.to_array()[None], obs.y_obs[None])[0]
 
 
-def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstimate:
-    """Exact psi(c_hat) by support enumeration."""
+def _require_enumerable(d: Design) -> ExplicitDesign:
     if not isinstance(d, ExplicitDesign):
         raise AssumptionError(
             f"exact enumeration unavailable for a sampler-backed {d.kind} "
             "design; use v_imputation_mc"
         )
+    return d
+
+
+def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact psi(c_hat) for k realized tables at once, by support enumeration.
+
+    ``w`` is a (k, n) 0/1 array of assignments and ``y`` the matching (k, n)
+    observed outcomes; entry r is v_imputation's value on row r, to the bit.
+    An error raised for one row carries that row's index as ``exc.row``.
+    """
+    d = _require_enumerable(d)
+    w = np.asarray(w)
+    y = np.asarray(y, dtype=float)
+    if w.ndim != 2 or w.shape[1] != d.n or y.shape != w.shape:
+        raise ValidationError(
+            f"imputation_values needs (k, {d.n}) assignments and outcomes, "
+            f"got shapes {w.shape} and {y.shape}"
+        )
+    if not np.all((w == 0) | (w == 1)):
+        raise ValidationError("assignment entries must be 0 or 1")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("observed outcomes must be finite")
+    pi = check_propensities(d.propensities, d.n)
+    gamma = _gamma_rows(spec, d, w, y)
+    infinite = ~np.isfinite(gamma).all(axis=1)
+    if infinite.any():
+        raise _row_failure(ValidationError("gamma must be finite"), int(np.argmax(infinite)))
+    return psi(d, _impute_c_rows(w.astype(bool), y, pi, gamma))
+
+
+def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstimate:
+    """Exact psi(c_hat) by support enumeration: one row of imputation_values."""
+    _require_enumerable(d)
     if obs.n != d.n:
         raise ValidationError(f"observed data has {obs.n} units, design has {d.n}")
-    pi = check_propensities(d.propensities, d.n)
-    gamma = gamma_vector(spec, obs, d)
-    c_hat = impute_c(obs, pi, gamma)
+    value = imputation_values(d, spec, obs.w.to_array()[None], obs.y_obs[None])
     return VarianceEstimate(
-        value=psi(d, c_hat),
+        value=float(value[0]),
         estimator="imputation",
         params={"gamma": spec.describe()},
     )

@@ -40,7 +40,8 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
     Equals Var_d of the inverse-propensity estimator when v is the
     propensity-weighted average potential outcome vector c. ``v`` is one
     length-N vector (returns a float) or a (k, N) batch (returns a (k,)
-    array); each row is summed pairwise along the support.
+    array); each row is summed pairwise along the support. Every row gets its
+    own matrix-vector product, so its value does not depend on the batch.
     """
     d = _require_explicit(d, "psi")
     v = np.asarray(v, dtype=float)
@@ -50,10 +51,10 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
         )
     rows = np.atleast_2d(v)
     out = np.empty(len(rows))
-    contrast_t = d.contrast_matrix.T
+    contrast = d.contrast_matrix
     step = max(1, _PSI_BLOCK // d.support_size)
     for start in range(0, len(rows), step):
-        g = rows[start:start + step] @ contrast_t
+        g = np.matmul(contrast, rows[start:start + step, :, None])[..., 0]
         g *= g
         g *= d.probs
         out[start:start + len(g)] = g.sum(axis=1)
@@ -114,11 +115,15 @@ def _support_values(
     return values
 
 
-def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, float]:
-    values = _support_values(d, po, est)
+def _weighted_moments(d: ExplicitDesign, values: np.ndarray) -> tuple[float, float]:
+    """Design mean and standard deviation of one value per support row."""
     mean = math.fsum(d.probs * values)
     var = math.fsum(d.probs * (values - mean) ** 2)
     return mean, math.sqrt(max(var, 0.0))
+
+
+def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, float]:
+    return _weighted_moments(d, _support_values(d, po, est))
 
 
 def estimator_expectation(

@@ -48,8 +48,8 @@ from .designs import (
     max_asmd,
 )
 from .estimators import neyman_variance
-from .imputation import GammaSpec, gamma_vector, impute_c, v_imputation, v_imputation_mc
-from .oracles import estimator_moments, psi, true_variance
+from .imputation import GammaSpec, imputation_values, v_imputation, v_imputation_mc
+from .oracles import _weighted_moments, estimator_moments, true_variance
 
 __all__ = [
     "OutcomeModel",
@@ -313,12 +313,20 @@ def resolve_estimator(
                 )
             q = default_q_crd(d.n)
         return lambda obs: estimate_decomposition(d, obs, q)
-    if key.startswith("imputation:"):
-        spec = GammaSpec.parse(key.split(":", 1)[1])
+    spec = _imputation_gamma(key)
+    if spec is not None:
         if mc_draws is None:
             return lambda obs: v_imputation(d, obs, spec)
         return lambda obs: v_imputation_mc(d, obs, spec, m=mc_draws, seed=seed)
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+
+
+def _imputation_gamma(name: str) -> GammaSpec | None:
+    """The effect guess of an ``imputation:<gamma>`` name; None for other names."""
+    key = name.strip()
+    if not key.startswith("imputation:"):
+        return None
+    return GammaSpec.parse(key.split(":", 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +340,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     a seed derived from (spec.seed, replication), computes the exact design
     mean and standard deviation of each estimator, and records the relative
     bias.  Replications whose true variance is zero are excluded and counted.
+    The imputation estimators are scored on the whole revealed support in one
+    call of :func:`imputation_values`; the others one support row at a time.
     """
     d = spec.design_spec
     if not isinstance(d, ExplicitDesign):
@@ -339,7 +349,11 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "run_study scores estimators by exact enumeration and needs an "
             "enumerable design; use run_study_b for sampler-backed designs"
         )
-    estimators = [(name, resolve_estimator(name, d)) for name in spec.estimators]
+    estimators = [
+        (name, _imputation_gamma(name), resolve_estimator(name, d))
+        for name in spec.estimators
+    ]
+    treated = d.matrix.astype(bool)
     records: list[SimRecord] = []
     excluded = 0
     for rep in range(spec.n_replications):
@@ -349,8 +363,12 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         if var <= 0.0:
             excluded += 1
             continue
-        for name, est in estimators:
-            mean, sd = estimator_moments(d, po, est)
+        y = np.where(treated, po.y1, po.y0)
+        for name, gamma, est in estimators:
+            if gamma is None:
+                mean, sd = estimator_moments(d, po, est)
+            else:
+                mean, sd = _weighted_moments(d, _support_imputation(d, gamma, y))
             records.append(
                 SimRecord(
                     scenario=spec.name,
@@ -368,6 +386,16 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         excluded_zero_variance=excluded,
         meta={"seed": spec.seed, "n_replications": spec.n_replications},
     )
+
+
+def _support_imputation(d: ExplicitDesign, gamma: GammaSpec, y: np.ndarray) -> np.ndarray:
+    """imputation_values on every support row, failures naming the row's vector."""
+    try:
+        return imputation_values(d, gamma, d.matrix, y)
+    except (AssumptionError, ValidationError) as exc:
+        w = d.support[getattr(exc, "row", 0)]
+        exc.args = (f"{exc} (estimator failed at support vector {w})",)
+        raise
 
 
 def _quantile_block(values: Sequence[float]) -> dict:
@@ -548,19 +576,6 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     )
 
 
-def _imputation_values(
-    d: ExplicitDesign,
-    spec: GammaSpec,
-    observations: Sequence[ObservedData],
-) -> np.ndarray:
-    """Imputation estimates for many realizations with one batched psi pass."""
-    pi = d.propensities
-    c_rows = np.stack(
-        [impute_c(obs, pi, gamma_vector(spec, obs, d)) for obs in observations]
-    )
-    return psi(d, c_rows)
-
-
 def run_study_b(
     *,
     seed: int = 0,
@@ -591,12 +606,10 @@ def run_study_b(
     draws = d.sample_matrix(n_inner_draws, draw_rng)
     emp = _empirical_design(draws)
 
-    resolved = {name: resolve_estimator(name, emp) for name in estimators}
-    gamma_specs = {
-        name: GammaSpec.parse(name.split(":", 1)[1])
+    resolved = [
+        (name, _imputation_gamma(name), resolve_estimator(name, emp))
         for name in estimators
-        if name.startswith("imputation:")
-    }
+    ]
 
     records: list[SimRecord] = []
     excluded = 0
@@ -610,12 +623,14 @@ def run_study_b(
                 excluded += 1
                 continue
             idx = rng.choice(emp.support_size, size=n_outer, p=emp.probs)
+            w = emp.matrix[idx]
+            y = np.where(w.astype(bool), po.y1, po.y0)
             observations = [reveal(po, emp.support[r]) for r in idx]
-            for name in estimators:
-                if name in gamma_specs:
-                    vals = _imputation_values(emp, gamma_specs[name], observations)
+            for name, gamma, est in resolved:
+                if gamma is None:
+                    vals = np.array([float(est(obs)) for obs in observations])
                 else:
-                    vals = np.array([float(resolved[name](obs)) for obs in observations])
+                    vals = imputation_values(emp, gamma, w, y)
                 mean = float(vals.mean())
                 sd = float(vals.std(ddof=1))
                 records.append(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,14 +15,17 @@ from designvar import (
     GammaSpec,
     ObservedData,
     PotentialOutcomes,
+    ExplicitDesign,
     ValidationError,
     build_crd,
     build_explicit,
+    build_matched_pair,
     c_vector,
     estimator_expectation,
     gamma_vector,
     horvitz_thompson,
     imputation_bias_terms,
+    imputation_values,
     impute_c,
     impute_potential_outcomes,
     implicit_beta,
@@ -32,6 +37,9 @@ from designvar import (
     v_imputation,
     v_imputation_mc,
 )
+
+from designvar.core import EST_RTOL, PROB_TOL
+from designvar.imputation import _gamma_rows
 
 from conftest import random_table
 
@@ -412,8 +420,6 @@ class TestJackknifeConditionalMeans:
 class TestBiasTrend:
     def test_tau_hat_gap_shrinks_with_n(self):
         # Exact at N = 8 and 16; Monte Carlo with a confidence band at 32.
-        from designvar.simulate import _imputation_values
-
         spec = GammaSpec.parse("tau-hat")
         rng = np.random.default_rng(34)
         gaps = {}
@@ -421,8 +427,8 @@ class TestBiasTrend:
             d = build_crd(n, n // 2)
             y0 = rng.uniform(0.0, 10.0, n)
             po = PotentialOutcomes(y0=y0, y1=y0 + 2.0)
-            observations = [reveal(po, w) for w, _ in d.enumerate_support()]
-            values = _imputation_values(d, spec, observations)
+            u = d.matrix
+            values = imputation_values(d, spec, u, np.where(u == 1, po.y1, po.y0))
             expected = float(np.asarray(d.probs) @ values)
             var = true_variance(d, po)
             gaps[n] = abs(expected - var) / var
@@ -446,3 +452,149 @@ class TestBiasTrend:
         se = values.std(ddof=1) / math.sqrt(outer)
         assert abs(mean - var * (n - 2) / (n - 1)) <= 3.0 * se
         assert abs(mean / var - 1.0) + 3.0 * se / var < gaps[16]
+
+
+def _heterogeneous_propensity_design():
+    """Criterion 8's design: the 20 size-3 groups of 6 units, skewed weights."""
+    support = []
+    for treated in combinations(range(6), 3):
+        support.append("".join("1" if i in treated else "0" for i in range(6)))
+    probs = np.random.default_rng(108).uniform(0.5, 2.0, len(support))
+    return build_explicit(support, probs / probs.sum())
+
+
+_BATCH_DESIGNS = {
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+    "crd-6-3": lambda: build_crd(6, 3),
+    "crd-8-5": lambda: build_crd(8, 5),
+    "heterogeneous-20": _heterogeneous_propensity_design,
+    "matched-pairs-4": lambda: build_matched_pair([(0, 1), (2, 3), (4, 5), (6, 7)]),
+    "sampled-crd-30-15": lambda: build_crd(30, 15),
+}
+
+
+def _reference_gamma(spec: GammaSpec, d, obs: ObservedData) -> np.ndarray:
+    """Per-row, per-unit leave-one-out loop with exact sums (the scalar formula)."""
+    n = obs.n
+    if spec.kind == "fixed":
+        return np.broadcast_to(np.asarray(spec.value, dtype=float), (n,))
+    pi = d.propensities
+    if spec.kind == "tau_hat":
+        return np.full(n, horvitz_thompson(obs, pi))
+    bits, y = obs.w.bits, obs.y_obs
+    out = np.empty(n)
+    for i in range(n):
+        base = pi[i] if bits[i] else 1.0 - pi[i]
+        treated_terms, control_terms = [], []
+        for j in range(n):
+            if j == i:
+                continue
+            ptilde = min(max(d.pairwise_prob(i, j, bits[i], 1) / base, 0.0), 1.0)
+            if bits[j]:
+                assert ptilde > PROB_TOL
+                term = y[j] / ptilde
+                if spec.kind == "theta_loo":
+                    term *= (1.0 - pi[j]) / pi[j]
+                treated_terms.append(term)
+            else:
+                assert ptilde < 1.0 - PROB_TOL
+                term = y[j] / (1.0 - ptilde)
+                if spec.kind == "theta_loo":
+                    term *= pi[j] / (1.0 - pi[j])
+                control_terms.append(term)
+        out[i] = (math.fsum(treated_terms) - math.fsum(control_terms)) / (n - 1)
+    return out
+
+
+def _reference_psi(d, v: np.ndarray) -> float:
+    pi = d.propensities
+    total = []
+    for w, p in d.enumerate_support():
+        t = w.to_array().astype(bool)
+        g = math.fsum(np.where(t, v / pi, -v / (1.0 - pi)).tolist())
+        total.append(p * g * g)
+    return math.fsum(total) / d.n**2
+
+
+class TestImputationBatch:
+    @staticmethod
+    def _batch(name: str):
+        d = _BATCH_DESIGNS[name]()
+        rng = np.random.default_rng(sorted(_BATCH_DESIGNS).index(name))
+        po = random_table(rng, d.n)
+        if isinstance(d, ExplicitDesign):
+            u = np.asarray(d.matrix)
+        else:
+            u = d.sample_matrix(5, rng).astype(float)
+        specs = [
+            GammaSpec.fixed(rng.normal(0.0, 3.0, d.n)),
+            GammaSpec.parse("tau-hat"),
+            GammaSpec.parse("tau-loo"),
+            GammaSpec.parse("theta-loo"),
+        ]
+        return d, u, np.where(u == 1, po.y1, po.y0), specs
+
+    @pytest.mark.parametrize("name", sorted(_BATCH_DESIGNS))
+    def test_gammas_match_scalar_reference(self, name):
+        d, u, y, specs = self._batch(name)
+        for spec in specs:
+            batch = _gamma_rows(spec, d, u, y)
+            assert batch.shape == u.shape
+            for r in range(len(u)):
+                obs = ObservedData(AssignmentVector.from_bits(u[r].astype(int).tolist()), y[r])
+                ref = _reference_gamma(spec, d, obs)
+                assert batch[r] == pytest.approx(ref, rel=EST_RTOL), (spec.kind, r)
+                assert np.array_equal(gamma_vector(spec, obs, d), batch[r])
+
+    @pytest.mark.parametrize("name", sorted(set(_BATCH_DESIGNS) - {"sampled-crd-30-15"}))
+    def test_values_match_reference_and_one_row_calls(self, name):
+        d, u, y, specs = self._batch(name)
+        pi = d.propensities
+        for spec in specs:
+            values = imputation_values(d, spec, u, y)
+            assert values.shape == (len(u),)
+            for r, (w, _) in enumerate(d.enumerate_support()):
+                obs = ObservedData(w, y[r])
+                c = impute_c(obs, pi, _reference_gamma(spec, d, obs))
+                assert values[r] == pytest.approx(_reference_psi(d, c), rel=EST_RTOL)
+                assert v_imputation(d, obs, spec).value == values[r]
+
+    def test_sampler_backed_design_refused(self):
+        d, u, y, specs = self._batch("sampled-crd-30-15")
+        with pytest.raises(AssumptionError, match="exact enumeration unavailable"):
+            imputation_values(d, specs[3], u, y)
+
+    def test_rejects_bad_shapes_and_entries(self, crossed_pairs):
+        spec = GammaSpec.parse("tau-hat")
+        u = np.asarray(crossed_pairs.matrix)
+        with pytest.raises(ValidationError):
+            imputation_values(crossed_pairs, spec, u[:, :3], u[:, :3])
+        with pytest.raises(ValidationError):
+            imputation_values(crossed_pairs, spec, u, u[:2])
+        with pytest.raises(ValidationError):
+            imputation_values(crossed_pairs, spec, 2.0 * u, u)
+
+    def test_failure_names_the_first_failing_row(self, crossed_pairs):
+        u = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(AssumptionError) as exc:
+            imputation_values(crossed_pairs, GammaSpec.parse("theta-loo"), u, np.ones_like(u))
+        assert exc.value.row == 1
+        assert str(exc.value) == (
+            "leave-one-out estimate undefined: no treated units remain "
+            "after excluding unit 0"
+        )
+
+    def test_theta_loo_memory_is_bounded_on_crd_16_8(self):
+        # 12,870 rows x 16 x 16 conditional probabilities would take 26 MB at once
+        d = build_crd(16, 8)
+        u = d.matrix
+        y = np.where(u == 1, 1.0 + np.arange(16.0), -np.arange(16.0))
+        d.conditional_tables
+        tracemalloc.start()
+        try:
+            gamma = _gamma_rows(GammaSpec.parse("theta-loo"), d, u, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gamma.shape == (12_870, 16)
+        assert peak < 16 * 2**20

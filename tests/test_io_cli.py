@@ -371,6 +371,17 @@ class TestCliSimulate:
         assert len(rows) == 1 + 4 * 3  # header, four models x three estimators
         assert json.loads((out / "summary.json").read_text())["meta"]["n_outer"] == 6
 
+    def test_fixed_seed_gives_byte_identical_outputs(self, tmp_path, capsys):
+        for run in ("first", "second"):
+            code = main(
+                ["simulate", "--study", "appendix-c", "--reps", "2", "--seed", "0",
+                 "--out", str(tmp_path / run)]
+            )
+            assert code == 0
+        for name in ("results.csv", "summary.json"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "second" / name).read_bytes()
+
     def test_study_and_scenario_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "s.json"
         cfg.write_text("{}")

@@ -28,7 +28,7 @@ from designvar import (
     study_models,
 )
 from designvar.core import EST_RTOL
-from designvar.simulate import _empirical_design, _imputation_values, resolve_estimator
+from designvar.simulate import _empirical_design, resolve_estimator
 
 from conftest import random_table
 
@@ -224,6 +224,39 @@ class TestRunStudy:
         assert block["median"] <= block["q75"] <= block["max"]
         assert block["count"] == 5
 
+    def test_imputation_route_matches_per_row_moments(self):
+        d = build_crd(6, 4)
+        names = ("imputation:fixed:1.5", "imputation:tau-hat", "imputation:tau-loo",
+                 "imputation:theta-loo")
+        spec = ScenarioSpec("unit-test", d, OutcomeModel.heterogeneous(),
+                            estimators=names, n_replications=2, seed=3)
+        res = run_study(spec)
+        for rec in res.records:
+            po = gen_outcomes(spec.outcome_model, d.n, np.random.default_rng((3, rec.replication)))
+            var = dv.true_variance(d, po)
+            mean, sd = dv.estimator_moments(d, po, resolve_estimator(rec.estimator, d))
+            assert rec.relative_bias == pytest.approx((mean - var) / var, rel=EST_RTOL, abs=1e-12)
+            assert rec.sd == pytest.approx(sd, rel=EST_RTOL)
+
+    @pytest.mark.parametrize(
+        "design, message",
+        [
+            (lambda: build_crd(4, 1),
+             "leave-one-out estimate undefined: no treated units remain after "
+             "excluding unit 3 (estimator failed at support vector 0001)"),
+            (lambda: build_explicit(["11", "00"], [0.5, 0.5]),
+             "leave-one-out estimate undefined: no treated units remain after "
+             "excluding unit 0 (estimator failed at support vector 00)"),
+        ],
+        ids=["crd-4-1", "all-or-none"],
+    )
+    def test_imputation_failure_names_support_vector(self, design, message):
+        spec = ScenarioSpec("unit-test", design(), OutcomeModel.heterogeneous(),
+                            estimators=("imputation:theta-loo",), n_replications=1)
+        with pytest.raises(dv.AssumptionError) as exc:
+            run_study(spec)
+        assert str(exc.value) == message
+
 
 class TestPsiBatch:
     def test_matches_single_vector_oracle(self, crossed_pairs):
@@ -250,15 +283,15 @@ class TestPsiBatch:
             psi(crossed_pairs, np.ones((3, 5)))
 
     def test_imputation_values_match_exact_estimator(self, crossed_pairs):
-        from designvar import GammaSpec, reveal, v_imputation
+        from designvar import GammaSpec, imputation_values, reveal, v_imputation
 
         po = random_table(np.random.default_rng(5), 4)
-        observations = [reveal(po, w) for w, _ in crossed_pairs.enumerate_support()]
+        u = crossed_pairs.matrix
         spec = GammaSpec.parse("theta-loo")
-        values = _imputation_values(crossed_pairs, spec, observations)
-        for obs, got in zip(observations, values):
+        values = imputation_values(crossed_pairs, spec, u, np.where(u == 1, po.y1, po.y0))
+        for (w, _), got in zip(crossed_pairs.enumerate_support(), values):
             assert got == pytest.approx(
-                float(v_imputation(crossed_pairs, obs, spec)), rel=1e-10
+                float(v_imputation(crossed_pairs, reveal(po, w), spec)), rel=1e-10
             )
 
 
