@@ -10,7 +10,6 @@ from .core import (
     reveal,
 )
 from .designs import (
-    AssumptionReport,
     Design,
     ExplicitDesign,
     SampledDesign,
@@ -19,7 +18,6 @@ from .designs import (
     build_explicit,
     build_matched_pair,
     build_rerandomized,
-    check_assumptions,
     max_asmd,
 )
 from .estimators import (
@@ -46,7 +44,9 @@ from .decomposition import (
     validate_q,
 )
 from .contrast import (
+    AssumptionReport,
     SubstituteSet,
+    check_assumptions,
     full_substitute_map,
     full_substitute_set,
     is_substitute,

@@ -15,10 +15,10 @@ import sys
 from . import io as io_mod
 from . import simulate as sim
 from . import verify as verify_mod
-from .contrast import full_substitute_set, substitute_counts, substitution_mode
+from .contrast import check_assumptions, full_substitute_set, substitute_counts, substitution_mode
 from .core import EST_RTOL, MC_DEFAULT_DRAWS, AssumptionError, ValidationError
 from .decomposition import default_q_crd
-from .designs import ExplicitDesign, check_assumptions
+from .designs import ExplicitDesign
 from .oracles import estimator_expectation, true_variance
 
 
@@ -95,19 +95,16 @@ def cmd_analyze(args) -> int:
     obs = io_mod.load_observed(args.data)
     est = _estimate_from_args(args, d)
     result = est(obs)
-    if hasattr(result, "value"):
-        payload = {
-            "estimator": result.estimator,
-            "value": result.value,
-            "exact": result.exact,
-            "warnings": list(result.warnings),
-            "params": dict(result.params),
-        }
-        if result.mc_draws:
-            payload["mc_draws"] = result.mc_draws
-            payload["mc_se"] = result.mc_se
-    else:
-        payload = {"estimator": args.estimator, "value": float(result)}
+    payload = {
+        "estimator": result.estimator,
+        "value": result.value,
+        "exact": result.exact,
+        "warnings": list(result.warnings),
+        "params": dict(result.params),
+    }
+    if result.mc_draws:
+        payload["mc_draws"] = result.mc_draws
+        payload["mc_se"] = result.mc_se
     _print(payload, args.json)
     return 0
 

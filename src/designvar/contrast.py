@@ -7,34 +7,36 @@ realized assignment, reweighted by support probabilities, estimate the
 design variance of the difference-in-means estimator without touching
 pairwise assignment probabilities. An analogous construction with
 group-size weights estimates the MSE of the ratio (Hajek) estimator on
-equal-propensity designs with unequal group sizes.
+equal-propensity designs with unequal group sizes. check_assumptions lives
+here too: substitution is one of the assumptions it reports on.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .core import (
     PROB_TOL,
+    ROW_BLOCK,
     SUBSTITUTE_CAP,
+    WEIGHT_TOL,
     AssignmentVector,
     AssumptionError,
     ObservedData,
     ValidationError,
     VarianceEstimate,
+    _check_pairs,
+    _row_failure,
 )
 from .designs import Design, ExplicitDesign
 
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
-
-# Elements of the (rows, support) overlap block a substitute scan holds at once.
-_SCAN_BLOCK = 1 << 18
 
 _COUNTS_CACHE: "weakref.WeakKeyDictionary[ExplicitDesign, dict]" = (
     weakref.WeakKeyDictionary()
@@ -185,7 +187,7 @@ def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
 
 def _row_blocks(d: ExplicitDesign) -> Iterator[np.ndarray]:
     s = d.support_size
-    step = max(1, _SCAN_BLOCK // s)
+    step = max(1, ROW_BLOCK // s)
     for start in range(0, s, step):
         yield np.arange(start, min(start + step, s))
 
@@ -271,14 +273,9 @@ def full_substitute_map(
     return out
 
 
-def _normalize_g(
-    d: ExplicitDesign,
-    g: Mapping,
-    mode: str,
-    r_obs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a user map; return the anchors whose set holds support[r_obs],
-    ascending, with their set sizes.
+def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, list[list[int]]]:
+    """Validate a user map; return each anchor's set size and, for each
+    support row, the anchors whose set holds it.
 
     Every support vector must appear with a nonempty set of genuine in-support
     substitutes; the estimators refuse partial coverage because their
@@ -309,38 +306,84 @@ def _normalize_g(
         raise ValidationError(
             f"substitute map does not cover the support: no entry for {w}"
         )
-    anchors = sorted(r for r, held in member_rows.items() if r_obs in held)
-    sizes = [len(member_rows[r]) for r in anchors]
-    return np.array(anchors, dtype=np.intp), np.array(sizes, dtype=np.int64)
+    sizes = np.zeros(d.support_size, dtype=np.int64)
+    holders: list[list[int]] = [[] for _ in range(d.support_size)]
+    for a, held in member_rows.items():
+        sizes[a] = len(held)
+        for m in held:
+            holders[m].append(a)
+    return sizes, holders
 
 
-def _anchor_arrays(
-    d: ExplicitDesign, obs: ObservedData, g: Mapping | None, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of anchors whose substitute set contains the realized W, with
-    those anchors' set sizes."""
-    r_obs = d.index_of(obs.w)
-    if g is not None:
-        return _normalize_g(d, g, mode, r_obs)
-    counts = substitute_counts(d, mode)
-    r = int(np.argmin(counts))
-    _check_count(d.support[r], int(counts[r]))
-    anchors = np.flatnonzero(_substitute_rows(d, [r_obs], mode)[0])
-    return anchors, counts[anchors]
+def _substitute_values(
+    d: Design, w, y, g: Mapping | None, mse: bool
+) -> tuple[np.ndarray, str, np.ndarray]:
+    """v_sub, or with ``mse`` mse_sub_epsem, on k realized tables: the
+    values, the substitution mode and each table's number of anchors.
 
-
-def _require_realized(d: Design, obs: ObservedData) -> ExplicitDesign:
+    Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
+    substitute set holds its assignment W, c_w being l(w)'y (v_sub, scaled by
+    4/N^2) or the group-size contrast (mse_sub_epsem). Anchors come from the
+    substitute relation or from a user map ``g``, validated once per call;
+    tables go in blocks of at most ROW_BLOCK (rows, support) elements.
+    """
     if not isinstance(d, ExplicitDesign):
         raise AssumptionError(
             f"substitute estimators need an enumerable design, got {d.kind} sampler"
         )
-    if obs.w.n != d.n:
-        raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")
-    if obs.w not in d:
-        raise ValidationError(
-            f"realized assignment {obs.w} is not in the design support"
+    if w.shape[1] != d.n:
+        raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
+    rows = np.empty(len(w), dtype=np.intp)
+    for r, bits in enumerate(w.astype(np.int8).tolist()):
+        w_r = AssignmentVector.from_bits(bits)
+        if w_r not in d:
+            raise _row_failure(
+                ValidationError(f"realized assignment {w_r} is not in the design support"), r
+            )
+        rows[r] = d.index_of(w_r)
+    mode = substitution_mode(d)
+    if not mse and mode != EQUAL_SIZE:
+        raise AssumptionError(
+            "the contrast variance estimator needs equal group sizes with N "
+            f"divisible by 4; this design supports only {mode} substitution "
+            "(see mse_sub_epsem)"
         )
-    return d
+    s = d.support_size
+    if g is None:
+        sizes = substitute_counts(d, mode)
+        r = int(np.argmin(sizes))
+        _check_count(d.support[r], int(sizes[r]))
+    else:
+        sizes, holders = _normalize_g(d, g, mode)
+    sums = np.empty(len(rows))
+    counts = np.empty(len(rows), dtype=np.int64)
+    step = max(1, ROW_BLOCK // s)
+    for start in range(0, len(rows), step):
+        block, yb = rows[start:start + step], y[start:start + step]
+        if g is None:
+            hits = _substitute_rows(d, block, mode)
+        else:
+            hits = np.zeros((len(block), s), dtype=bool)
+            for i, r in enumerate(block):
+                hits[i, holders[r]] = True
+        # one matrix-vector product per table, so it rounds as when scored alone
+        if mse:
+            treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
+            total = yb.sum(axis=1)[:, None]
+            c = treated_sum / d.group_sizes - (total - treated_sum) / (d.n - d.group_sizes)
+        else:
+            c = np.matmul(d.sign_matrix, yb[..., None])[..., 0]
+        flat = np.flatnonzero(hits)
+        anchors = flat % s
+        per_row = np.count_nonzero(hits, axis=1)
+        p_obs = np.repeat(d.probs[block], per_row)
+        terms = d.probs[anchors] / p_obs * c.ravel()[flat] ** 2 / sizes[anchors]
+        ends = np.cumsum(per_row).tolist()
+        sums[start:start + len(block)] = [
+            math.fsum(terms[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)
+        ]
+        counts[start:start + len(block)] = per_row
+    return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
 
 
 def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEstimate:
@@ -350,49 +393,55 @@ def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEst
     whose substitute set contains the realized assignment, where l(w) is +-1
     by w's arm labels. Nonnegative by construction.
     """
-    d = _require_realized(d, obs)
-    mode = substitution_mode(d)
-    if mode != EQUAL_SIZE:
-        raise AssumptionError(
-            "the contrast variance estimator needs equal group sizes with N "
-            f"divisible by 4; this design supports only {mode} substitution "
-            "(see mse_sub_epsem)"
-        )
-    anchors, counts = _anchor_arrays(d, obs, g, mode)
-    n = d.n
-    contrasts = d.sign_matrix @ obs.y_obs
-    p_obs = d.prob_of(obs.w)
-    terms = (
-        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts
-    )
-    value = 4.0 / n**2 * math.fsum(terms.tolist())
+    return _substitute_estimate(d, obs, g, mse=False)
+
+
+def _substitute_estimate(
+    d: Design, obs: ObservedData, g: Mapping | None, mse: bool
+) -> VarianceEstimate:
+    """v_sub, or with ``mse`` mse_sub_epsem: one row of ``_substitute_values``."""
+    values, mode, counts = _substitute_values(d, obs.w.to_array()[None], obs.y_obs[None], g, mse)
     return VarianceEstimate(
-        value=value,
-        estimator="substitute_contrast",
-        params={"mode": mode, "contributing_anchors": int(anchors.size)},
+        value=float(values[0]),
+        estimator="substitute_mse" if mse else "substitute_contrast",
+        params={"mode": mode, "contributing_anchors": int(counts[0])},
     )
+
+
+def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """v_pair's value on k realized tables at once: (k, n) 0/1 assignments
+    ``w`` and the matching observed outcomes ``y``, units paired by ``pairs``."""
+    t = np.asarray(w, dtype=bool)
+    if pairs is None:
+        raise ValidationError("matched-pair variance needs pair labels")
+    k, n = t.shape
+    _check_pairs(pairs, n)
+    if n < 4:
+        raise AssumptionError(f"matched-pair variance needs at least 4 units, got {n}")
+    a, b = np.array(pairs).T
+    unbalanced = t[:, a] == t[:, b]
+    if unbalanced.any():
+        r, j = np.argwhere(unbalanced)[0]
+        raise _row_failure(ValidationError(
+            f"pair ({a[j]}, {b[j]}) does not have exactly one treated unit"
+        ), int(r))
+    diffs = np.where(t[:, a], y[:, a] - y[:, b], y[:, b] - y[:, a])
+    out = np.empty(k)
+    for r in range(k):
+        row = diffs[r].tolist()
+        dbar = math.fsum(row) / len(row)
+        out[r] = 4.0 / (n * (n - 2)) * math.fsum((dj - dbar) ** 2 for dj in row)
+    return out
 
 
 def v_pair(obs: ObservedData) -> VarianceEstimate:
-    """Classic matched-pair variance estimate from within-pair differences."""
-    if obs.pair_labels is None:
-        raise ValidationError("matched-pair variance needs pair labels")
-    n = obs.n
-    if n < 4:
-        raise AssumptionError(f"matched-pair variance needs at least 4 units, got {n}")
-    bits = obs.w.bits
-    diffs = []
-    for a, b in obs.pair_labels:
-        if bits[a] + bits[b] != 1:
-            raise ValidationError(
-                f"pair ({a}, {b}) does not have exactly one treated unit"
-            )
-        t, c = (a, b) if bits[a] == 1 else (b, a)
-        diffs.append(float(obs.y_obs[t] - obs.y_obs[c]))
-    dbar = math.fsum(diffs) / len(diffs)
-    value = 4.0 / (n * (n - 2)) * math.fsum((dj - dbar) ** 2 for dj in diffs)
+    """Classic matched-pair variance estimate from within-pair differences.
+    One row of the batch kernel ``_v_pair_values``."""
+    value = _v_pair_values(obs.pair_labels, obs.w.to_array()[None], obs.y_obs[None])
     return VarianceEstimate(
-        value=value, estimator="matched_pair", params={"n_pairs": len(diffs)}
+        value=float(value[0]),
+        estimator="matched_pair",
+        params={"n_pairs": len(obs.pair_labels)},
     )
 
 
@@ -405,21 +454,118 @@ def mse_sub_epsem(
     (+1/N_t(w) treated, -1/N_c(w) control) and no 4/N^2 prefactor, which
     accommodates equal-propensity designs with unequal group sizes.
     """
-    d = _require_realized(d, obs)
-    mode = substitution_mode(d)
-    anchors, counts = _anchor_arrays(d, obs, g, mode)
+    return _substitute_estimate(d, obs, g, mse=True)
+
+
+# ---------------------------------------------------------------------------
+# assumption checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Per-design flags for the assumptions the estimators rely on.
+
+    ``None`` means the check needs enumeration and the design is
+    sampler-backed. ``details`` carries a human-readable diagnostic per flag.
+    """
+
+    positivity: bool | None
+    equal_size_constant_propensity: bool | None
+    epsem: bool | None
+    measurable: bool | None
+    closed_under_label_switching: bool | None
+    substitution: bool | None
+    fixed_total_weight: bool | None
+    details: dict[str, str] = field(default_factory=dict)
+
+    def to_dict(self) -> dict[str, Any]:
+        flags = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
+        return {"flags": flags, "details": dict(self.details)}
+
+
+def check_assumptions(d: Design) -> AssumptionReport:
+    """Evaluate every design assumption the estimators in this package use."""
+    details: dict[str, str] = {}
+    if not isinstance(d, ExplicitDesign):
+        try:
+            pi = d.propensities
+            positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
+            epsem = bool(np.ptp(pi) <= PROB_TOL)
+        except AssumptionError:
+            positivity = None
+            epsem = None
+        details["support"] = "sampler-backed design: enumeration-based checks skipped"
+        return AssumptionReport(positivity, None, epsem, None, None, None, None, details)
+
+    n = d.n
+    pi = d.propensities
     u = d.matrix
-    sizes = d.group_sizes
-    treated_sum = u @ obs.y_obs
-    total = float(obs.y_obs.sum())
-    contrasts = treated_sum / sizes - (total - treated_sum) / (d.n - sizes)
-    p_obs = d.prob_of(obs.w)
-    terms = (
-        d.probs[anchors] / p_obs * contrasts[anchors] ** 2 / counts
-    )
-    value = math.fsum(terms.tolist())
-    return VarianceEstimate(
-        value=value,
-        estimator="substitute_mse",
-        params={"mode": mode, "contributing_anchors": int(anchors.size)},
+
+    positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
+    if not positivity:
+        bad = int(np.argmax(~((pi > 0.0) & (pi < 1.0))))
+        details["positivity"] = f"unit {bad} has propensity {float(pi[bad])!r}"
+
+    epsem = bool(np.ptp(pi) <= PROB_TOL)
+    if not epsem:
+        details["epsem"] = f"propensities range over [{pi.min():.6g}, {pi.max():.6g}]"
+
+    group_sizes = d.group_sizes
+    equal_groups = bool(n % 2 == 0 and np.all(group_sizes == n // 2))
+    equal_size = equal_groups and epsem
+    if not equal_size:
+        if not equal_groups:
+            details["equal_size_constant_propensity"] = (
+                f"treated-group sizes take values {sorted(set(group_sizes.tolist()))}"
+            )
+        else:
+            details["equal_size_constant_propensity"] = "propensities are not constant"
+
+    cells = np.stack(d.pairwise_cells())
+    off = ~np.eye(n, dtype=bool)
+    measurable = bool(np.all(cells[:, off] > PROB_TOL))
+    if not measurable:
+        c, i, j = np.argwhere((cells <= PROB_TOL) & off[None, :, :])[0]
+        wi, wj = [(1, 1), (1, 0), (0, 1), (0, 0)][c]
+        details["measurable"] = (
+            f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
+        )
+
+    closed = all(w.complement() in d for w in d.support)
+    if not closed:
+        w = next(w for w in d.support if w.complement() not in d)
+        details["closed_under_label_switching"] = f"complement of {w} is not in support"
+
+    try:
+        mode = substitution_mode(d)
+        counts = substitute_counts(d, mode)
+        substitution = bool(np.all(counts > 0))
+        if not substitution:
+            w = d.support[int(np.argmax(counts == 0))]
+            details["substitution"] = f"{w} has no substitute in the support"
+    except AssumptionError as exc:
+        substitution = False
+        details["substitution"] = str(exc)
+
+    if positivity:
+        weights = u @ (1.0 / pi) + (1.0 - u) @ (1.0 / (1.0 - pi))
+        fixed_weight = bool(np.all(np.abs(weights - 2.0 * n) <= WEIGHT_TOL))
+        if not fixed_weight:
+            k = int(np.argmax(np.abs(weights - 2.0 * n) > WEIGHT_TOL))
+            details["fixed_total_weight"] = (
+                f"total weight at {d.support[k]} is {weights[k]:.6g}, not {2 * n}"
+            )
+    else:
+        fixed_weight = False
+        details.setdefault("fixed_total_weight", "positivity fails")
+
+    return AssumptionReport(
+        positivity=positivity,
+        equal_size_constant_propensity=equal_size,
+        epsem=epsem,
+        measurable=measurable,
+        closed_under_label_switching=closed,
+        substitution=substitution,
+        fixed_total_weight=fixed_weight,
+        details=details,
     )

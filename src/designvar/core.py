@@ -22,6 +22,9 @@ SUPPORT_CAP = 5_000_000
 SUBSTITUTE_CAP = 1_000_000
 MC_DEFAULT_DRAWS = 100_000
 
+# Elements of the row block a batch kernel holds at once.
+ROW_BLOCK = 1 << 18
+
 
 class ValidationError(ValueError):
     """Malformed input: bad probabilities, ragged arrays, unparsable files."""
@@ -113,6 +116,18 @@ def _as_float_vector(x: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _row_failure(exc: Exception, row: int) -> Exception:
+    """Record on a batch-kernel error which row it failed on (``exc.row``)."""
+    exc.row = row
+    return exc
+
+
+def _check_pairs(pairs: tuple[tuple[int, int], ...], n: int) -> None:
+    seen = [u for ab in pairs for u in ab]
+    if sorted(seen) != list(range(n)):
+        raise ValidationError("pair labels must partition units 0..n-1")
+
+
 @dataclass(frozen=True)
 class PotentialOutcomes:
     """The science table: control and treated potential outcomes."""
@@ -181,9 +196,7 @@ class ObservedData:
                 "pair_labels",
                 tuple((int(a), int(b)) for a, b in self.pair_labels),
             )
-            seen = [u for ab in self.pair_labels for u in ab]
-            if sorted(seen) != list(range(self.w.n)):
-                raise ValidationError("pair labels must partition units 0..n-1")
+            _check_pairs(self.pair_labels, self.w.n)
 
     @property
     def n(self) -> int:

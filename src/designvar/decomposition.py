@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     PROB_TOL,
+    ROW_BLOCK,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
@@ -116,17 +117,14 @@ def default_q_crd(n: int) -> np.ndarray:
     return (np.eye(n) - np.full((n, n), 1.0 / n)) / (n * (n - 1))
 
 
-def _coefficients(d: Design, q: np.ndarray):
-    """Per-pair coefficient matrices C_cell = p_cell/(N^2 prod) + q - 1/N^2."""
-    n = d.n
-    pi = d.propensities
-    p11, p10, p01, p00 = d.pairwise_cells()
-    shift = q - 1.0 / n**2
-    c11 = p11 / (n**2 * np.outer(pi, pi)) + shift
-    c10 = p10 / (n**2 * np.outer(pi, 1.0 - pi)) + shift
-    c01 = p01 / (n**2 * np.outer(1.0 - pi, pi)) + shift
-    c00 = p00 / (n**2 * np.outer(1.0 - pi, 1.0 - pi)) + shift
-    return (p11, p10, p01, p00), (c11, c10, c01, c00)
+def _coefficients(d: Design, shift, norm: int):
+    """The cells (P11, P10, P01, P00) and their coefficients
+    p_cell/(norm prod) + shift, prod the cell's product of propensities. A
+    Q matrix gives C_cell = p_cell/(N^2 prod) + q - 1/N^2 (norm N^2)."""
+    pi, qi = d.propensities, 1.0 - d.propensities
+    cells = d.pairwise_cells()
+    prods = (np.outer(pi, pi), np.outer(pi, qi), np.outer(qi, pi), np.outer(qi, qi))
+    return cells, tuple(p / (norm * prod) + shift for p, prod in zip(cells, prods))
 
 
 @dataclass(frozen=True)
@@ -152,11 +150,17 @@ class FeasibilityReport:
 
 def q_feasible_for_design(d: Design, q: np.ndarray) -> FeasibilityReport:
     q = require_valid_q(q, d.n)
-    cells, coefs = _coefficients(d, q)
-    labels = ((1, 1), (1, 0), (0, 1), (0, 0))
+    return _feasibility(*_coefficients(d, q - 1.0 / d.n**2, d.n**2))
+
+
+_CELLS = ((1, 1), (1, 0), (0, 1), (0, 0))
+_SIGNS = (1.0, -1.0, -1.0, 1.0)
+
+
+def _feasibility(cells, coefs) -> FeasibilityReport:
     violations = []
-    iu, ju = np.triu_indices(d.n, k=1)
-    for (wi, wj), p, c in zip(labels, cells, coefs):
+    iu, ju = np.triu_indices(len(cells[0]), k=1)
+    for (wi, wj), p, c in zip(_CELLS, cells, coefs):
         bad = (p[iu, ju] <= PROB_TOL) & (np.abs(c[iu, ju]) > Q_TOL)
         for k in np.flatnonzero(bad):
             violations.append((int(iu[k]), int(ju[k]), wi, wj, float(c[iu[k], ju[k]])))
@@ -170,7 +174,7 @@ def v_tilde(d: Design, po: PotentialOutcomes, q: np.ndarray) -> float:
     q = require_valid_q(q, d.n)
     n = d.n
     pi = d.propensities
-    _, (c11, c10, c01, c00) = _coefficients(d, q)
+    _, (c11, c10, c01, c00) = _coefficients(d, q - 1.0 / n**2, n**2)
     b, a = po.y1, po.y0
     terms = list(b * b / (n**2 * pi)) + list(a * a / (n**2 * (1.0 - pi)))
     iu, ju = np.triu_indices(n, k=1)
@@ -184,48 +188,66 @@ def v_tilde(d: Design, po: PotentialOutcomes, q: np.ndarray) -> float:
     return math.fsum(terms)
 
 
-def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> VarianceEstimate:
-    """Inverse-probability estimate of vt(Q) from one realized assignment.
+def _pair_expansion(d: Design, cells, coefs, w: np.ndarray, y: np.ndarray,
+                    norm: int, bound: float | None = None) -> tuple[np.ndarray, int]:
+    """Inverse-probability estimate of a pair expansion on k realized tables
+    (0/1 assignments ``w``, outcomes ``y``), and the number of dead cells.
 
-    Each observed product is divided by the probability of the cell in which
-    it was observed, so the estimate is exactly unbiased for vt(Q) whenever
-    every nonzero coefficient sits on a positive-probability cell. The value
-    can be negative; it is returned as-is with a warning flag.
+    Row r is the fsum of y^2/(norm pi^2) per treated unit, y^2/(norm (1-pi)^2)
+    per control, and 2 sign c/p y_i y_j per pair i < j whose realized cell
+    (sign -1 if mixed) has probability p > PROB_TOL. A dead cell adds nothing
+    or, with ``bound``, bound (x_i^2 + x_j^2), its squares estimated from the
+    observed arm by inverse propensity. Rows go in blocks of ROW_BLOCK terms.
     """
-    if obs.w.n != d.n:
-        raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")
+    k, n = w.shape
+    pi = d.propensities
+    iu, ju = np.triu_indices(n, k=1)
+    pair_cells = [(p[iu, ju], c[iu, ju]) for p, c in zip(cells, coefs)]
+    out = np.empty(k)
+    step = max(1, ROW_BLOCK // (2 * n * n))
+    for start in range(0, k, step):
+        tb, yb = w[start:start + step].astype(float), y[start:start + step]
+        arm = {1: tb, 0: 1.0 - tb}
+        terms = [tb * yb * yb / (norm * pi**2), (1.0 - tb) * yb * yb / (norm * (1.0 - pi) ** 2)]
+        yy = yb[:, iu] * yb[:, ju]
+        for (wi, wj), sign, (p, c) in zip(_CELLS, _SIGNS, pair_cells):
+            alive = p > PROB_TOL
+            ratio = np.divide(c, p, out=np.zeros_like(c), where=alive)
+            terms.append(2.0 * sign * (arm[wi][:, iu] * arm[wj][:, ju]) * yy * ratio)
+            if bound is not None and not alive.all():
+                sq = {1: tb * yb * yb / pi, 0: (1.0 - tb) * yb * yb / (1.0 - pi)}
+                terms.append(bound * (sq[wi][:, iu[~alive]] + sq[wj][:, ju[~alive]]))
+        out[start:start + len(tb)] = [math.fsum(r.tolist()) for r in np.concatenate(terms, axis=1)]
+    return out, sum(int((p <= PROB_TOL).sum()) for p, _ in pair_cells)
+
+
+def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """estimate_decomposition's value on k realized tables: (k, n) 0/1
+    assignments ``w`` and outcomes ``y``. Q is validated once per call."""
     q = require_valid_q(q, d.n)
-    feas = q_feasible_for_design(d, q)
+    cells, coefs = _coefficients(d, q - 1.0 / d.n**2, d.n**2)
+    feas = _feasibility(cells, coefs)
     if not feas.feasible:
         i, j, wi, wj, c = feas.violations[0]
         raise AssumptionError(
             f"Q is not estimable under this design: Pr(W_{i}={wi}, W_{j}={wj}) = 0 "
             f"but its coefficient is {c:.3e} (and {len(feas.violations) - 1} more)"
         )
-    n = d.n
-    pi = d.propensities
-    cells, coefs = _coefficients(d, q)
-    y = obs.y_obs
-    t = obs.w.to_array().astype(float)
+    return _pair_expansion(d, cells, coefs, w, y, d.n**2)[0]
 
-    terms = list(t * y * y / (n**2 * pi**2))
-    terms += list((1.0 - t) * y * y / (n**2 * (1.0 - pi) ** 2))
 
-    iu, ju = np.triu_indices(n, k=1)
-    ind = (
-        np.outer(t, t),
-        np.outer(t, 1.0 - t),
-        np.outer(1.0 - t, t),
-        np.outer(1.0 - t, 1.0 - t),
-    )
-    signs = (1.0, -1.0, -1.0, 1.0)
-    yy = np.outer(y, y)
-    for sign, realized, p, c in zip(signs, ind, cells, coefs):
-        ratio = np.divide(c, p, out=np.zeros_like(c), where=p > PROB_TOL)
-        vals = 2.0 * sign * realized[iu, ju] * yy[iu, ju] * ratio[iu, ju]
-        terms.extend(vals.tolist())
+def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> VarianceEstimate:
+    """Inverse-probability estimate of vt(Q) from one realized assignment.
 
-    value = math.fsum(terms)
+    Each observed product is divided by the probability of the cell in which
+    it was observed, so the estimate is exactly unbiased for vt(Q) whenever
+    every nonzero coefficient sits on a positive-probability cell. The value
+    can be negative; it is returned as-is with a warning flag. One row of
+    the batch kernel ``_decomposition_values``.
+    """
+    if obs.w.n != d.n:
+        raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")
+    value = float(_decomposition_values(d, q, obs.w.to_array()[None], obs.y_obs[None])[0])
     warnings = ("negative variance estimate",) if value < 0 else ()
     return VarianceEstimate(
         value=value,
@@ -235,76 +257,38 @@ def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> Varia
     )
 
 
+def _v_am_values(d: Design, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """v_am's value on k realized tables at once, (k, n) 0/1 assignments ``w``
+    and outcomes ``y``, and the number of bounded cells."""
+    n = d.n
+    if n < 2:
+        raise ValidationError("variance expansion needs at least 2 units")
+    # the default-Q expansion in units of 1/N^2: shift -N/(N-1) on every cell
+    scale = n / (n - 1.0)
+    cells, coefs = _coefficients(d, -scale, 1)
+    values, bounded = _pair_expansion(d, cells, coefs, w, y, 1, bound=scale)
+    return values / n**2, bounded
+
+
 def v_am(d: Design, obs: ObservedData) -> VarianceEstimate:
     """Variance-expansion estimator with squared-term bounds on dead cells.
 
     Estimates the inverse-probability expansion of Var(tau_hat) whose pair
-    coefficient on cell (w, w') is p(w, w')/(prob product) - N/(N-1). A pair
-    term whose own cell has probability zero cannot be estimated, so it is
-    replaced by its bound 2xy <= x^2 + y^2 (upward regardless of the term's
-    sign), leaving single-arm squares that are always estimable. Conservative
-    for the true variance; unbiased for the expansion when the design is
-    measurable. Reconstruction: the source describes the construction without
-    printing a formula, so only its guaranteed properties are asserted.
+    coefficient on cell (w, w') is p(w, w')/(prob product) - N/(N-1): the
+    default-Q decomposition scaled by N^2. A pair term whose own cell has
+    probability zero cannot be estimated, so it is replaced by its bound
+    2xy <= x^2 + y^2 (upward regardless of the term's sign), leaving
+    single-arm squares that are always estimable. Conservative for the true
+    variance; unbiased for the expansion when the design is measurable.
+    Reconstruction: the source describes the construction without printing a
+    formula, so only its guaranteed properties are asserted. One row of
+    the batch kernel ``_v_am_values``.
     """
     if obs.w.n != d.n:
         raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")
-    n = d.n
-    if n < 2:
-        raise ValidationError("variance expansion needs at least 2 units")
-    pi = d.propensities
-    cells = d.pairwise_cells()
-    y = obs.y_obs
-    t = obs.w.to_array().astype(float)
-    scale = n / (n - 1.0)
-
-    # HT estimates of the per-arm squares Y_i(1)^2 and Y_i(0)^2
-    sq_t = t * y * y / pi
-    sq_c = (1.0 - t) * y * y / (1.0 - pi)
-
-    terms = list(t * y * y / pi**2) + list((1.0 - t) * y * y / (1.0 - pi) ** 2)
-
-    prob_prod = (
-        np.outer(pi, pi),
-        np.outer(pi, 1.0 - pi),
-        np.outer(1.0 - pi, pi),
-        np.outer(1.0 - pi, 1.0 - pi),
-    )
-    ind = (
-        np.outer(t, t),
-        np.outer(t, 1.0 - t),
-        np.outer(1.0 - t, t),
-        np.outer(1.0 - t, 1.0 - t),
-    )
-    # estimated squares matching each cell's two factors: cell (w, w') pairs
-    # unit i's arm-w square with unit j's arm-w' square
-    bound_sq = (
-        (sq_t, sq_t),
-        (sq_t, sq_c),
-        (sq_c, sq_t),
-        (sq_c, sq_c),
-    )
-    signs = (1.0, -1.0, -1.0, 1.0)
-    yy = np.outer(y, y)
-    iu, ju = np.triu_indices(n, k=1)
-    n_bounded = 0
-    for sign, realized, p, prod, (sq_i, sq_j) in zip(signs, ind, cells, prob_prod, bound_sq):
-        coef = p / prod - scale
-        alive = p[iu, ju] > PROB_TOL
-        vals = 2.0 * sign * realized[iu, ju] * yy[iu, ju] * np.divide(
-            coef[iu, ju], p[iu, ju], out=np.zeros_like(coef[iu, ju]), where=alive
-        )
-        terms.extend(vals[alive].tolist())
-        # dead cells: the term is 2*sign*(-scale)*x_i*x_j; bound it upward by
-        # scale*(x_i^2 + x_j^2) and estimate the squares from observed data
-        dead_i, dead_j = iu[~alive], ju[~alive]
-        n_bounded += len(dead_i)
-        if len(dead_i):
-            terms.extend((scale * (sq_i[dead_i] + sq_j[dead_j])).tolist())
-
-    value = math.fsum(terms) / n**2
+    values, bounded = _v_am_values(d, obs.w.to_array()[None], obs.y_obs[None])
     return VarianceEstimate(
-        value=value,
+        value=float(values[0]),
         estimator="variance_expansion_bounded",
-        params={"bounded_cells": n_bounded},
+        params={"bounded_cells": bounded},
     )

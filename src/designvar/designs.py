@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     PROB_TOL,
     SUPPORT_CAP,
-    WEIGHT_TOL,
     AssignmentVector,
     AssumptionError,
     ValidationError,
@@ -34,39 +33,6 @@ class MCEstimate:
     value: float
     se: float
     draws: int
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Per-design flags for the assumptions the estimators rely on.
-
-    ``None`` means the check needs enumeration and the design is
-    sampler-backed. ``details`` carries a human-readable diagnostic per flag.
-    """
-
-    positivity: bool | None
-    equal_size_constant_propensity: bool | None
-    epsem: bool | None
-    measurable: bool | None
-    closed_under_label_switching: bool | None
-    substitution: bool | None
-    fixed_total_weight: bool | None
-    details: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        flags = {
-            k: getattr(self, k)
-            for k in (
-                "positivity",
-                "equal_size_constant_propensity",
-                "epsem",
-                "measurable",
-                "closed_under_label_switching",
-                "substitution",
-                "fixed_total_weight",
-            )
-        }
-        return {"flags": flags, "details": dict(self.details)}
 
 
 class Design:
@@ -201,12 +167,6 @@ class ExplicitDesign(Design):
 
     def __contains__(self, w: AssignmentVector) -> bool:
         return w.n == self.n and w.mask in self._index
-
-    def prob_of(self, w: AssignmentVector) -> float:
-        if w.n != self.n:
-            raise ValidationError(f"assignment has {w.n} units, design has {self.n}")
-        k = self._index.get(w.mask)
-        return 0.0 if k is None else float(self._probs[k])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -641,107 +601,4 @@ def build_rerandomized(
     return SampledDesign(
         base.n, sampler, kind="rerandomized", propensities=pi, meta=meta,
         mc_budget=getattr(base, "mc_budget", 20_000),
-    )
-
-
-# ---------------------------------------------------------------------------
-# assumption checks
-# ---------------------------------------------------------------------------
-
-def check_assumptions(d: Design) -> AssumptionReport:
-    """Evaluate every design assumption the estimators in this package use."""
-    details: dict[str, str] = {}
-    if not isinstance(d, ExplicitDesign):
-        try:
-            pi = d.propensities
-            positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
-            epsem = bool(np.ptp(pi) <= PROB_TOL)
-        except AssumptionError:
-            positivity = None
-            epsem = None
-        details["support"] = "sampler-backed design: enumeration-based checks skipped"
-        return AssumptionReport(
-            positivity=positivity,
-            equal_size_constant_propensity=None,
-            epsem=epsem,
-            measurable=None,
-            closed_under_label_switching=None,
-            substitution=None,
-            fixed_total_weight=None,
-            details=details,
-        )
-
-    n = d.n
-    pi = d.propensities
-    u = d.matrix
-
-    positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
-    if not positivity:
-        bad = int(np.argmax(~((pi > 0.0) & (pi < 1.0))))
-        details["positivity"] = f"unit {bad} has propensity {float(pi[bad])!r}"
-
-    epsem = bool(np.ptp(pi) <= PROB_TOL)
-    if not epsem:
-        details["epsem"] = f"propensities range over [{pi.min():.6g}, {pi.max():.6g}]"
-
-    group_sizes = d.group_sizes
-    equal_groups = bool(n % 2 == 0 and np.all(group_sizes == n // 2))
-    equal_size = equal_groups and epsem
-    if not equal_size:
-        if not equal_groups:
-            details["equal_size_constant_propensity"] = (
-                f"treated-group sizes take values {sorted(set(group_sizes.tolist()))}"
-            )
-        else:
-            details["equal_size_constant_propensity"] = "propensities are not constant"
-
-    cells = np.stack(d.pairwise_cells())
-    off = ~np.eye(n, dtype=bool)
-    measurable = bool(np.all(cells[:, off] > PROB_TOL))
-    if not measurable:
-        c, i, j = np.argwhere((cells <= PROB_TOL) & off[None, :, :])[0]
-        wi, wj = [(1, 1), (1, 0), (0, 1), (0, 0)][c]
-        details["measurable"] = (
-            f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
-        )
-
-    closed = all(w.complement() in d for w in d.support)
-    if not closed:
-        w = next(w for w in d.support if w.complement() not in d)
-        details["closed_under_label_switching"] = f"complement of {w} is not in support"
-
-    from .contrast import substitute_counts, substitution_mode
-
-    try:
-        mode = substitution_mode(d)
-        counts = substitute_counts(d, mode)
-        substitution = bool(np.all(counts > 0))
-        if not substitution:
-            w = d.support[int(np.argmax(counts == 0))]
-            details["substitution"] = f"{w} has no substitute in the support"
-    except AssumptionError as exc:
-        substitution = False
-        details["substitution"] = str(exc)
-
-    if positivity:
-        weights = u @ (1.0 / pi) + (1.0 - u) @ (1.0 / (1.0 - pi))
-        fixed_weight = bool(np.all(np.abs(weights - 2.0 * n) <= WEIGHT_TOL))
-        if not fixed_weight:
-            k = int(np.argmax(np.abs(weights - 2.0 * n) > WEIGHT_TOL))
-            details["fixed_total_weight"] = (
-                f"total weight at {d.support[k]} is {weights[k]:.6g}, not {2 * n}"
-            )
-    else:
-        fixed_weight = False
-        details.setdefault("fixed_total_weight", "positivity fails")
-
-    return AssumptionReport(
-        positivity=positivity,
-        equal_size_constant_propensity=equal_size,
-        epsem=epsem,
-        measurable=measurable,
-        closed_under_label_switching=closed,
-        substitution=substitution,
-        fixed_total_weight=fixed_weight,
-        details=details,
     )

@@ -12,6 +12,7 @@ from .core import (
     PotentialOutcomes,
     ValidationError,
     VarianceEstimate,
+    _row_failure,
 )
 
 
@@ -81,6 +82,29 @@ def c_vector(po: PotentialOutcomes, pi: np.ndarray) -> np.ndarray:
     return (1.0 - pi) * po.y1 + pi * po.y0
 
 
+def _neyman_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """neyman_variance's value on k realized tables at once: (k, n) 0/1
+    assignments ``w`` and the matching observed outcomes ``y``."""
+    t = np.asarray(w, dtype=bool)
+    k, n = t.shape
+    kt = t.sum(axis=1)
+    few = (kt < 2) | (n - kt < 2)
+    if few.any():
+        r = int(np.argmax(few))
+        raise _row_failure(AssumptionError(
+            f"group variances need at least 2 units per group, got n_t={kt[r]}, n_c={n - kt[r]}"
+        ), r)
+    out = np.empty(k)
+    for size in set(kt.tolist()):
+        rows = kt == size
+        tr, yr = t[rows], y[rows]
+        # a row's treated (control) outcomes in unit order, one row each
+        s2_t = np.var(yr[tr].reshape(-1, size), axis=1, ddof=1)
+        s2_c = np.var(yr[~tr].reshape(-1, n - size), axis=1, ddof=1)
+        out[rows] = s2_t / size + s2_c / (n - size)
+    return out
+
+
 def neyman_variance(
     obs: ObservedData,
     n_t: int | None = None,
@@ -89,22 +113,16 @@ def neyman_variance(
     """Classic variance estimate s2_t/n_t + s2_c/n_c from the realized groups.
 
     Group sizes default to the realized counts; explicit values must match
-    them (they exist so fixed-size designs can state their intent).
+    them (they exist so fixed-size designs can state their intent). One row
+    of the batch kernel ``_neyman_values``.
     """
-    bits = obs.w.to_array().astype(bool)
-    kt, kc = int(bits.sum()), int((~bits).sum())
+    kt, kc = obs.w.n_treated, obs.w.n_control
     if n_t is not None and n_t != kt:
         raise ValidationError(f"stated n_t={n_t} but {kt} units are treated")
     if n_c is not None and n_c != kc:
         raise ValidationError(f"stated n_c={n_c} but {kc} units are controls")
-    if kt < 2 or kc < 2:
-        raise AssumptionError(
-            f"group variances need at least 2 units per group, got n_t={kt}, n_c={kc}"
-        )
-    s2_t = float(np.var(obs.y_obs[bits], ddof=1))
-    s2_c = float(np.var(obs.y_obs[~bits], ddof=1))
     return VarianceEstimate(
-        value=s2_t / kt + s2_c / kc,
+        value=float(_neyman_values(obs.w.to_array()[None], obs.y_obs[None])[0]),
         estimator="neyman",
         params={"n_t": kt, "n_c": kc},
     )

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     MC_DEFAULT_DRAWS,
     PROB_TOL,
+    ROW_BLOCK,
     AssignmentVector,
     AssumptionError,
     ObservedData,
@@ -26,16 +27,13 @@ from .core import (
     ValidationError,
     VarianceEstimate,
     _as_float_vector,
+    _row_failure,
 )
 from .designs import Design, ExplicitDesign
 from .estimators import check_propensities
 from .oracles import psi
 
 GAMMA_KINDS = ("fixed", "tau_hat", "tau_loo", "theta_loo")
-
-# Elements of the (rows, n, n) conditional-probability block the
-# leave-one-out gammas hold at once.
-_GAMMA_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -174,12 +172,6 @@ def implicit_beta(obs: ObservedData, pi: np.ndarray, gamma) -> np.ndarray:
     return np.where(t, treated, control)
 
 
-def _row_failure(exc: Exception, row: int) -> Exception:
-    """Record on a kernel error which batch row it failed on (``exc.row``)."""
-    exc.row = row
-    return exc
-
-
 def _loo_failure(t: np.ndarray, bad: np.ndarray, i: int) -> AssumptionError:
     """The first leave-one-out failure for unit i of one row, in unit order.
 
@@ -216,13 +208,13 @@ def _loo_rows(
     y_j/cond (treated j) minus y_j/(1 - cond) (control j), over n - 1. With
     reweighted=True the summands carry the extra (1-pi_j)/pi_j and
     pi_j/(1-pi_j) factors that target theta instead of the effect. Rows are
-    processed in blocks of at most _GAMMA_BLOCK (rows, n, n) elements.
+    processed in blocks of at most ROW_BLOCK (rows, n, n) elements.
     """
     k, n = t.shape
     others = ~np.eye(n, dtype=bool)
     diag = np.arange(n)
     out = np.empty((k, n))
-    step = max(1, _GAMMA_BLOCK // (n * n))
+    step = max(1, ROW_BLOCK // (n * n))
     for start in range(0, k, step):
         tb, yb = t[start:start + step], y[start:start + step]
         treated = tb[:, None, :]

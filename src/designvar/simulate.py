@@ -22,12 +22,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contrast import mse_sub_epsem, v_pair, v_sub
+from .contrast import _substitute_values, _v_pair_values, mse_sub_epsem, v_pair, v_sub
 from .core import (
     PROB_TOL,
     AssignmentVector,
@@ -35,30 +36,25 @@ from .core import (
     ObservedData,
     PotentialOutcomes,
     ValidationError,
-    reveal,
+    VarianceEstimate,
 )
-from .decomposition import default_q_crd, estimate_decomposition, v_am
-from .designs import (
-    Design,
-    ExplicitDesign,
-    SampledDesign,
-    asmd,
-    build_crd,
-    build_rerandomized,
-    max_asmd,
+from .decomposition import (
+    _decomposition_values,
+    _v_am_values,
+    default_q_crd,
+    estimate_decomposition,
+    v_am,
 )
-from .estimators import neyman_variance
+from .designs import Design, ExplicitDesign, SampledDesign, build_crd, build_rerandomized
+from .estimators import _neyman_values, neyman_variance
 from .imputation import GammaSpec, imputation_values, v_imputation, v_imputation_mc
-from .oracles import _weighted_moments, estimator_moments, true_variance
+from .oracles import _weighted_moments, true_variance
 
 __all__ = [
     "OutcomeModel",
     "ScenarioSpec",
     "SimRecord",
     "SimResult",
-    "asmd",
-    "max_asmd",
-    "v_am",
     "gen_covariate_study_a",
     "gen_covariates_hainmueller",
     "gen_outcomes",
@@ -284,7 +280,7 @@ def resolve_estimator(
     q: np.ndarray | None = None,
     mc_draws: int | None = None,
     seed: int = 0,
-) -> Callable[[ObservedData], object]:
+) -> Callable[[ObservedData], VarianceEstimate]:
     """Map an estimator name (see ``ESTIMATOR_NAMES``) to a callable on observed data.
 
     ``substitutes`` is the substitute map of v_sub and mse_sub (None: the
@@ -292,18 +288,39 @@ def resolve_estimator(
     CRD design). With ``mc_draws`` the imputation estimators are Monte Carlo
     estimates from that many draws at ``seed``; otherwise they are exact.
     """
+    spec = _imputation_gamma(name) if mc_draws is not None else None
+    if spec is not None:
+        return lambda obs: v_imputation_mc(d, obs, spec, m=mc_draws, seed=seed)
+    return _exact_estimator(name, d, substitutes=substitutes, q=q)[0]
+
+
+def _exact_estimator(
+    name: str,
+    d: Design,
+    *,
+    substitutes: Mapping | None = None,
+    q: np.ndarray | None = None,
+) -> tuple[Callable, Callable]:
+    """The scalar callable of an exact estimator name, and its batch kernel:
+    the same values as an array, from (k, n) 0/1 assignments and outcomes."""
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key == "neyman":
-        return lambda obs: neyman_variance(obs)
+        return neyman_variance, _neyman_values
     if key == "v_am":
-        return lambda obs: v_am(d, obs)
+        return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
     if key == "v_sub":
-        return lambda obs: v_sub(d, obs, substitutes)
+        return (
+            partial(v_sub, d, g=substitutes),
+            lambda w, y: _substitute_values(d, w, y, substitutes, mse=False)[0],
+        )
     if key == "mse_sub":
-        return lambda obs: mse_sub_epsem(d, obs, substitutes)
+        return (
+            partial(mse_sub_epsem, d, g=substitutes),
+            lambda w, y: _substitute_values(d, w, y, substitutes, mse=True)[0],
+        )
     if key == "v_pair":
-        return lambda obs: v_pair(obs)
+        return v_pair, lambda w, y: _v_pair_values(d.pairs, w, y)
     if key == "decomposition":
         if q is None:
             if d.kind != "crd":
@@ -312,12 +329,10 @@ def resolve_estimator(
                     "for designs without a default Q"
                 )
             q = default_q_crd(d.n)
-        return lambda obs: estimate_decomposition(d, obs, q)
+        return partial(estimate_decomposition, d, q=q), partial(_decomposition_values, d, q)
     spec = _imputation_gamma(key)
     if spec is not None:
-        if mc_draws is None:
-            return lambda obs: v_imputation(d, obs, spec)
-        return lambda obs: v_imputation_mc(d, obs, spec, m=mc_draws, seed=seed)
+        return partial(v_imputation, d, spec=spec), partial(imputation_values, d, spec)
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
@@ -340,8 +355,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     a seed derived from (spec.seed, replication), computes the exact design
     mean and standard deviation of each estimator, and records the relative
     bias.  Replications whose true variance is zero are excluded and counted.
-    The imputation estimators are scored on the whole revealed support in one
-    call of :func:`imputation_values`; the others one support row at a time.
+    Each estimator's batch kernel scores the whole revealed support in one
+    call.
     """
     d = spec.design_spec
     if not isinstance(d, ExplicitDesign):
@@ -349,10 +364,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "run_study scores estimators by exact enumeration and needs an "
             "enumerable design; use run_study_b for sampler-backed designs"
         )
-    estimators = [
-        (name, _imputation_gamma(name), resolve_estimator(name, d))
-        for name in spec.estimators
-    ]
+    kernels = [(name, _exact_estimator(name, d)[1]) for name in spec.estimators]
     treated = d.matrix.astype(bool)
     records: list[SimRecord] = []
     excluded = 0
@@ -364,11 +376,14 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             excluded += 1
             continue
         y = np.where(treated, po.y1, po.y0)
-        for name, gamma, est in estimators:
-            if gamma is None:
-                mean, sd = estimator_moments(d, po, est)
-            else:
-                mean, sd = _weighted_moments(d, _support_imputation(d, gamma, y))
+        for name, kernel in kernels:
+            try:
+                values = kernel(d.matrix, y)
+            except (AssumptionError, ValidationError) as exc:
+                w = d.support[getattr(exc, "row", 0)]
+                exc.args = (f"{exc} (estimator failed at support vector {w})",)
+                raise
+            mean, sd = _weighted_moments(d, values)
             records.append(
                 SimRecord(
                     scenario=spec.name,
@@ -386,16 +401,6 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         excluded_zero_variance=excluded,
         meta={"seed": spec.seed, "n_replications": spec.n_replications},
     )
-
-
-def _support_imputation(d: ExplicitDesign, gamma: GammaSpec, y: np.ndarray) -> np.ndarray:
-    """imputation_values on every support row, failures naming the row's vector."""
-    try:
-        return imputation_values(d, gamma, d.matrix, y)
-    except (AssumptionError, ValidationError) as exc:
-        w = d.support[getattr(exc, "row", 0)]
-        exc.args = (f"{exc} (estimator failed at support vector {w})",)
-        raise
 
 
 def _quantile_block(values: Sequence[float]) -> dict:
@@ -606,10 +611,7 @@ def run_study_b(
     draws = d.sample_matrix(n_inner_draws, draw_rng)
     emp = _empirical_design(draws)
 
-    resolved = [
-        (name, _imputation_gamma(name), resolve_estimator(name, emp))
-        for name in estimators
-    ]
+    kernels = [(name, _exact_estimator(name, emp)[1]) for name in estimators]
 
     records: list[SimRecord] = []
     excluded = 0
@@ -625,12 +627,8 @@ def run_study_b(
             idx = rng.choice(emp.support_size, size=n_outer, p=emp.probs)
             w = emp.matrix[idx]
             y = np.where(w.astype(bool), po.y1, po.y0)
-            observations = [reveal(po, emp.support[r]) for r in idx]
-            for name, gamma, est in resolved:
-                if gamma is None:
-                    vals = np.array([float(est(obs)) for obs in observations])
-                else:
-                    vals = imputation_values(emp, gamma, w, y)
+            for name, kernel in kernels:
+                vals = kernel(w, y)
                 mean = float(vals.mean())
                 sd = float(vals.std(ddof=1))
                 records.append(
@@ -721,23 +719,14 @@ def emit_outputs(res: SimResult, out_dir) -> list[Path]:
     summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    by_scenario: dict[str, dict[str, dict[str, list[float]]]] = {}
-    for rec in res.records:
-        cell = by_scenario.setdefault(rec.scenario, {}).setdefault(
-            rec.estimator, {"relative_bias": [], "sd": []}
-        )
-        cell["relative_bias"].append(rec.relative_bias)
-        cell["sd"].append(rec.sd)
-    for scenario, groups in by_scenario.items():
+    for scenario, groups in res.summary.get("scenarios", {}).items():
         svg_path = out / f"boxplot-{_slug(scenario)}.svg"
         svg_path.write_text(_boxplot_svg(scenario, groups))
         written.append(svg_path)
     return written
 
 
-def _box_stats(values: Sequence[float]) -> tuple[float, float, float, float, float]:
-    qs = np.quantile(np.asarray(values, dtype=float), [0.0, 0.25, 0.5, 0.75, 1.0])
-    return tuple(float(v) for v in qs)  # type: ignore[return-value]
+_BOX_KEYS = ("min", "q25", "median", "q75", "max")
 
 
 def _format_tick(v: float) -> str:
@@ -751,12 +740,13 @@ def _boxplot_panel(
     width: float,
     height: float,
     title: str,
-    groups: Mapping[str, Sequence[float]],
+    groups: Mapping[str, Mapping[str, float]],
 ) -> None:
-    """Append one box-plot panel (axis, ticks, one box per estimator)."""
+    """Append one box-plot panel (axis, ticks, one box per estimator), each
+    box drawn from a quantile block of the summary."""
     names = list(groups)
-    lo = min(min(groups[name]) for name in names)
-    hi = max(max(groups[name]) for name in names)
+    lo = min(groups[name]["min"] for name in names)
+    hi = max(groups[name]["max"] for name in names)
     if hi - lo < 1e-12:
         pad = max(abs(hi), 1.0) * 0.1
     else:
@@ -795,7 +785,7 @@ def _boxplot_panel(
     slot = width / len(names)
     box_w = slot * 0.5
     for pos, name in enumerate(names):
-        q0, q1, q2, q3, q4 = _box_stats(groups[name])
+        q0, q1, q2, q3, q4 = (groups[name][key] for key in _BOX_KEYS)
         cx = x0 + slot * (pos + 0.5)
         half = box_w / 2
         lines.append(
@@ -825,8 +815,9 @@ def _boxplot_panel(
         )
 
 
-def _boxplot_svg(scenario: str, groups: Mapping[str, Mapping[str, Sequence[float]]]) -> str:
-    """Two-panel SVG (relative bias, SD) with one box per estimator."""
+def _boxplot_svg(scenario: str, groups: Mapping[str, Mapping[str, Mapping[str, float]]]) -> str:
+    """Two-panel SVG (relative bias, SD) with one box per estimator, from the
+    summary's quantile blocks of one scenario."""
     width, height = 900, 420
     panel_w, panel_h = 340, 300
     lines = [
