@@ -38,7 +38,7 @@ from .designs import Design, ExplicitDesign
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
 
-_COUNTS_CACHE: "weakref.WeakKeyDictionary[ExplicitDesign, dict]" = (
+_COUNTS_CACHE: "weakref.WeakKeyDictionary[Design, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -85,8 +85,20 @@ def substitution_mode(d: Design) -> str:
     'equal-size' when every support vector splits the units in half and N
     is divisible by 4; otherwise 'epsem' when the overlap count
     N_t(w)^2 / N is a whole number for every group size in the support.
-    Anything else cannot define substitutes and raises.
+    Anything else cannot define substitutes and raises. Cached per design.
     """
+    per_design = _COUNTS_CACHE.setdefault(d, {})
+    if "mode" not in per_design:
+        try:
+            per_design["mode"] = _substitution_mode(d)
+        except AssumptionError as exc:
+            per_design["mode"] = str(exc)  # its traceback would hold d and pin the entry
+    if per_design["mode"] not in (EQUAL_SIZE, EPSEM):
+        raise AssumptionError(per_design["mode"])
+    return per_design["mode"]
+
+
+def _substitution_mode(d: Design) -> str:
     _constant_propensity(d)
     n = d.n
     sizes = sorted(_group_sizes(d))
@@ -230,7 +242,7 @@ def full_substitute_set(
         mode = substitution_mode(d)
     hits = _substitute_rows(d, [d.index_of(w)], mode)[0]
     _check_count(w, int(hits.sum()), cap)
-    members = tuple(d.support[s] for s in np.flatnonzero(hits))
+    members = tuple(d.vector(s) for s in np.flatnonzero(hits))
     return SubstituteSet(anchor=w, members=members, mode=mode)
 
 
@@ -302,7 +314,7 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
                 raise ValidationError(f"{m} is not a substitute of {w}")
             rows.add(d.index_of(m))
     if len(member_rows) < d.support_size:
-        w = next(v for r, v in enumerate(d.support) if r not in member_rows)
+        w = d.vector(next(r for r in range(d.support_size) if r not in member_rows))
         raise ValidationError(
             f"substitute map does not cover the support: no entry for {w}"
         )
@@ -333,14 +345,13 @@ def _substitute_values(
         )
     if w.shape[1] != d.n:
         raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
-    rows = np.empty(len(w), dtype=np.intp)
-    for r, bits in enumerate(w.astype(np.int8).tolist()):
-        w_r = AssignmentVector.from_bits(bits)
-        if w_r not in d:
-            raise _row_failure(
-                ValidationError(f"realized assignment {w_r} is not in the design support"), r
-            )
-        rows[r] = d.index_of(w_r)
+    rows = d.rows_of(w)
+    if np.any(rows < 0):
+        r = int(np.argmax(rows < 0))
+        w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
+        raise _row_failure(
+            ValidationError(f"realized assignment {w_r} is not in the design support"), r
+        )
     mode = substitution_mode(d)
     if not mse and mode != EQUAL_SIZE:
         raise AssumptionError(
@@ -352,7 +363,7 @@ def _substitute_values(
     if g is None:
         sizes = substitute_counts(d, mode)
         r = int(np.argmin(sizes))
-        _check_count(d.support[r], int(sizes[r]))
+        _check_count(d.vector(r), int(sizes[r]))
     else:
         sizes, holders = _normalize_g(d, g, mode)
     sums = np.empty(len(rows))
@@ -531,9 +542,10 @@ def check_assumptions(d: Design) -> AssumptionReport:
             f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
         )
 
-    closed = all(w.complement() in d for w in d.support)
+    unmatched = np.flatnonzero(d.rows_of(u == 0) < 0)
+    closed = not unmatched.size
     if not closed:
-        w = next(w for w in d.support if w.complement() not in d)
+        w = d.vector(int(unmatched[0]))
         details["closed_under_label_switching"] = f"complement of {w} is not in support"
 
     try:
@@ -541,7 +553,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
         counts = substitute_counts(d, mode)
         substitution = bool(np.all(counts > 0))
         if not substitution:
-            w = d.support[int(np.argmax(counts == 0))]
+            w = d.vector(int(np.argmax(counts == 0)))
             details["substitution"] = f"{w} has no substitute in the support"
     except AssumptionError as exc:
         substitution = False
@@ -553,7 +565,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
         if not fixed_weight:
             k = int(np.argmax(np.abs(weights - 2.0 * n) > WEIGHT_TOL))
             details["fixed_total_weight"] = (
-                f"total weight at {d.support[k]} is {weights[k]:.6g}, not {2 * n}"
+                f"total weight at {d.vector(k)} is {weights[k]:.6g}, not {2 * n}"
             )
     else:
         fixed_weight = False

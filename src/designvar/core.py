@@ -1,8 +1,8 @@
 """Core data types shared by every estimation module.
 
-Assignment vectors are stored as packed bit masks (unit 1 is the leftmost
-bit of the string form), which keeps support membership hashable and makes
-the canonical lexicographic order equal to integer order on the mask.
+:class:`AssignmentVector` is the public type of one assignment: an int bit mask
+whose top bit is unit 1, so mask order is lexicographic bit-string order.
+Designs keep their supports as sorted packed rows, not as these objects.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class AssignmentVector:
         """0-based indices of treated units."""
         return tuple(k for k in range(self.n) if (self.mask >> (self.n - 1 - k)) & 1)
 
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.n) if not (self.mask >> (self.n - 1 - k)) & 1)
-
     def complement(self) -> "AssignmentVector":
         """The label-switched vector 1 - w."""
         return AssignmentVector(self.n, self.mask ^ ((1 << self.n) - 1))
@@ -154,10 +150,6 @@ class PotentialOutcomes:
     @property
     def tau(self) -> float:
         return float(np.mean(self.effects))
-
-    def is_homogeneous(self, tol: float = WEIGHT_TOL) -> bool:
-        eff = self.effects
-        return bool(np.max(np.abs(eff - eff[0])) <= tol) if len(eff) else True
 
     @property
     def s2_treated(self) -> float:

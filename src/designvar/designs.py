@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     PROB_TOL,
+    ROW_BLOCK,
     SUPPORT_CAP,
     AssignmentVector,
     AssumptionError,
@@ -24,6 +25,16 @@ from .core import (
 )
 
 BalanceCriterion = Callable[[np.ndarray, np.ndarray], float]
+
+
+def _pack(u: np.ndarray) -> np.ndarray:
+    """(k, n) 0/1 rows as (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout."""
+    if u.size and not (u.dtype.kind in "biu" and 0 <= u.min() <= u.max() <= 1):
+        bad = ~np.isin(u, (0, 1))
+        if bad.any():
+            raise ValidationError(f"assignment entries must be 0 or 1, got {u[bad][0].item()!r}")
+        u = u != 0
+    return np.packbits(u, axis=1)
 
 
 @dataclass(frozen=True)
@@ -40,10 +51,7 @@ class Design:
 
     n: int
     kind: str
-
-    @property
-    def is_enumerable(self) -> bool:
-        raise NotImplementedError
+    is_enumerable: bool
 
     @property
     def propensities(self) -> np.ndarray:
@@ -62,10 +70,9 @@ class Design:
         return AssignmentVector.from_bits(row.tolist())
 
     def pairwise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(P11, P10, P01, P00) joint-assignment matrices; off-diagonal
-        entries are the pairwise cell probabilities, diagonals are
-        degenerate and should be ignored."""
-        raise NotImplementedError
+        """(P11, P10, P01, P00) joint-assignment matrices, built once and read-only;
+        off-diagonal entries are the cell probabilities, diagonals are degenerate."""
+        return self._cells  # type: ignore[attr-defined]
 
     @cached_property
     def conditional_tables(self) -> np.ndarray:
@@ -96,104 +103,125 @@ class Design:
 
 
 class ExplicitDesign(Design):
-    """A design with a materialized support; all queries are exact."""
+    """A design with a materialized support; all queries are exact.
+
+    The support is kept once, as (support_size, ceil(n/8)) uint8 rows in
+    ``np.packbits`` layout sorted by their bytes (lexicographic bit-string
+    order); support vectors and the float matrix are decoded from them.
+    """
+
+    is_enumerable = True
 
     def __init__(
         self,
-        vectors: Sequence[AssignmentVector],
+        rows: np.ndarray | Sequence[Sequence[int]],
         probs: Sequence[float] | np.ndarray,
         *,
         kind: str = "explicit",
         pairs: tuple[tuple[int, int], ...] | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
-        if len(vectors) == 0:
+        if len(rows) == 0:
             raise ValidationError("design support is empty")
-        ns = {v.n for v in vectors}
-        if len(ns) != 1:
-            raise ValidationError(f"support vectors have mixed lengths: {sorted(ns)}")
-        if len({v.mask for v in vectors}) != len(vectors):
+        if not isinstance(rows, np.ndarray):
+            ns = {len(r) for r in rows}
+            if len(ns) != 1:
+                raise ValidationError(f"support vectors have mixed lengths: {sorted(ns)}")
+        u = np.asarray(rows)
+        if u.ndim != 2 or u.shape[1] == 0:
+            raise ValidationError("assignment length must be positive, got 0")
+        packed = _pack(u)
+        order = np.lexsort(packed.T[::-1])
+        self._packed = packed = packed[order]
+        packed.setflags(write=False)
+        # one void key per row; keys compare as the rows' bytes
+        self._keys = keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("support vectors must be distinct")
         p = np.asarray(probs, dtype=float)
-        if p.shape != (len(vectors),):
-            raise ValidationError(
-                f"{len(vectors)} support vectors but {p.size} probabilities"
-            )
+        if p.shape != (len(u),):
+            raise ValidationError(f"{len(u)} support vectors but {p.size} probabilities")
         if np.any(p <= 0) or not np.all(np.isfinite(p)):
             raise ValidationError("probabilities must be finite and strictly positive")
-        total = math.fsum(p.tolist())
+        total = math.fsum(memoryview(p))  # no list of S Python floats
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
-        order = np.argsort([v.mask for v in vectors], kind="stable")
-        self.n = next(iter(ns))
+        self.n = u.shape[1]
         self.kind = kind
-        self._vectors: tuple[AssignmentVector, ...] = tuple(vectors[k] for k in order)
-        self._probs = (p[order] / total).copy()
+        self._probs = p[order] / total
         self._probs.setflags(write=False)
-        self._index = {v.mask: k for k, v in enumerate(self._vectors)}
         self.pairs = pairs
         self.meta = dict(meta or {})
 
     # -- support -----------------------------------------------------------
-    @property
-    def is_enumerable(self) -> bool:
-        return True
-
-    @property
+    @cached_property
     def support(self) -> tuple[AssignmentVector, ...]:
-        return self._vectors
+        """Every support vector in support order, decoded on first use."""
+        return tuple(self.vector(k) for k in range(self.support_size))
 
     @property
     def support_size(self) -> int:
-        return len(self._vectors)
+        return len(self._keys)
 
     @property
     def probs(self) -> np.ndarray:
         return self._probs
 
+    def vector(self, k: int) -> AssignmentVector:
+        """The support vector in row ``k``."""
+        mask = int.from_bytes(self._packed[k].tobytes(), "big") >> (-self.n % 8)  # drop padding
+        return AssignmentVector(self.n, mask)
+
     def enumerate_support(self) -> Iterator[tuple[AssignmentVector, float]]:
         """Support in lexicographic bit-string order with probabilities."""
-        for v, p in zip(self._vectors, self._probs):
-            yield v, float(p)
+        return ((self.vector(k), p) for k, p in enumerate(self._probs.tolist()))
+
+    def rows_of(self, w: np.ndarray) -> np.ndarray:
+        """Support row of each (k, n) 0/1 assignment; -1 if not in the support."""
+        w = np.asarray(w)
+        if w.ndim != 2 or w.shape[1] != self.n:
+            raise ValidationError(f"need (k, {self.n}) assignments, got shape {w.shape}")
+        keys = _pack(w).view(self._keys.dtype).ravel()
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.support_size - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
 
     def index_of(self, w: AssignmentVector) -> int:
         if w.n != self.n:
             raise ValidationError(f"assignment has {w.n} units, design has {self.n}")
-        k = self._index.get(w.mask)
-        if k is None:
+        k = int(self.rows_of(w.to_array()[None])[0])
+        if k < 0:
             raise ValidationError(f"assignment {w} is not in the design support")
         return k
 
     def __contains__(self, w: AssignmentVector) -> bool:
-        return w.n == self.n and w.mask in self._index
+        return w.n == self.n and self.rows_of(w.to_array()[None])[0] >= 0
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """(support_size, n) float matrix of assignment indicators."""
-        width = (self.n + 7) // 8
-        packed = b"".join(v.mask.to_bytes(width, "big") for v in self._vectors)
-        bits = np.unpackbits(
-            np.frombuffer(packed, dtype=np.uint8).reshape(-1, width), axis=1
-        )
-        # the mask's top bit is unit 0; the leading 8 * width - n bits are padding
-        m = np.ascontiguousarray(bits[:, 8 * width - self.n:], dtype=float)
+        m = np.unpackbits(self._packed, axis=1, count=self.n).astype(float)
         m.setflags(write=False)
         return m
 
     @cached_property
     def group_sizes(self) -> np.ndarray:
         """(support_size,) treated-group size N_t(w) of each support vector."""
-        sizes = self.matrix.sum(axis=1).astype(np.int64)
+        sizes = np.unpackbits(self._packed, axis=1).sum(axis=1, dtype=np.int64)
         sizes.setflags(write=False)
         return sizes
 
     # -- probability queries -------------------------------------------------
     @cached_property
     def propensities(self) -> np.ndarray:
-        # Pairwise sums along the contiguous support axis: a plain dot drifts
-        # with the support size (3e-12 on CRD(22,11)) and fails the EPSEM check.
-        pi = np.multiply(self.matrix.T, self._probs, order="C").sum(axis=1)
+        # One contiguous pairwise sum of bits * probs per unit, in unit blocks: a plain
+        # dot drifts with the support size (3e-12 on CRD(22,11)) and fails EPSEM.
+        pi = np.empty(self.n)
+        step = max(1, ROW_BLOCK // self.support_size)
+        for start in range(0, self.n, step):
+            i = np.arange(start, min(start + step, self.n))
+            bits = (self._packed[:, i >> 3] >> (7 - i % 8).astype(np.uint8)) & 1
+            pi[i] = np.multiply(bits.T, self._probs, order="C").sum(axis=1)
         pi.setflags(write=False)
         return pi
 
@@ -204,34 +232,22 @@ class ExplicitDesign(Design):
         p11.setflags(write=False)
         return p11
 
-    def pairwise_prob(self, i: int, j: int, wi: int, wj: int) -> float:
-        self._check_pair(i, j)
-        pi, pj = self.propensities[i], self.propensities[j]
-        p11 = self._p11[i, j]
-        if (wi, wj) == (1, 1):
-            val = p11
-        elif (wi, wj) == (1, 0):
-            val = pi - p11
-        elif (wi, wj) == (0, 1):
-            val = pj - p11
-        elif (wi, wj) == (0, 0):
-            val = 1.0 - pi - pj + p11
-        else:
-            raise ValidationError(f"cell indicators must be 0/1, got ({wi},{wj})")
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # exact zeros can come out as tiny negatives after the subtractions
-        return float(max(val, 0.0))
-
-    def pairwise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(P11, P10, P01, P00) joint-assignment matrices, exact tiny negatives
-        clipped to 0. Off-diagonal entries are the pairwise cell probabilities;
-        diagonals are the (degenerate) single-unit values and should be ignored.
-        """
-        pi = self.propensities
-        p11 = self._p11
+        pi, p11 = self.propensities, self._p11
         p10 = np.clip(pi[:, None] - p11, 0.0, None)
         p01 = np.clip(pi[None, :] - p11, 0.0, None)
         p00 = np.clip(1.0 - pi[:, None] - pi[None, :] + p11, 0.0, None)
+        for cell in (p10, p01, p00):
+            cell.setflags(write=False)
         return p11, p10, p01, p00
+
+    def pairwise_prob(self, i: int, j: int, wi: int, wj: int) -> float:
+        self._check_pair(i, j)
+        if wi not in (0, 1) or wj not in (0, 1):
+            raise ValidationError(f"cell indicators must be 0/1, got ({wi},{wj})")
+        return float(self._cells[3 - 2 * int(wi) - int(wj)][i, j])
 
     def conditional_propensities(self, i: int, wi: int) -> np.ndarray:
         """Pr(W_j = 1 | W_i = wi) for every j; entry i is NaN."""
@@ -252,7 +268,7 @@ class ExplicitDesign(Design):
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
         rows = rng.choice(self.support_size, size=m, p=self._probs)
-        return self.matrix[rows].astype(np.int8)
+        return np.unpackbits(self._packed[rows], axis=1, count=self.n).astype(np.int8)
 
     # -- derived helper matrices used by the oracles -------------------------
     @cached_property
@@ -289,6 +305,8 @@ class SampledDesign(Design):
     point values.
     """
 
+    is_enumerable = False
+
     def __init__(
         self,
         n: int,
@@ -313,10 +331,6 @@ class SampledDesign(Design):
         self.mc_budget = int(mc_budget)
         self.probe_seed = int(probe_seed)
         self.meta = dict(meta or {})
-
-    @property
-    def is_enumerable(self) -> bool:
-        return False
 
     def enumerate_support(self) -> Iterator[tuple[AssignmentVector, float]]:
         raise AssumptionError(
@@ -354,7 +368,7 @@ class SampledDesign(Design):
         return MCEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / m), m)
 
     @cached_property
-    def _cells(self) -> np.ndarray:
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._pairwise is None:
             raise AssumptionError(
                 "this estimator needs exact pairwise assignment probabilities, "
@@ -366,13 +380,7 @@ class SampledDesign(Design):
             for k, (wi, wj) in enumerate(((1, 1), (1, 0), (0, 1), (0, 0))):
                 cells[k, i, j] = self._pairwise(i, j, wi, wj)
         cells.setflags(write=False)
-        return cells
-
-    def pairwise_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(P11, P10, P01, P00) from the closed-form pairwise probabilities,
-        built once per design; diagonals are 0. Raises AssumptionError when
-        the design has no closed form."""
-        return tuple(self._cells)
+        return tuple(cells)
 
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -390,25 +398,26 @@ def build_explicit(
     kind: str = "explicit",
     pairs: tuple[tuple[int, int], ...] | None = None,
 ) -> ExplicitDesign:
-    vecs = []
-    for w in support:
-        if isinstance(w, AssignmentVector):
-            vecs.append(w)
-        elif isinstance(w, str):
-            vecs.append(AssignmentVector.from_string(w))
-        else:
-            vecs.append(AssignmentVector.from_bits(w))
-    return ExplicitDesign(vecs, probs, kind=kind, pairs=pairs)
+    rows = [AssignmentVector.from_string(w).bits if isinstance(w, str)
+            else w.bits if isinstance(w, AssignmentVector) else w for w in support]
+    return ExplicitDesign(rows, probs, kind=kind, pairs=pairs)
 
 
-def _crd_masks(n: int, k: int) -> list[int]:
-    out = []
-    for treated in itertools.combinations(range(n), k):
-        mask = 0
-        for i in treated:
-            mask |= 1 << (n - 1 - i)
-        out.append(mask)
-    return out
+def _crd_rows(n: int, k: int) -> np.ndarray:
+    """The C(n, k) rows with k ones, in lexicographic order, as uint8. Grown
+    a unit at a time from the last: ``blocks[t]`` holds, in order, the rows
+    over the trailing units with t ones; leading 0s precede leading 1s."""
+    blocks = {0: np.zeros((1, 0), dtype=np.uint8)}
+    for j in range(1, n + 1):
+        none = np.empty((0, j - 1), dtype=np.uint8)
+        grown = {}
+        for t in range(max(0, k - (n - j)), min(k, j) + 1):
+            zero, one = blocks.get(t, none), blocks.get(t - 1, none)
+            grown[t] = out = np.empty((len(zero) + len(one), j), dtype=np.uint8)
+            out[:len(zero), 0], out[len(zero):, 0] = 0, 1
+            out[:len(zero), 1:], out[len(zero):, 1:] = zero, one
+        blocks = grown
+    return blocks[k]
 
 
 def _crd_pairwise(n: int, k: int) -> Callable[[int, int, int, int], float]:
@@ -439,9 +448,8 @@ def build_crd(
     count = math.comb(n, n_treated)
     meta = {"n_treated": n_treated}
     if count <= cap:
-        masks = _crd_masks(n, n_treated)
-        vecs = [AssignmentVector(n, m) for m in masks]
-        return ExplicitDesign(vecs, np.full(count, 1.0 / count), kind="crd", meta=meta)
+        rows = _crd_rows(n, n_treated)
+        return ExplicitDesign(rows, np.full(count, 1.0 / count), kind="crd", meta=meta)
     if not allow_sampler:
         raise AssumptionError(
             f"support too large: C({n},{n_treated}) = {count} exceeds cap {cap}"
@@ -479,14 +487,13 @@ def build_matched_pair(
         raise AssumptionError(
             f"support too large: 2^{len(pairs)} = {count} exceeds cap {cap}"
         )
-    vecs = []
-    for chosen in itertools.product(*pairs):
-        mask = 0
-        for i in chosen:
-            mask |= 1 << (n - 1 - i)
-        vecs.append(AssignmentVector(n, mask))
+    # bit J-1-j of the row number picks the treated unit of pair j
+    rows = np.empty((count, n), dtype=np.uint8)
+    for j, (a, b) in enumerate(pairs):
+        bit = (np.arange(count) >> (len(pairs) - 1 - j)) & 1
+        rows[:, a], rows[:, b] = 1 - bit, bit
     return ExplicitDesign(
-        vecs, np.full(count, 1.0 / count), kind="matched_pair", pairs=pairs
+        rows, np.full(count, 1.0 / count), kind="matched_pair", pairs=pairs
     )
 
 
@@ -557,10 +564,10 @@ def build_rerandomized(
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"
             )
-        vecs = [base.support[k] for k in keep]
+        rows = np.unpackbits(base._packed[keep], axis=1, count=base.n)
         probs = base.probs[keep]
         return ExplicitDesign(
-            vecs, probs / probs.sum(), kind="rerandomized",
+            rows, probs / probs.sum(), kind="rerandomized",
             meta={**meta, "base_support": base.support_size},
         )
 

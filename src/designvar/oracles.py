@@ -106,7 +106,7 @@ def _support_values(
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
     values = np.empty(d.support_size)
-    for k, w in enumerate(d.support):
+    for k, (w, _) in enumerate(d.enumerate_support()):
         try:
             values[k] = float(est(reveal(po, w, pair_labels=d.pairs)))
         except Exception as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -31,7 +30,6 @@ import numpy as np
 from .contrast import _substitute_values, _v_pair_values, mse_sub_epsem, v_pair, v_sub
 from .core import (
     PROB_TOL,
-    AssignmentVector,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
@@ -380,7 +378,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             try:
                 values = kernel(d.matrix, y)
             except (AssumptionError, ValidationError) as exc:
-                w = d.support[getattr(exc, "row", 0)]
+                w = d.vector(getattr(exc, "row", 0))
                 exc.args = (f"{exc} (estimator failed at support vector {w})",)
                 raise
             mean, sd = _weighted_moments(d, values)
@@ -563,21 +561,11 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     design is complement-symmetric and symmetrizing keeps every empirical
     propensity at exactly one half.
     """
-    m, n = draws.shape
-    counts: Counter[int] = Counter()
-    full = (1 << n) - 1
-    for row in draws:
-        mask = AssignmentVector.from_bits(row.tolist()).mask
-        counts[mask] += 1
-        if symmetrize:
-            counts[full ^ mask] += 1
-    total = sum(counts.values())
-    masks = sorted(counts)
-    vecs = [AssignmentVector(n, mask) for mask in masks]
-    probs = np.array([counts[mask] / total for mask in masks])
+    rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
+    rows, counts = np.unique(rows, axis=0, return_counts=True)
     return ExplicitDesign(
-        vecs, probs, kind="empirical",
-        meta={"n_draws": m, "symmetrized": bool(symmetrize)},
+        rows, counts / counts.sum(), kind="empirical",
+        meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
     )
 
 

@@ -1,0 +1,235 @@
+"""The packed support of ExplicitDesign against the per-row construction.
+
+Every builder must give the support order, probabilities, indicator
+matrix, propensities and P11 of the per-row construction it replaced, to
+the bit. The reference below is that construction, written out: one int
+mask per row, sorted as ints, indicators read off the mask bits.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import math
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import designvar as dv
+from designvar import (
+    AssignmentVector,
+    AssumptionError,
+    ExplicitDesign,
+    ValidationError,
+    build_crd,
+    build_explicit,
+    build_matched_pair,
+    build_rerandomized,
+    max_asmd,
+)
+from designvar import contrast
+from designvar.simulate import _empirical_design
+
+from conftest import random_table
+
+
+def _reference(n: int, masks: list[int], probs) -> dict:
+    """What the per-row constructor kept for these rows and probabilities."""
+    order = sorted(range(len(masks)), key=masks.__getitem__)
+    raw = np.asarray(probs, dtype=float)
+    p = raw[order] / math.fsum(raw.tolist())
+    sorted_masks = [masks[k] for k in order]
+    u = np.array([[(m >> (n - 1 - k)) & 1 for k in range(n)] for m in sorted_masks], dtype=float)
+    return {
+        "masks": sorted_masks,
+        "probs": p,
+        "matrix": u,
+        "propensities": np.multiply(u.T, p, order="C").sum(axis=1),
+        "p11": (u * p[:, None]).T @ u,
+    }
+
+
+def _crd_reference(n: int, k: int) -> dict:
+    masks = [sum(1 << (n - 1 - i) for i in treated)
+             for treated in itertools.combinations(range(n), k)]
+    return _reference(n, masks, np.full(len(masks), 1.0 / len(masks)))
+
+
+def _hex(a) -> list[str]:
+    return [float(x).hex() for x in np.asarray(a).ravel().tolist()]
+
+
+def _assert_matches(d: ExplicitDesign, ref: dict) -> None:
+    assert [w.mask for w, _ in d.enumerate_support()] == ref["masks"]
+    assert [w.mask for w in d.support] == ref["masks"]
+    for name in ("probs", "matrix", "propensities"):
+        assert _hex(getattr(d, name)) == _hex(ref[name]), name
+    assert d.matrix.dtype == np.float64 and d.matrix.flags.c_contiguous
+    assert _hex(d._p11) == _hex(ref["p11"])
+    assert d.group_sizes.tolist() == ref["matrix"].sum(axis=1).astype(int).tolist()
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (16, 8), (70, 2)])
+def test_crd_matches_per_row_construction(n, k):
+    # n = 70 packs each row into 9 bytes
+    _assert_matches(build_crd(n, k), _crd_reference(n, k))
+
+
+def test_matched_pairs_match_per_row_construction():
+    pairs = [(0, 5), (1, 2), (3, 7), (4, 6)]
+    masks = [sum(1 << (7 - i) for i in chosen) for chosen in itertools.product(*pairs)]
+    ref = _reference(8, masks, np.full(16, 1.0 / 16))
+    _assert_matches(build_matched_pair(pairs), ref)
+
+
+def test_weighted_crossed_pairs_match_per_row_construction(weighted_crossed_pairs):
+    strings = ["1100", "0011", "1001", "0110"]
+    ref = _reference(4, [int(s, 2) for s in strings], [1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
+    _assert_matches(weighted_crossed_pairs, ref)
+
+
+def test_rerandomized_crd_matches_per_row_construction():
+    x = np.random.default_rng(3).normal(size=(8, 2))
+    base = _crd_reference(8, 4)
+    keep = [k for k, m in enumerate(base["masks"])
+            if max_asmd(x, AssignmentVector(8, m)) < 0.5]
+    kept = base["probs"][keep]
+    ref = _reference(8, [base["masks"][k] for k in keep], kept / kept.sum())
+    d = build_rerandomized(build_crd(8, 4), x, 0.5)
+    assert 0 < d.support_size < 70
+    _assert_matches(d, ref)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_empirical_design_matches_per_row_construction(symmetrize):
+    rng = np.random.default_rng(7)
+    draws = (rng.random((60, 10)) < 0.5).astype(np.int8)
+    draws = np.concatenate([draws, draws[:25], draws[:5]])  # repeated draws
+    counts: Counter[int] = Counter()
+    for row in draws:
+        mask = AssignmentVector.from_bits(row.tolist()).mask
+        counts[mask] += 1
+        if symmetrize:
+            counts[mask ^ ((1 << 10) - 1)] += 1
+    total = sum(counts.values())
+    masks = sorted(counts)
+    ref = _reference(10, masks, [counts[m] / total for m in masks])
+    d = _empirical_design(draws, symmetrize=symmetrize)
+    assert max(counts.values()) > 1
+    _assert_matches(d, ref)
+
+
+class TestLookup:
+    def test_rows_of_members_and_non_members(self):
+        d = build_crd(70, 2)
+        rows = np.zeros((5, 70), dtype=np.int8)
+        rows[0, [0, 1]] = 1      # the largest key
+        rows[1, [68, 69]] = 1    # the smallest key
+        rows[2, [3, 40]] = 1
+        rows[3, [0, 1, 2]] = 1   # three treated: above every key
+        # rows[4] treats no one: below every key
+        got = d.rows_of(rows)
+        assert got.tolist() == [d.support_size - 1, 0, got[2], -1, -1]
+        assert d.vector(int(got[2])).treated == (3, 40)
+
+    def test_index_of_and_contains(self):
+        d = build_crd(70, 2)
+        w = AssignmentVector.from_bits([1] + [0] * 68 + [1])
+        assert w in d
+        assert d.support[d.index_of(w)] == w
+        outside = AssignmentVector.from_bits([1, 1, 1] + [0] * 67)
+        assert outside not in d
+        with pytest.raises(ValidationError, match="not in the design support"):
+            d.index_of(outside)
+        short = AssignmentVector.from_bits([1, 1] + [0] * 67)
+        assert short not in d
+        with pytest.raises(ValidationError, match="69 units, design has 70"):
+            d.index_of(short)
+
+    def test_rows_of_rejects_a_wrong_width(self):
+        with pytest.raises(ValidationError, match="assignments"):
+            build_crd(6, 3).rows_of(np.zeros((2, 5)))
+
+
+class TestConstructor:
+    def test_rows_are_sorted_with_their_probabilities(self):
+        d = ExplicitDesign(np.array([[1, 1, 0], [0, 0, 1], [1, 0, 0]]), [0.5, 0.25, 0.25])
+        assert [w.to_string() for w in d.support] == ["001", "100", "110"]
+        assert d.probs.tolist() == [0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("rows, match", [
+        (np.array([[0, 1], [2, 0]]), "0 or 1, got 2"),
+        (np.array([[0.0, 1.0], [0.5, 0.0]]), "0 or 1, got 0.5"),
+        (np.array([[-1, 1], [1, 0]]), "0 or 1, got -1"),
+        (np.array([[1, 0, 1], [1, 0, 1]]), "distinct"),
+        (np.zeros((0, 3)), "empty"),
+        ([[1, 0], [0, 1, 1]], "mixed lengths"),
+    ])
+    def test_bad_rows_rejected(self, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            ExplicitDesign(rows, [0.5, 0.5])
+
+    def test_probability_count_checked(self):
+        with pytest.raises(ValidationError, match="3 support vectors but 2 probabilities"):
+            ExplicitDesign(np.eye(3, dtype=np.uint8), [0.5, 0.5])
+
+
+def test_hot_paths_leave_the_support_undecoded():
+    d = build_crd(8, 4)
+    dv.check_assumptions(d)
+    obs = dv.reveal(random_table(np.random.default_rng(1), 8), d.vector(9))
+    dv.v_sub(d, obs)
+    dv.mse_sub_epsem(d, obs)
+    spec = dv.ScenarioSpec("x", d, dv.OutcomeModel.heterogeneous(),
+                           estimators=("v_sub", "v_am", "imputation:theta-loo"),
+                           n_replications=1)
+    dv.run_study(spec)
+    assert "support" not in d.__dict__
+
+
+def test_study_b_leaves_the_empirical_support_undecoded(monkeypatch):
+    built = []
+
+    def spy(draws, **kwargs):
+        built.append(_empirical_design(draws, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dv.simulate, "_empirical_design", spy)
+    dv.run_study_b(n_replications=1, n_inner_draws=8, n_outer=6)
+    assert len(built) == 1
+    assert "support" not in built[0].__dict__
+
+
+def test_pairwise_cells_built_once_and_read_only():
+    d = build_crd(8, 4)
+    cells = d.pairwise_cells()
+    assert d.pairwise_cells() is cells
+    assert all(not c.flags.writeable for c in cells)
+
+
+def test_substitution_mode_is_worked_out_once(monkeypatch):
+    good, bad = build_crd(8, 4), build_crd(8, 2)
+    first = contrast.substitution_mode(good)
+    with pytest.raises(AssumptionError) as exc1:
+        contrast.substitution_mode(bad)
+
+    def fail(d):
+        raise AssertionError("group sizes recounted")
+
+    monkeypatch.setattr(contrast, "_group_sizes", fail)
+    assert contrast.substitution_mode(good) == first == "equal-size"
+    with pytest.raises(AssumptionError) as exc2:
+        contrast.substitution_mode(bad)
+    assert str(exc2.value) == str(exc1.value)
+
+
+def test_a_cached_refusal_does_not_keep_the_design_alive():
+    d = build_crd(6, 3)
+    with pytest.raises(AssumptionError):
+        contrast.substitution_mode(d)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
