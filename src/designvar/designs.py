@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -22,9 +22,10 @@ from .core import (
     AssignmentVector,
     AssumptionError,
     ValidationError,
+    _row_failure,
 )
 
-BalanceCriterion = Callable[[np.ndarray, np.ndarray], float]
+BalanceCriterion = Callable[[np.ndarray, AssignmentVector], float]
 
 
 def _pack(u: np.ndarray) -> np.ndarray:
@@ -497,30 +498,50 @@ def build_matched_pair(
     )
 
 
+def _covariates(covariates: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """Covariates as a finite (n, p) float array, p >= 1; a vector is one column."""
+    x = np.asarray(covariates, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    if x.ndim != 2 or x.shape[0] != n or x.shape[1] == 0 or not np.isfinite(x).all():
+        raise ValidationError(f"covariates must be finite, with {n} rows; got shape {x.shape}")
+    return x
+
+
+def _max_asmd_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max_asmd of every row of a (k, n) 0/1 batch ``w``, one numpy pass per group size:
+    row r equals the one-row call to the bit; the first failing row sets ``exc.row``."""
+    t = np.asarray(w, dtype=bool)
+    n, kt = t.shape[1], t.sum(axis=1)
+    diff, scale = np.zeros((2, len(t), x.shape[1]))
+    for size in set(kt.tolist()) - {0, 1, n - 1, n}:  # a group under 2 units leaves scale 0
+        rows = kt == size
+        # (p, rows, size): each column's treated (control) values in unit order
+        xt = x.T.take(np.nonzero(t[rows])[1].reshape(-1, size), axis=1)
+        xc = x.T.take(np.nonzero(~t[rows])[1].reshape(-1, n - size), axis=1)
+        diff[rows] = np.abs(xt.mean(axis=2) - xc.mean(axis=2)).T
+        scale[rows] = np.sqrt((xt.var(axis=2, ddof=1) + xc.var(axis=2, ddof=1)) / 2.0).T
+    if (scale == 0.0).any():
+        r = int(np.argmax((scale == 0.0).any(axis=1)))
+        raise _row_failure(ValidationError(
+            "asmd needs at least two units per group" if min(kt[r], n - kt[r]) < 2
+            else "asmd undefined: zero pooled variance"
+        ), r)
+    return (diff / scale).max(axis=1)
+
+
 def asmd(x: Sequence[float] | np.ndarray, w: AssignmentVector) -> float:
     """Absolute standardized mean difference of ``x`` between the two groups.
 
     |mean_t - mean_c| / sqrt((s2_t + s2_c) / 2) with sample variances.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (w.n,):
-        raise ValidationError(f"covariate length {x.shape} does not match n={w.n}")
-    bits = w.to_array().astype(bool)
-    xt, xc = x[bits], x[~bits]
-    if len(xt) < 2 or len(xc) < 2:
-        raise ValidationError("asmd needs at least two units per group")
-    scale = math.sqrt((xt.var(ddof=1) + xc.var(ddof=1)) / 2.0)
-    if scale == 0.0:
-        raise ValidationError("asmd undefined: zero pooled variance")
-    return abs(float(xt.mean() - xc.mean())) / scale
+    if np.shape(x) != (w.n,):
+        raise ValidationError(f"covariate length {np.shape(x)} does not match n={w.n}")
+    return max_asmd(x, w)
 
 
 def max_asmd(covariates: np.ndarray, w: AssignmentVector) -> float:
-    """Largest ASMD across covariate columns (the rerandomization criterion)."""
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return max(asmd(x[:, c], w) for c in range(x.shape[1]))
+    """The rerandomization criterion, the largest ASMD across covariate columns."""
+    return float(_max_asmd_rows(_covariates(covariates, w.n), w.to_array()[None])[0])
 
 
 def build_rerandomized(
@@ -534,40 +555,32 @@ def build_rerandomized(
     """Keep only assignments whose balance criterion is below ``threshold``.
 
     Enumerable bases are filtered exactly (probabilities renormalized);
-    sampler-backed bases become accept-reject samplers.
+    sampler-backed bases become accept-reject samplers. A ``criterion`` callable gets the
+    (n, p) covariates and one :class:`AssignmentVector` per candidate row, in row order.
     """
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != base.n:
-        raise ValidationError(
-            f"covariates have {x.shape[0]} rows but the design has {base.n} units"
-        )
-
+    x = _covariates(covariates, base.n)
     if criterion == "max-asmd":
-        def score(w: AssignmentVector) -> float:
-            return max_asmd(x, w)
-        builtin = True
+        score = partial(_max_asmd_rows, x)
     elif callable(criterion):
-        def score(w: AssignmentVector) -> float:
-            return float(criterion(x, w))  # type: ignore[operator]
-        builtin = False
+        def score(rows: np.ndarray) -> np.ndarray:
+            vectors = map(AssignmentVector.from_bits, rows.tolist())
+            return np.array([float(criterion(x, w)) for w in vectors])  # type: ignore[operator]
     else:
         raise ValidationError(f"unknown balance criterion {criterion!r}")
 
     meta = {"threshold": float(threshold), "base_kind": base.kind}
 
     if isinstance(base, ExplicitDesign):
-        keep = [k for k, (w, _) in enumerate(base.enumerate_support())
-                if score(w) < threshold]
-        if not keep:
+        rows = np.unpackbits(base._packed, axis=1, count=base.n)
+        b = max(1, ROW_BLOCK // (base.n * x.shape[1]))  # rows per call: bounded gathers
+        keep = np.concatenate([score(rows[i:i + b]) for i in range(0, len(rows), b)]) < threshold
+        if not keep.any():
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"
             )
-        rows = np.unpackbits(base._packed[keep], axis=1, count=base.n)
         probs = base.probs[keep]
         return ExplicitDesign(
-            rows, probs / probs.sum(), kind="rerandomized",
+            rows[keep], probs / probs.sum(), kind="rerandomized",
             meta={**meta, "base_support": base.support_size},
         )
 
@@ -575,37 +588,24 @@ def build_rerandomized(
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         out = np.zeros((m, base.n), dtype=np.int8)
-        tries = 0
-        got = 0
+        tries = got = 0
         while got < m:
             if tries >= retry_budget:
-                rate = got / tries if tries else 0.0
                 raise AssumptionError(
                     f"accept-reject budget {retry_budget} exhausted; "
-                    f"acceptance rate so far about {rate:.2e}"
+                    f"acceptance rate so far about {got / max(tries, 1):.2e}"
                 )
-            batch = base.sample_matrix(min(m - got, 1024), rng)
+            batch = base.sample_matrix(min(m - got, 1024), rng)  # at most m - got: all are scored
             tries += len(batch)
-            for row in batch:
-                if score(AssignmentVector.from_bits(row.tolist())) < threshold:
-                    out[got] = row
-                    got += 1
-                    if got == m:
-                        break
+            keep = batch[score(batch) < threshold]
+            out[got:got + len(keep)] = keep
+            got += len(keep)
         return out
 
-    # For an equal-group CRD base the max-ASMD criterion is invariant under
-    # swapping the two groups, so the accepted set stays closed under label
-    # switching and every propensity is exactly 1/2.
-    pi = None
-    if (
-        builtin
-        and base.kind == "crd"
-        and base.meta.get("n_treated") == base.n // 2
-        and base.n % 2 == 0
-    ):
-        pi = np.full(base.n, 0.5)
+    # On an equal-group CRD base max-ASMD is invariant under swapping the groups, so
+    # the accepted set stays closed under label switching and every propensity is 1/2.
+    halves = base.kind == "crd" and base.meta.get("n_treated") == base.n / 2
     return SampledDesign(
-        base.n, sampler, kind="rerandomized", propensities=pi, meta=meta,
-        mc_budget=getattr(base, "mc_budget", 20_000),
+        base.n, sampler, kind="rerandomized", meta=meta, mc_budget=base.mc_budget,
+        propensities=np.full(base.n, 0.5) if halves and criterion == "max-asmd" else None,
     )

@@ -20,10 +20,12 @@ from designvar import (
     build_matched_pair,
     build_rerandomized,
     check_assumptions,
+    gen_covariates_hainmueller,
     max_asmd,
     substitution_mode,
     validate_q,
 )
+from designvar.designs import _max_asmd_rows
 from designvar.estimators import check_propensities
 
 
@@ -331,6 +333,133 @@ class TestAsmd:
         w = AssignmentVector.from_string("1010")
         x = np.column_stack([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0]])
         assert max_asmd(x, w) == pytest.approx(1.0 / math.sqrt(2.0))
+
+
+def _reference_max_asmd(x, row):
+    """The balance criterion of one row, written out column by column."""
+    bits = np.asarray(row).astype(bool)
+    scores = []
+    for c in range(x.shape[1]):
+        xt, xc = x[bits, c], x[~bits, c]
+        scale = math.sqrt((np.var(xt, ddof=1) + np.var(xc, ddof=1)) / 2.0)
+        scores.append(abs(float(np.mean(xt) - np.mean(xc))) / scale)
+    return max(scores)
+
+
+def _random_rows(rng, k, n, sizes):
+    w = np.zeros((k, n), dtype=np.int8)
+    for r in range(k):
+        w[r, rng.choice(n, size=int(rng.choice(sizes)), replace=False)] = 1
+    return w
+
+
+class TestBalanceKernel:
+    @pytest.mark.parametrize(
+        "n, p, sizes",
+        [(50, 6, [25]), (9, 2, [3]), (12, 3, [2, 5, 6, 7, 10])],
+        ids=["crd-50-25-hainmueller", "crd-9-3", "mixed-sizes"],
+    )
+    def test_rows_equal_per_row_reference_to_the_bit(self, n, p, sizes):
+        rng = np.random.default_rng(n)
+        x = gen_covariates_hainmueller(n, 0) if p == 6 else rng.normal(size=(n, p))
+        w = _random_rows(rng, 400, n, sizes)
+        got = [v.hex() for v in _max_asmd_rows(x, w).tolist()]
+        assert got == [_reference_max_asmd(x, row).hex() for row in w]
+
+    def test_score_at_the_threshold_is_rejected(self):
+        base = build_crd(4, 2)
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        w = AssignmentVector.from_string("1100")
+        d = build_rerandomized(base, x, max_asmd(x, w))
+        assert w not in d
+        assert 0 < d.support_size < base.support_size
+        assert all(max_asmd(x, v) < max_asmd(x, w) for v in d.support)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(["1010", "1100", "1000"], "zero pooled variance"),
+         (["1010", "1000", "1100"], "at least two units per group")],
+        ids=["zero-variance-first", "small-group-first"],
+    )
+    def test_first_failing_row_gives_the_scalar_message(self, rows, message):
+        x = np.array([3.0, 3.0, 5.0, 5.0])
+        w = np.array([[int(b) for b in r] for r in rows])
+        with pytest.raises(ValidationError, match=message) as exc:
+            _max_asmd_rows(x[:, None], w)
+        assert exc.value.row == 1
+        with pytest.raises(ValidationError, match=message):
+            max_asmd(x, AssignmentVector.from_string(rows[1]))
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_sampled_draws_equal_per_row_reference(self, s):
+        x = gen_covariates_hainmueller(50, s)
+        base = build_crd(50, 25)
+        d = build_rerandomized(base, x, 0.2)
+        got = d.sample_matrix(200, np.random.default_rng((s, 104729)))
+        rng = np.random.default_rng((s, 104729))
+        accepted = []
+        while len(accepted) < 200:
+            for row in base.sample_matrix(min(200 - len(accepted), 1024), rng):
+                if _reference_max_asmd(x, row) < 0.2:
+                    accepted.append(row)
+        assert np.array_equal(got, np.array(accepted))
+
+
+class TestNonFiniteCovariates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("swap", [False, True], ids=["as-drawn", "columns-swapped"])
+    def test_explicit_base_rejects_either_column_order(self, bad, swap):
+        x = np.random.default_rng(3).normal(size=(6, 2))
+        x[2, 1] = bad
+        if swap:
+            x = x[:, ::-1]
+        with pytest.raises(ValidationError, match="must be finite"):
+            build_rerandomized(build_crd(6, 3), x, 0.5)
+
+    def test_sampled_base_and_scalar_criterion_reject(self):
+        x = gen_covariates_hainmueller(50, 0)
+        x[7, 0] = math.nan
+        with pytest.raises(ValidationError, match="must be finite"):
+            build_rerandomized(build_crd(50, 25), x, 0.2)
+        w = AssignmentVector.from_string("1010")
+        with pytest.raises(ValidationError, match="must be finite"):
+            max_asmd(np.array([[1.0, 2.0], [math.inf, 0.0], [3.0, 1.0], [0.5, 4.0]]), w)
+        with pytest.raises(ValidationError, match="must be finite"):
+            asmd([1.0, math.nan, 3.0, 4.0], w)
+
+
+class TestCriterionCallable:
+    def test_explicit_support_equals_builtin(self):
+        x = np.random.default_rng(3).normal(size=(8, 2))
+        seen = []
+
+        def criterion(cov, w):
+            seen.append(w)
+            assert cov.shape == (8, 2)
+            return max_asmd(cov, w)
+
+        builtin = build_rerandomized(build_crd(8, 4), x, 0.5)
+        custom = build_rerandomized(build_crd(8, 4), x, 0.5, criterion=criterion)
+        assert seen == list(build_crd(8, 4).support)  # one vector per row, in order
+        assert custom._packed.tobytes() == builtin._packed.tobytes()
+        assert custom.probs.tobytes() == builtin.probs.tobytes()
+
+    def test_seeded_sampled_draws_equal_builtin(self):
+        x = gen_covariates_hainmueller(50, 1)
+        draws = [
+            build_rerandomized(build_crd(50, 25), x, 0.2, criterion=c)
+            .sample_matrix(40, np.random.default_rng((1, 104729)))
+            for c in ("max-asmd", max_asmd)
+        ]
+        assert np.array_equal(draws[0], draws[1])
+
+    def test_sampled_callable_has_no_analytic_propensities(self):
+        x = gen_covariates_hainmueller(50, 0)
+        builtin = build_rerandomized(build_crd(50, 25), x, 0.2)
+        custom = build_rerandomized(build_crd(50, 25), x, 0.2, criterion=max_asmd)
+        assert np.array_equal(builtin.propensities, np.full(50, 0.5))
+        with pytest.raises(AssumptionError, match="no analytic propensities"):
+            custom.propensities
 
 
 @settings(max_examples=30, deadline=None)

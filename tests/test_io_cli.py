@@ -80,6 +80,16 @@ class TestBuildDesign:
         assert d.kind == "rerandomized"
         assert 0 < d.support_size < 6
 
+    def test_rerandomized_file_with_nan_covariate_is_rejected(self, tmp_path):
+        path = tmp_path / "rerandomized.json"
+        path.write_text(
+            '{"kind": "rerandomized", "base": {"kind": "crd", "n": 6, "n_treated": 3},'
+            ' "covariates": [[0.1, 1.0], [0.5, -2.0], [1.2, NaN], [-0.7, 0.8],'
+            ' [2.0, 0.0], [0.0, 1.5]], "threshold": 0.5}'
+        )
+        with pytest.raises(ValidationError, match="must be finite"):
+            load_design(str(path))
+
     def test_missing_fields(self):
         with pytest.raises(ValidationError, match="missing required field"):
             build_design({"kind": "crd", "n": 4})
@@ -371,12 +381,15 @@ class TestCliSimulate:
         assert len(rows) == 1 + 4 * 3  # header, four models x three estimators
         assert json.loads((out / "summary.json").read_text())["meta"]["n_outer"] == 6
 
-    def test_fixed_seed_gives_byte_identical_outputs(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args",
+        [["--study", "appendix-c", "--reps", "2", "--seed", "0"],
+         ["--study", "b", "--reps", "1", "--inner-draws", "50", "--outer", "10"]],
+        ids=["appendix-c", "study-b"],
+    )
+    def test_fixed_seed_gives_byte_identical_outputs(self, tmp_path, capsys, args):
         for run in ("first", "second"):
-            code = main(
-                ["simulate", "--study", "appendix-c", "--reps", "2", "--seed", "0",
-                 "--out", str(tmp_path / run)]
-            )
+            code = main(["simulate", *args, "--out", str(tmp_path / run)])
             assert code == 0
         for name in ("results.csv", "summary.json"):
             first = (tmp_path / "first" / name).read_bytes()
