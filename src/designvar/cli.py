@@ -301,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--study", choices=("a", "b", "appendix-c"))
     p.add_argument("--scenario", help="JSON scenario file (alternative to --study)")
     p.add_argument("--reps", type=int, default=sim.DEFAULT_REPLICATIONS)
-    p.add_argument("--inner-draws", type=int, default=sim.DEFAULT_INNER_DRAWS)
+    p.add_argument(
+        "--inner-draws", type=int, default=sim.DEFAULT_INNER_DRAWS,
+        help="study b: accepted draws forming its empirical design; --scenario ignores it",
+    )
     p.add_argument(
         "--outer", type=int, default=sim.DEFAULT_OUTER_EVALUATIONS,
         help="study b: realizations scored per replication",

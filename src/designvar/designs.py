@@ -1,15 +1,14 @@
 """Randomized designs: probability queries, enumeration, sampling, checks.
 
 A design is either explicit (materialized support + probabilities, every
-query exact) or sampler-backed (draws available, probability queries are
-analytic where a closed form exists and Monte Carlo estimates otherwise).
+query exact) or sampler-backed (draws available; probability queries are
+answered in closed form or refused). Monte Carlo answers come from draws
+made into an explicit design, as ``simulate._empirical_design`` does.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterator, Sequence
 
@@ -36,15 +35,6 @@ def _pack(u: np.ndarray) -> np.ndarray:
             raise ValidationError(f"assignment entries must be 0 or 1, got {u[bad][0].item()!r}")
         u = u != 0
     return np.packbits(u, axis=1)
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """A Monte Carlo probability estimate with its standard error."""
-
-    value: float
-    se: float
-    draws: int
 
 
 class Design:
@@ -74,6 +64,27 @@ class Design:
         """(P11, P10, P01, P00) joint-assignment matrices, built once and read-only;
         off-diagonal entries are the cell probabilities, diagonals are degenerate."""
         return self._cells  # type: ignore[attr-defined]
+
+    def pairwise_prob(self, i: int, j: int, wi: int, wj: int) -> float:
+        self._check_pair(i, j)
+        if wi not in (0, 1) or wj not in (0, 1):
+            raise ValidationError(f"cell indicators must be 0/1, got ({wi},{wj})")
+        return float(self.pairwise_cells()[3 - 2 * int(wi) - int(wj)][i, j])
+
+    def conditional_propensities(self, i: int, wi: int) -> np.ndarray:
+        """Pr(W_j = 1 | W_i = wi) for every j; entry i is NaN."""
+        self._check_unit(i)
+        if wi not in (0, 1):
+            raise ValidationError(f"conditioning state must be 0/1, got {wi}")
+        pi = self.propensities
+        denom = pi[i] if wi == 1 else 1.0 - pi[i]
+        if denom <= 0.0:
+            raise AssumptionError(
+                f"cannot condition on W_{i}={wi}: that event has probability 0"
+            )
+        out = self.conditional_tables[int(wi), i].copy()
+        out[i] = np.nan
+        return out
 
     @cached_property
     def conditional_tables(self) -> np.ndarray:
@@ -244,27 +255,6 @@ class ExplicitDesign(Design):
             cell.setflags(write=False)
         return p11, p10, p01, p00
 
-    def pairwise_prob(self, i: int, j: int, wi: int, wj: int) -> float:
-        self._check_pair(i, j)
-        if wi not in (0, 1) or wj not in (0, 1):
-            raise ValidationError(f"cell indicators must be 0/1, got ({wi},{wj})")
-        return float(self._cells[3 - 2 * int(wi) - int(wj)][i, j])
-
-    def conditional_propensities(self, i: int, wi: int) -> np.ndarray:
-        """Pr(W_j = 1 | W_i = wi) for every j; entry i is NaN."""
-        self._check_unit(i)
-        if wi not in (0, 1):
-            raise ValidationError(f"conditioning state must be 0/1, got {wi}")
-        pi = self.propensities
-        denom = pi[i] if wi == 1 else 1.0 - pi[i]
-        if denom <= 0.0:
-            raise AssumptionError(
-                f"cannot condition on W_{i}={wi}: that event has probability 0"
-            )
-        out = self.conditional_tables[int(wi), i].copy()
-        out[i] = np.nan
-        return out
-
     # -- sampling ------------------------------------------------------------
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -300,10 +290,10 @@ class ExplicitDesign(Design):
 class SampledDesign(Design):
     """A design known only through a sampler (support too large to list).
 
-    Propensities must either be supplied analytically or are estimated on
-    demand from a declared Monte Carlo budget; pairwise queries without a
-    closed form always come back as :class:`MCEstimate`, never as bare
-    point values.
+    Queries are answered in closed form or refused with AssumptionError:
+    propensities and the four cell probabilities (P11, P10, P01, P00), one
+    value each for every pair of units, come as data where a closed form
+    exists. Monte Carlo answers come from draws, not from queries.
     """
 
     is_enumerable = False
@@ -315,22 +305,16 @@ class SampledDesign(Design):
         *,
         kind: str = "sampled",
         propensities: np.ndarray | None = None,
-        pairwise: Callable[[int, int, int, int], float] | None = None,
-        mc_budget: int = 20_000,
-        probe_seed: int = 0,
+        cells: tuple[float, float, float, float] | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
         if n <= 0:
             raise ValidationError(f"n must be positive, got {n}")
-        if mc_budget < 2:
-            raise ValidationError("mc_budget must be at least 2")
         self.n = n
         self.kind = kind
         self._sampler = sampler
         self._pi = None if propensities is None else np.asarray(propensities, float)
-        self._pairwise = pairwise
-        self.mc_budget = int(mc_budget)
-        self.probe_seed = int(probe_seed)
+        self._cell_values = cells
         self.meta = dict(meta or {})
 
     def enumerate_support(self) -> Iterator[tuple[AssignmentVector, float]]:
@@ -343,45 +327,19 @@ class SampledDesign(Design):
     def propensities(self) -> np.ndarray:
         if self._pi is None:
             raise AssumptionError(
-                "no analytic propensities; use propensity_mc for estimates"
+                f"no analytic propensities for a {self.kind} sampler-backed design"
             )
         return self._pi
 
-    def _probe(self, spawn_key: tuple[int, ...]) -> np.ndarray:
-        seq = np.random.SeedSequence(entropy=self.probe_seed, spawn_key=spawn_key)
-        return self.sample_matrix(self.mc_budget, np.random.default_rng(seq))
-
-    def propensity_mc(self, i: int) -> MCEstimate:
-        self._check_unit(i)
-        draws = self._probe((0, i))[:, i]
-        m = draws.shape[0]
-        p = float(draws.mean())
-        return MCEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / m), m)
-
-    def pairwise_prob(self, i: int, j: int, wi: int, wj: int) -> float | MCEstimate:
-        self._check_pair(i, j)
-        if self._pairwise is not None:
-            return self._pairwise(i, j, wi, wj)
-        draws = self._probe((1, i, j))
-        hits = (draws[:, i] == wi) & (draws[:, j] == wj)
-        m = hits.shape[0]
-        p = float(hits.mean())
-        return MCEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / m), m)
-
     @cached_property
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._pairwise is None:
+        if self._cell_values is None:
             raise AssumptionError(
                 "this estimator needs exact pairwise assignment probabilities, "
                 f"which a {self.kind} sampler-backed design does not provide"
             )
-        n = self.n
-        cells = np.zeros((4, n, n))
-        for i, j in itertools.permutations(range(n), 2):
-            for k, (wi, wj) in enumerate(((1, 1), (1, 0), (0, 1), (0, 0))):
-                cells[k, i, j] = self._pairwise(i, j, wi, wj)
-        cells.setflags(write=False)
-        return tuple(cells)
+        # read-only O(1) views: every entry, the diagonal too, holds the cell value
+        return tuple(np.broadcast_to(float(p), (self.n, self.n)) for p in self._cell_values)
 
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -421,21 +379,6 @@ def _crd_rows(n: int, k: int) -> np.ndarray:
     return blocks[k]
 
 
-def _crd_pairwise(n: int, k: int) -> Callable[[int, int, int, int], float]:
-    denom = n * (n - 1)
-    cells = {
-        (1, 1): k * (k - 1) / denom,
-        (1, 0): k * (n - k) / denom,
-        (0, 1): k * (n - k) / denom,
-        (0, 0): (n - k) * (n - k - 1) / denom,
-    }
-
-    def pairwise(i: int, j: int, wi: int, wj: int) -> float:
-        return cells[(wi, wj)]
-
-    return pairwise
-
-
 def build_crd(
     n: int,
     n_treated: int,
@@ -462,12 +405,14 @@ def build_crd(
             out[r, rng.choice(n, size=n_treated, replace=False)] = 1
         return out
 
+    k, denom = n_treated, n * (n - 1)
     return SampledDesign(
         n,
         sampler,
         kind="crd",
-        propensities=np.full(n, n_treated / n),
-        pairwise=_crd_pairwise(n, n_treated),
+        propensities=np.full(n, k / n),
+        cells=(k * (k - 1) / denom, k * (n - k) / denom, k * (n - k) / denom,
+               (n - k) * (n - k - 1) / denom),
         meta=meta,
     )
 
@@ -606,6 +551,6 @@ def build_rerandomized(
     # the accepted set stays closed under label switching and every propensity is 1/2.
     halves = base.kind == "crd" and base.meta.get("n_treated") == base.n / 2
     return SampledDesign(
-        base.n, sampler, kind="rerandomized", meta=meta, mc_budget=base.mc_budget,
+        base.n, sampler, kind="rerandomized", meta=meta,
         propensities=np.full(base.n, 0.5) if halves and criterion == "max-asmd" else None,
     )

@@ -9,6 +9,7 @@ themselves (direct enumeration rather than shared algebra).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,11 +21,20 @@ from .core import (
     ValidationError,
     reveal,
 )
-from .designs import Design, ExplicitDesign, MCEstimate
-from .estimators import hajek
+from .designs import Design, ExplicitDesign
+from .estimators import check_propensities, hajek
 
 # Elements of the (rows, support) contrast block psi holds at once.
 _PSI_BLOCK = 1 << 21
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """A Monte Carlo estimate with its standard error."""
+
+    value: float
+    se: float
+    draws: int
 
 
 def _require_explicit(d: Design, what: str) -> ExplicitDesign:
@@ -69,7 +79,7 @@ def psi_mc(d: Design, v: np.ndarray, m: int, seed: int) -> MCEstimate:
         raise ValidationError(f"psi needs a length-{d.n} vector, got shape {v.shape}")
     if m < 2:
         raise ValidationError("psi_mc needs at least 2 draws")
-    pi = d.propensities
+    pi = check_propensities(d.propensities, d.n)
     draws = d.sample_matrix(m, seed).astype(float)
     vals = (draws @ (v / pi) - (1.0 - draws) @ (v / (1.0 - pi))) ** 2 / d.n**2
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)), m)

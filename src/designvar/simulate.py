@@ -150,9 +150,9 @@ def study_models() -> tuple[OutcomeModel, ...]:
 class ScenarioSpec:
     """One scenario: a design, an outcome model, and the estimators to score.
 
-    ``design_spec`` is a built design object.  ``n_inner_draws`` only matters
-    for sampler-backed designs (study B); enumerable designs are scored
-    exactly and ignore it.
+    ``design_spec`` is a built enumerable design.  ``n_inner_draws`` is never
+    read: :func:`run_study` refuses sampler-backed designs, and study B takes
+    its draw count as an argument of :func:`run_study_b`.
     """
 
     name: str

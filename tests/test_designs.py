@@ -25,7 +25,8 @@ from designvar import (
     substitution_mode,
     validate_q,
 )
-from designvar.designs import _max_asmd_rows
+from designvar.core import PROB_TOL
+from designvar.designs import SampledDesign, _max_asmd_rows
 from designvar.estimators import check_propensities
 
 
@@ -48,10 +49,12 @@ class TestBuildCrd:
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_equal_group_crd_pairwise_closed_form(self, n):
-        d = build_crd(n, n // 2)
+        explicit, sampled = build_crd(n, n // 2), build_crd(n, n // 2, cap=1)
+        assert isinstance(sampled, SampledDesign)
         expected = (n - 2) / (4.0 * (n - 1))
-        for j in range(1, n):
-            assert d.pairwise_prob(0, j, 1, 1) == pytest.approx(expected, rel=1e-12)
+        for d in (explicit, sampled):
+            for j in range(1, n):
+                assert d.pairwise_prob(0, j, 1, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_group_sizes(self):
         with pytest.raises(ValidationError):
@@ -194,6 +197,40 @@ class TestProbabilityQueries:
             crd42.propensity(7)
         with pytest.raises(ValidationError):
             crd42.pairwise_prob(0, 0, 1, 1)
+
+    def test_sampled_crd_queries_match_explicit(self):
+        explicit, sampled = build_crd(8, 4), build_crd(8, 4, cap=1)
+        assert isinstance(sampled, SampledDesign)
+        for i in range(8):
+            for j in range(8):
+                if i == j:
+                    continue
+                for a in (0, 1):
+                    for b in (0, 1):
+                        got = sampled.pairwise_prob(i, j, a, b)
+                        assert abs(got - explicit.pairwise_prob(i, j, a, b)) <= PROB_TOL
+            for wi in (0, 1):
+                got = sampled.conditional_propensities(i, wi)
+                want = explicit.conditional_propensities(i, wi)
+                assert np.isnan(got[i]) and np.isnan(want[i])
+                assert np.allclose(np.delete(got, i), np.delete(want, i), rtol=0, atol=PROB_TOL)
+        for d in (explicit, sampled):
+            with pytest.raises(ValidationError, match="cell indicators"):
+                d.pairwise_prob(0, 1, 2, 0)
+            with pytest.raises(ValidationError, match="conditioning state"):
+                d.conditional_propensities(0, 2)
+
+    def test_sampled_design_without_closed_form_refuses_without_drawing(self, monkeypatch):
+        d = build_rerandomized(build_crd(50, 25), gen_covariates_hainmueller(50, 0), 0.2)
+        assert isinstance(d, SampledDesign)
+
+        def no_draws(self, m, seed):
+            raise AssertionError("a probability query drew from the sampler")
+
+        monkeypatch.setattr(SampledDesign, "sample_matrix", no_draws)
+        for query in (lambda: d.pairwise_prob(0, 1, 1, 1), d.pairwise_cells):
+            with pytest.raises(AssumptionError, match="needs exact pairwise assignment"):
+                query()
 
     def test_enumerate_support_lexicographic(self, crd42):
         strings = [w.to_string() for w, _ in crd42.enumerate_support()]

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from designvar import (
     AssignmentVector,
+    AssumptionError,
     PotentialOutcomes,
     build_crd,
+    build_explicit,
     estimator_expectation,
     estimator_moments,
     hajek,
@@ -144,6 +146,14 @@ class TestPsiMc:
         a = psi_mc(crossed_pairs, v, 5_000, seed=12)
         b = psi_mc(crossed_pairs, v, 5_000, seed=12)
         assert a == b
+
+    def test_refuses_what_psi_refuses(self):
+        d = build_explicit(["1100", "1010", "1001"], [1 / 3] * 3)  # unit 0 always treated
+        v = np.ones(4)
+        with pytest.raises(AssumptionError, match="positivity fails"):
+            psi(d, v)
+        with pytest.raises(AssumptionError, match="propensity of unit 0"):
+            psi_mc(d, v, 100, seed=0)
 
 
 class TestTrueMseHajek:
