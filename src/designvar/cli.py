@@ -19,7 +19,7 @@ from .contrast import check_assumptions, full_substitute_set, substitute_counts,
 from .core import EST_RTOL, MC_DEFAULT_DRAWS, AssumptionError, ValidationError
 from .decomposition import default_q_crd
 from .designs import ExplicitDesign
-from .oracles import estimator_expectation, true_variance
+from .oracles import _kernel_values, _weighted_moments, true_variance
 
 
 def _print(payload: dict, as_json: bool) -> None:
@@ -49,11 +49,11 @@ def _load_q(arg: str | None, n: int):
 
 
 def _estimate_from_args(args, d):
-    """The registry estimator named by --estimator, with the CLI's inputs."""
+    """The registry's (scalar, kernel) pair for --estimator, with the CLI's inputs."""
     name = args.estimator
     if name == "imputation":
         name = f"imputation:{args.gamma}"
-    return sim.resolve_estimator(
+    return sim._exact_estimator(
         name,
         d,
         substitutes=_load_substitutes(args.substitutes),
@@ -93,8 +93,7 @@ def cmd_design_inspect(args) -> int:
 def cmd_analyze(args) -> int:
     d = io_mod.load_design(args.design)
     obs = io_mod.load_observed(args.data)
-    est = _estimate_from_args(args, d)
-    result = est(obs)
+    result = _estimate_from_args(args, d)[0](obs)
     payload = {
         "estimator": result.estimator,
         "value": result.value,
@@ -112,9 +111,9 @@ def cmd_analyze(args) -> int:
 def cmd_oracle(args) -> int:
     d = io_mod.load_design(args.design)
     po = io_mod.load_science_table(args.table)
-    est = _estimate_from_args(args, d)
+    kernel = _estimate_from_args(args, d)[1]
     var = true_variance(d, po)
-    mean = estimator_expectation(d, po, est)
+    mean = _weighted_moments(d, _kernel_values(d, po, kernel))[0]
     payload = {
         "estimator": args.estimator,
         "true_variance": var,

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Iterator, Mapping
+from functools import partial
+from itertools import compress
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .core import (
     ValidationError,
     VarianceEstimate,
     _check_pairs,
+    _mask_key,
     _row_failure,
 )
 from .designs import Design, ExplicitDesign
@@ -179,22 +182,27 @@ class SubstituteSet:
         return all(m.complement().mask in self._masks for m in self.members)
 
 
+def _substitute_mask(d: ExplicitDesign, anchors, members, overlap, mode: str) -> np.ndarray:
+    """The substitute predicate on support rows, broadcast: row ``members``
+    substitutes for row ``anchors`` when it has the anchor's group size and
+    shares ``overlap`` == k = N_t^2 / N of its treated units (N/4 in equal-size mode)."""
+    sizes = d.group_sizes
+    anchor_sizes = sizes[anchors]
+    k = np.zeros(d.n + 1)
+    for nt in np.flatnonzero(np.bincount(anchor_sizes.ravel())).tolist():
+        k[nt] = _overlap_count(d.n, nt, mode)
+    return (overlap == k[anchor_sizes]) & (anchor_sizes == sizes[members])
+
+
 def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
     """(len(rows), S) boolean block: entry (i, s) says support[s] substitutes
-    for support[rows[i]].
-
-    A substitute has the anchor's group size and treats exactly k of the
-    anchor's treated units. The relation is symmetric, so row r also lists
-    the anchors whose substitute set contains support[r].
+    for support[rows[i]]. The relation is symmetric, so row r also lists the
+    anchors whose substitute set contains support[r].
     """
+    rows = np.asarray(rows)
     u = d.matrix
-    sizes = d.group_sizes
-    anchor_sizes = sizes[rows]
-    nts = anchor_sizes.tolist()
-    k_of = {nt: _overlap_count(d.n, nt, mode) for nt in set(nts)}
-    k = np.array([k_of[nt] for nt in nts], dtype=float)
     # overlaps of 0/1 rows are small integers, exact in floating point
-    return (u[rows] @ u.T == k[:, None]) & (anchor_sizes[:, None] == sizes)
+    return _substitute_mask(d, rows[:, None], slice(None), u[rows] @ u.T, mode)
 
 
 def _row_blocks(d: ExplicitDesign) -> Iterator[np.ndarray]:
@@ -285,46 +293,72 @@ def full_substitute_map(
     return out
 
 
-def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, list[list[int]]]:
-    """Validate a user map; return each anchor's set size and, for each
-    support row, the anchors whose set holds it.
+def _rows_of_items(d: ExplicitDesign, items: list) -> np.ndarray:
+    """Support row of each assignment given as a bit string, AssignmentVector
+    or 0/1 sequence; -1 if it is not in the support or does not parse.
+    Length-n bit strings are decoded in one numpy pass."""
+    n = d.n
+    packed = np.zeros((len(items), (n + 7) // 8), dtype=np.uint8)
+    text = np.fromiter((type(x) is str and len(x) == n for x in items), bool, len(items))
+    raw = "".join(compress(items, text)).encode("latin-1", "replace")  # a byte a character
+    bits = np.frombuffer(raw, np.uint8).reshape(-1, n) - ord("0")
+    clean = (bits <= 1).all(axis=1)  # any other character wraps past 1
+    packed[np.flatnonzero(text)[clean]] = np.packbits(bits[clean], axis=1)
+    text[np.flatnonzero(text)[~clean]] = False
+    unparsed = []
+    for i in np.flatnonzero(~text).tolist():
+        try:
+            packed[i] = np.frombuffer(_mask_key(n, _as_assignment(items[i], n).mask), np.uint8)
+        except Exception:  # raised again, in check order, if its entry is refused
+            unparsed.append(i)
+    rows = d._find(packed)
+    rows[unparsed] = -1
+    return rows
+
+
+def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a user map in one pass; return each anchor's set size and the
+    distinct (member, anchor) row pairs as sorted keys member * S + anchor.
 
     Every support vector must appear with a nonempty set of genuine in-support
     substitutes; the estimators refuse partial coverage because their
-    unbiasedness argument sums over all anchors.
+    unbiasedness argument sums over all anchors. Duplicate members count once.
+    The first faulty entry is refused: its anchor, then the parse of every
+    member, then each member in list order.
     """
-    member_rows: dict[int, set[int]] = {}
-    for key, val in g.items():
-        w = _as_assignment(key, d.n)
-        if w not in d:
+    s = d.support_size
+    keys, vals = list(g), [list(v) for v in g.values()]  # a SubstituteSet iterates its members
+    counts = [len(v) for v in vals]
+    anchors = _rows_of_items(d, keys)
+    members = _rows_of_items(d, [m for v in vals for m in v])
+    owner = np.repeat(np.arange(len(keys)), counts)
+    a = anchors[owner]
+    ok = (a >= 0) & (members >= 0)
+    overlap = np.unpackbits(d._packed[a[ok]] & d._packed[members[ok]], axis=1).sum(axis=1)
+    ok[ok] = _substitute_mask(d, a[ok], members[ok], overlap, mode)
+    faulty = (anchors < 0) | (np.bincount(owner[~ok], minlength=len(keys)) > 0)
+    faulty[[e for e, c in enumerate(counts) if not c]] = True
+    if faulty.any():
+        e = int(np.argmax(faulty))
+        w = _as_assignment(keys[e], d.n)
+        if anchors[e] < 0:
             raise ValidationError(f"anchor {w} is not in the design support")
-        rows = member_rows.setdefault(d.index_of(w), set())
-        members: Iterable = val.members if isinstance(val, SubstituteSet) else val
-        members = tuple(_as_assignment(m, d.n) for m in members)
-        if not members:
-            raise AssumptionError(
-                f"empty substitute set supplied for anchor {w}"
-            )
-        for m in members:
-            if m not in d:
-                raise ValidationError(
-                    f"substitute {m} of anchor {w} is not in the design support"
-                )
-            if not is_substitute(w, m, mode):
-                raise ValidationError(f"{m} is not a substitute of {w}")
-            rows.add(d.index_of(m))
-    if len(member_rows) < d.support_size:
-        w = d.vector(next(r for r in range(d.support_size) if r not in member_rows))
-        raise ValidationError(
-            f"substitute map does not cover the support: no entry for {w}"
-        )
-    sizes = np.zeros(d.support_size, dtype=np.int64)
-    holders: list[list[int]] = [[] for _ in range(d.support_size)]
-    for a, held in member_rows.items():
-        sizes[a] = len(held)
-        for m in held:
-            holders[m].append(a)
-    return sizes, holders
+        listed = [_as_assignment(m, d.n) for m in vals[e]]
+        if not listed:
+            raise AssumptionError(f"empty substitute set supplied for anchor {w}")
+        lo = sum(counts[:e])
+        i = int(np.argmin(ok[lo:lo + counts[e]]))
+        m = listed[i]
+        if members[lo + i] < 0:
+            raise ValidationError(f"substitute {m} of anchor {w} is not in the design support")
+        raise ValidationError(f"{m} is not a substitute of {w}")
+    pairs = np.sort(members * s + a)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    sizes = np.bincount(pairs % s, minlength=s)
+    if not sizes.all():
+        w = d.vector(int(np.argmin(sizes)))
+        raise ValidationError(f"substitute map does not cover the support: no entry for {w}")
+    return sizes, pairs
 
 
 def _substitute_values(
@@ -364,19 +398,20 @@ def _substitute_values(
         sizes = substitute_counts(d, mode)
         r = int(np.argmin(sizes))
         _check_count(d.vector(r), int(sizes[r]))
+        hits_of = partial(_substitute_rows, d, mode=mode)
     else:
-        sizes, holders = _normalize_g(d, g, mode)
+        sizes, pairs = _normalize_g(d, g, mode)
+
+        def hits_of(block: np.ndarray) -> np.ndarray:
+            keys = block[:, None] * s + np.arange(s)
+            return pairs.take(np.searchsorted(pairs, keys), mode="clip") == keys
+
     sums = np.empty(len(rows))
     counts = np.empty(len(rows), dtype=np.int64)
     step = max(1, ROW_BLOCK // s)
     for start in range(0, len(rows), step):
         block, yb = rows[start:start + step], y[start:start + step]
-        if g is None:
-            hits = _substitute_rows(d, block, mode)
-        else:
-            hits = np.zeros((len(block), s), dtype=bool)
-            for i, r in enumerate(block):
-                hits[i, holders[r]] = True
+        hits = hits_of(block)
         # one matrix-vector product per table, so it rounds as when scored alone
         if mse:
             treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]

@@ -81,7 +81,8 @@ class AssignmentVector:
         return tuple((self.mask >> (self.n - 1 - k)) & 1 for k in range(self.n))
 
     def to_array(self) -> np.ndarray:
-        return np.fromiter(self.bits, dtype=np.int8, count=self.n)
+        row = np.frombuffer(_mask_key(self.n, self.mask), np.uint8)
+        return np.unpackbits(row, count=self.n).view(np.int8)
 
     @property
     def n_treated(self) -> int:
@@ -99,6 +100,11 @@ class AssignmentVector:
     def complement(self) -> "AssignmentVector":
         """The label-switched vector 1 - w."""
         return AssignmentVector(self.n, self.mask ^ ((1 << self.n) - 1))
+
+
+def _mask_key(n: int, mask: int) -> bytes:
+    """An n-unit mask as one ``np.packbits`` row: shifted over the padding, big-endian."""
+    return (mask << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
 
 def _as_float_vector(x: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
@@ -199,8 +205,9 @@ def reveal(po: PotentialOutcomes, w: AssignmentVector, *,
            pair_labels: tuple[tuple[int, int], ...] | None = None) -> ObservedData:
     """Observe a science table under assignment ``w``.
 
-    This is the single point where Y_obs = W*Y(1) + (1-W)*Y(0) is formed;
-    every enumeration oracle routes through it.
+    Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment; the per-row
+    oracles observe through it, and ``oracles._kernel_values`` forms the
+    same values for every support row at once.
     """
     if po.n != w.n:
         raise ValidationError(f"table has {po.n} units but assignment has {w.n}")

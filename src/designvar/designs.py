@@ -21,6 +21,7 @@ from .core import (
     AssignmentVector,
     AssumptionError,
     ValidationError,
+    _mask_key,
     _row_failure,
 )
 
@@ -194,20 +195,24 @@ class ExplicitDesign(Design):
         w = np.asarray(w)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValidationError(f"need (k, {self.n}) assignments, got shape {w.shape}")
-        keys = _pack(w).view(self._keys.dtype).ravel()
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.support_size - 1)
-        return np.where(self._keys[pos] == keys, pos, -1)
+        return self._find(_pack(w))
+
+    def _find(self, packed: np.ndarray | bytes) -> np.ndarray:
+        """Support row of each packed row (or key bytes); -1 if not in the support."""
+        keys = np.frombuffer(packed, self._keys.dtype)
+        pos = np.searchsorted(self._keys, keys)
+        return np.where(self._keys.take(pos, mode="clip") == keys, pos, -1)
 
     def index_of(self, w: AssignmentVector) -> int:
         if w.n != self.n:
             raise ValidationError(f"assignment has {w.n} units, design has {self.n}")
-        k = int(self.rows_of(w.to_array()[None])[0])
+        k = int(self._find(_mask_key(w.n, w.mask))[0])
         if k < 0:
             raise ValidationError(f"assignment {w} is not in the design support")
         return k
 
     def __contains__(self, w: AssignmentVector) -> bool:
-        return w.n == self.n and self.rows_of(w.to_array()[None])[0] >= 0
+        return w.n == self.n and self._find(_mask_key(w.n, w.mask))[0] >= 0
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -30,11 +30,13 @@ import numpy as np
 from .contrast import _substitute_values, _v_pair_values, mse_sub_epsem, v_pair, v_sub
 from .core import (
     PROB_TOL,
+    AssignmentVector,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
     ValidationError,
     VarianceEstimate,
+    _row_failure,
 )
 from .decomposition import (
     _decomposition_values,
@@ -46,7 +48,7 @@ from .decomposition import (
 from .designs import Design, ExplicitDesign, SampledDesign, build_crd, build_rerandomized
 from .estimators import _neyman_values, neyman_variance
 from .imputation import GammaSpec, imputation_values, v_imputation, v_imputation_mc
-from .oracles import _weighted_moments, true_variance
+from .oracles import _kernel_values, _weighted_moments, true_variance
 
 __all__ = [
     "OutcomeModel",
@@ -286,10 +288,7 @@ def resolve_estimator(
     CRD design). With ``mc_draws`` the imputation estimators are Monte Carlo
     estimates from that many draws at ``seed``; otherwise they are exact.
     """
-    spec = _imputation_gamma(name) if mc_draws is not None else None
-    if spec is not None:
-        return lambda obs: v_imputation_mc(d, obs, spec, m=mc_draws, seed=seed)
-    return _exact_estimator(name, d, substitutes=substitutes, q=q)[0]
+    return _exact_estimator(name, d, substitutes=substitutes, q=q, mc_draws=mc_draws, seed=seed)[0]
 
 
 def _exact_estimator(
@@ -298,9 +297,17 @@ def _exact_estimator(
     *,
     substitutes: Mapping | None = None,
     q: np.ndarray | None = None,
+    mc_draws: int | None = None,
+    seed: int = 0,
 ) -> tuple[Callable, Callable]:
-    """The scalar callable of an exact estimator name, and its batch kernel:
-    the same values as an array, from (k, n) 0/1 assignments and outcomes."""
+    """The scalar callable of an estimator name (arguments as in
+    :func:`resolve_estimator`) and its batch kernel: the same values as an
+    array, from (k, n) 0/1 assignments and outcomes. A Monte Carlo
+    imputation kernel calls its scalar once per row."""
+    spec = _imputation_gamma(name) if mc_draws is not None else None
+    if spec is not None:
+        scalar = partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed)
+        return scalar, partial(_per_row_kernel, scalar, d)
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key == "neyman":
@@ -334,6 +341,19 @@ def _exact_estimator(
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
+def _per_row_kernel(est: Callable, d: Design, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A scalar estimator as a batch kernel: one call per (w, y) row, in row
+    order; the first failing row sets ``exc.row``."""
+    out = np.empty(len(w))
+    for r, bits in enumerate(np.asarray(w, dtype=np.int8).tolist()):
+        try:
+            obs = ObservedData(AssignmentVector.from_bits(bits), y[r], pair_labels=d.pairs)
+            out[r] = float(est(obs))
+        except (AssumptionError, ValidationError) as exc:
+            raise _row_failure(exc, r)
+    return out
+
+
 def _imputation_gamma(name: str) -> GammaSpec | None:
     """The effect guess of an ``imputation:<gamma>`` name; None for other names."""
     key = name.strip()
@@ -363,7 +383,6 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "enumerable design; use run_study_b for sampler-backed designs"
         )
     kernels = [(name, _exact_estimator(name, d)[1]) for name in spec.estimators]
-    treated = d.matrix.astype(bool)
     records: list[SimRecord] = []
     excluded = 0
     for rep in range(spec.n_replications):
@@ -373,15 +392,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         if var <= 0.0:
             excluded += 1
             continue
-        y = np.where(treated, po.y1, po.y0)
         for name, kernel in kernels:
-            try:
-                values = kernel(d.matrix, y)
-            except (AssumptionError, ValidationError) as exc:
-                w = d.vector(getattr(exc, "row", 0))
-                exc.args = (f"{exc} (estimator failed at support vector {w})",)
-                raise
-            mean, sd = _weighted_moments(d, values)
+            mean, sd = _weighted_moments(d, _kernel_values(d, po, kernel))
             records.append(
                 SimRecord(
                     scenario=spec.name,

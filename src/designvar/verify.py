@@ -14,19 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .contrast import v_pair, v_sub
 from .core import PotentialOutcomes, reveal
-from .decomposition import (
-    default_q_crd,
-    estimate_decomposition,
-    q_feasible_for_design,
-    v_tilde,
-    validate_q,
-)
+from .decomposition import default_q_crd, q_feasible_for_design, v_tilde, validate_q
 from .designs import ExplicitDesign, build_crd, build_explicit, build_matched_pair
-from .estimators import c_vector, neyman_variance
-from .imputation import GammaSpec, imputation_bias_terms, impute_potential_outcomes, v_imputation
-from .oracles import estimator_expectation, psi, true_variance
+from .estimators import c_vector
+from .imputation import imputation_bias_terms, impute_potential_outcomes
+from .oracles import _kernel_values, _weighted_moments, estimator_expectation, psi, true_variance
+from .simulate import _exact_estimator
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -68,6 +62,16 @@ def _random_table(rng: np.random.Generator, n: int, *, homogeneous: bool) -> Pot
     return PotentialOutcomes(y1=y0 + effect, y0=y0)
 
 
+def _worst_gap(
+    d: ExplicitDesign, po: PotentialOutcomes, first: str, second: str, *,
+    q: np.ndarray | None = None, scale: float = 1.0,
+) -> float:
+    """Largest residual between two registry estimators (the second times
+    ``scale``) over the tables revealed at every support row."""
+    a, b = (_kernel_values(d, po, _exact_estimator(name, d, q=q)[1]) for name in (first, second))
+    return max(map(_rel, a.tolist(), (scale * b).tolist()))
+
+
 def _crossed_pairs_design() -> ExplicitDesign:
     """Four-unit design supported on two pair-splits plus their complements."""
     return build_explicit(
@@ -93,12 +97,7 @@ def _suite_contrast_crd(rng: np.random.Generator, tol: float) -> list[CheckResul
         worst = 0.0
         for _ in range(3):
             po = _random_table(rng, n, homogeneous=False)
-            for w, _p in d.enumerate_support():
-                obs = reveal(po, w)
-                worst = max(
-                    worst,
-                    _rel(float(v_sub(d, obs)), float(neyman_variance(obs))),
-                )
+            worst = max(worst, _worst_gap(d, po, "v_sub", "neyman"))
         out.append(CheckResult("thm2", f"contrast-equals-two-sample-crd-{n}", worst, tol))
     return out
 
@@ -112,12 +111,7 @@ def _suite_contrast_pairs(rng: np.random.Generator, tol: float) -> list[CheckRes
         worst = 0.0
         for _ in range(3):
             po = _random_table(rng, n, homogeneous=False)
-            for w, _p in d.enumerate_support():
-                obs = reveal(po, w, pair_labels=pairs)
-                worst = max(
-                    worst,
-                    _rel(float(v_sub(d, obs)), float(v_pair(obs))),
-                )
+            worst = max(worst, _worst_gap(d, po, "v_sub", "v_pair"))
         out.append(CheckResult("thm3", f"contrast-equals-pair-estimator-n{n}", worst, tol))
     return out
 
@@ -131,15 +125,7 @@ def _suite_contrast_decomposition(rng: np.random.Generator, tol: float) -> list[
     worst = 0.0
     for _ in range(25):
         po = _random_table(rng, 4, homogeneous=False)
-        for w, _p in d.enumerate_support():
-            obs = reveal(po, w)
-            worst = max(
-                worst,
-                _rel(
-                    float(v_sub(d, obs)),
-                    float(estimate_decomposition(d, obs, q)),
-                ),
-            )
+        worst = max(worst, _worst_gap(d, po, "v_sub", "decomposition", q=q))
     return [
         CheckResult("prop3", "crossed-pairs-q-valid", 0.0 if report.passed else 1.0, tol),
         CheckResult(
@@ -166,15 +152,7 @@ def _suite_decomposition_crd(rng: np.random.Generator, tol: float) -> list[Check
             effect = po.y1 - po.y0
             split = v_tilde(d, po, q) - float(effect @ q @ effect)
             worst_split = max(worst_split, _rel(split, true_variance(d, po)))
-            for w, _p in d.enumerate_support():
-                obs = reveal(po, w)
-                worst_est = max(
-                    worst_est,
-                    _rel(
-                        float(estimate_decomposition(d, obs, q)),
-                        float(neyman_variance(obs)),
-                    ),
-                )
+            worst_est = max(worst_est, _worst_gap(d, po, "decomposition", "neyman", q=q))
         out.append(CheckResult("prop2", f"variance-split-exact-crd-{n}", worst_split, tol))
         out.append(
             CheckResult("prop2", f"decomposition-equals-two-sample-crd-{n}", worst_est, tol)
@@ -184,7 +162,6 @@ def _suite_decomposition_crd(rng: np.random.Generator, tol: float) -> list[Check
 
 def _suite_imputation_tau_hat(rng: np.random.Generator, tol: float) -> list[CheckResult]:
     """Plug-in-effect imputation scales the two-sample estimator by (N-2)/(N-1)."""
-    spec = GammaSpec.parse("tau-hat")
     out = []
     for n in (4, 6, 8):
         d = build_crd(n, n // 2)
@@ -192,29 +169,21 @@ def _suite_imputation_tau_hat(rng: np.random.Generator, tol: float) -> list[Chec
         worst = 0.0
         for _ in range(3):
             po = _random_table(rng, n, homogeneous=False)
-            for w, _p in d.enumerate_support():
-                obs = reveal(po, w)
-                worst = max(
-                    worst,
-                    _rel(
-                        float(v_imputation(d, obs, spec)),
-                        ratio * float(neyman_variance(obs)),
-                    ),
-                )
+            worst = max(worst, _worst_gap(d, po, "imputation:tau-hat", "neyman", scale=ratio))
         out.append(CheckResult("prop4", f"tau-hat-scaling-crd-{n}", worst, tol))
     return out
 
 
 def _suite_imputation_theta_loo(rng: np.random.Generator, tol: float) -> list[CheckResult]:
     """Leave-one-out imputation is exactly (N-1)/(N-2) conservative under homogeneity."""
-    spec = GammaSpec.parse("theta-loo")
     out = []
     for n in (4, 6, 8):
         d = build_crd(n, n // 2)
+        kernel = _exact_estimator("imputation:theta-loo", d)[1]
         worst = 0.0
         for _ in range(5):
             po = _random_table(rng, n, homogeneous=True)
-            mean = estimator_expectation(d, po, lambda obs: v_imputation(d, obs, spec))
+            mean = _weighted_moments(d, _kernel_values(d, po, kernel))[0]
             target = true_variance(d, po) * (n - 1) / (n - 2)
             worst = max(worst, _rel(mean, target))
         out.append(CheckResult("thm4", f"theta-loo-expectation-crd-{n}", worst, tol))

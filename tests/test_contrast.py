@@ -191,6 +191,110 @@ class TestVSub:
         assert abs(gap) <= 1e-10 * max(1.0, true_variance(crossed_pairs, po))
 
 
+_CROSSED_MAP = {
+    "1100": ["1001", "0110"],
+    "0011": ["1001", "0110"],
+    "1001": ["1100", "0011"],
+    "0110": ["1100", "0011"],
+}
+
+
+def _edited(**entries):
+    """The crossed-pairs map with entries replaced (None drops one), in dict
+    order: replaced keys keep their place, new keys come first."""
+    g = {k.lstrip("_"): v for k, v in entries.items() if k.lstrip("_") not in _CROSSED_MAP}
+    for key, members in _CROSSED_MAP.items():
+        members = entries.get("_" + key, members)
+        if members is not None:
+            g[key] = members
+    return g
+
+
+class TestUserMapRefusals:
+    """Each refusal of a user substitute map, with its message. The first bad
+    entry in dict order is named; within an entry the anchor is checked
+    before its members, every member is parsed before any is checked, and
+    members are checked in list order."""
+
+    @pytest.mark.parametrize(
+        "g, error, message",
+        [
+            (_edited(_1010=["1001"]), ValidationError,
+             "anchor 1010 is not in the design support"),
+            (_edited(_1100=[]), AssumptionError,
+             "empty substitute set supplied for anchor 1100"),
+            (_edited(_1100=["1001", "1010"]), ValidationError,
+             "substitute 1010 of anchor 1100 is not in the design support"),
+            (_edited(_1100=["1001", "0011"]), ValidationError,
+             "0011 is not a substitute of 1100"),
+            (_edited(_0110=None), ValidationError,
+             "substitute map does not cover the support: no entry for 0110"),
+            (_edited(_110=["1001"]), ValidationError,
+             "assignment has 3 units, expected 4"),
+            (_edited(_1001=["1100", "00110"]), ValidationError,
+             "assignment has 5 units, expected 4"),
+            (_edited(_1100=["1x01"]), ValidationError,
+             "assignment string must be nonempty 0/1, got '1x01'"),
+            (_edited(_11z0=["1001"]), ValidationError,
+             "assignment string must be nonempty 0/1, got '11z0'"),
+            # two bad entries: the first in dict order is named
+            (_edited(_0011=["1100"], _1001=["0110", "1010"]), ValidationError,
+             "1100 is not a substitute of 0011"),
+            (_edited(_1100=["1001"], _0011=[]), AssumptionError,
+             "empty substitute set supplied for anchor 0011"),
+            # the anchor's own checks run before its members'
+            (_edited(_1010=["10x1", "0011"]), ValidationError,
+             "anchor 1010 is not in the design support"),
+            # members in list order: support and substitute checks alike
+            (_edited(_1100=["0011", "1010"]), ValidationError,
+             "0011 is not a substitute of 1100"),
+            (_edited(_1100=["1010", "0011"]), ValidationError,
+             "substitute 1010 of anchor 1100 is not in the design support"),
+            # every member parses before any member is checked
+            (_edited(_1100=["0011", "10x1"]), ValidationError,
+             "assignment string must be nonempty 0/1, got '10x1'"),
+        ],
+        ids=[
+            "anchor-off-support", "empty-members", "member-off-support",
+            "not-a-substitute", "uncovered-support", "short-anchor", "long-member",
+            "malformed-member", "malformed-anchor", "first-of-two-entries",
+            "empty-after-valid", "anchor-before-members", "substitute-check-first",
+            "support-check-first", "parse-before-checks",
+        ],
+    )
+    def test_refusal_message(self, crossed_pairs, g, error, message):
+        obs = ObservedData(_av("1001"), np.array([3.0, 2.0, 3.0, 6.0]))
+        with pytest.raises(error) as exc:
+            v_sub(crossed_pairs, obs, g)
+        assert str(exc.value) == message
+        with pytest.raises(error) as exc:
+            mse_sub_epsem(crossed_pairs, obs, g)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _edited(_1100=["1001", "0110", "1001"], _0110=["0011", "1100", "0011"]),
+            {_av(k): v for k, v in _CROSSED_MAP.items()},
+            {_av(k): [_av(m) for m in v] for k, v in _CROSSED_MAP.items()},
+            {k: [tuple(int(b) for b in m) for m in v] for k, v in _CROSSED_MAP.items()},
+            "full-map",
+        ],
+        ids=["duplicate-members", "vector-keys", "vector-members", "bit-tuples",
+             "substitute-sets"],
+    )
+    def test_accepted_forms_match_default(self, crossed_pairs, g):
+        if g == "full-map":
+            g = full_substitute_map(crossed_pairs)
+        po = random_table(np.random.default_rng(9), 4)
+        for w in crossed_pairs.support:
+            obs = reveal(po, w)
+            assert v_sub(crossed_pairs, obs, g).value == v_sub(crossed_pairs, obs).value
+            got = mse_sub_epsem(crossed_pairs, obs, g)
+            assert got.value == mse_sub_epsem(crossed_pairs, obs).value
+            assert got.params["contributing_anchors"] == 2
+
+
 class TestVPair:
     def test_equal_differences_give_zero(self):
         obs = ObservedData(

@@ -9,7 +9,9 @@ import pytest
 
 from designvar import (
     ValidationError,
+    build_crd,
     build_design,
+    full_substitute_map,
     load_design,
     load_matrix,
     load_observed,
@@ -17,6 +19,8 @@ from designvar import (
     load_substitute_map,
 )
 from designvar.cli import main
+
+from conftest import random_table
 
 
 @pytest.fixture
@@ -329,6 +333,66 @@ class TestCliOracle:
         )
         assert code == 2
         assert "science table" in capsys.readouterr().err
+
+
+class TestCliSubstituteFile:
+    """``--substitutes file:<map>`` against ``--substitutes full``."""
+
+    @pytest.fixture
+    def crd84(self, tmp_path):
+        d = build_crd(8, 4)
+        design = tmp_path / "crd84.json"
+        design.write_text(json.dumps({"kind": "crd", "n": 8, "n_treated": 4}))
+        g = {str(w): [str(m) for m in sub.members] for w, sub in full_substitute_map(d).items()}
+        subs = tmp_path / "map.json"
+        subs.write_text(json.dumps(g))
+        po = random_table(np.random.default_rng(21), 8)
+        table = tmp_path / "table.csv"
+        table.write_text("unit_id,y0,y1\n" + "".join(
+            f"{i + 1},{float(a)!r},{float(b)!r}\n" for i, (a, b) in enumerate(zip(po.y0, po.y1))
+        ))
+        w = d.vector(37).to_array()
+        y = np.where(w == 1, po.y1, po.y0)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,w,y_obs\n" + "".join(
+            f"{i + 1},{int(w[i])},{float(y[i])!r}\n" for i in range(8)
+        ))
+        return str(design), str(table), str(obs), str(subs)
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    @pytest.mark.parametrize("estimator", ["v_sub", "mse_sub"])
+    def test_file_map_prints_what_the_full_map_prints(self, crd84, command, estimator, capsys):
+        design, table, obs, subs = crd84
+        base = [command, "--design", design, "--estimator", estimator, "--json"]
+        base += ["--table", table] if command == "oracle" else ["--data", obs]
+        printed = []
+        for substitutes in ("full", f"file:{subs}"):
+            assert main(base + ["--substitutes", substitutes]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and json.loads(printed[0])
+
+    @pytest.mark.parametrize(
+        "design, message",
+        [
+            ({"kind": "crd", "n": 4, "n_treated": 1},
+             "leave-one-out estimate undefined: no treated units remain after excluding "
+             "unit 3 (estimator failed at support vector 0001)"),
+            ({"support": ["0011", "0111", "1000", "1100"], "probs": [0.3, 0.2, 0.1, 0.4]},
+             "leave-one-out estimate undefined: no control units remain after excluding "
+             "unit 0 (estimator failed at support vector 0111)"),
+        ],
+        ids=["crd-4-1", "second-row"],
+    )
+    @pytest.mark.parametrize("mc", [[], ["--mc", "--mc-draws", "50"]], ids=["exact", "mc"])
+    def test_oracle_names_the_failing_support_vector(self, tmp_path, capsys, design, message, mc):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design))
+        table = tmp_path / "table.csv"
+        table.write_text("unit_id,y0,y1\n1,1,3\n2,2,5\n3,4,4\n4,0,6\n")
+        code = main(["oracle", "--design", str(path), "--table", str(table),
+                     "--estimator", "imputation:theta-loo", *mc])
+        assert code == 3
+        assert capsys.readouterr().err == f"assumption violated: {message}\n"
 
 
 class TestCliVerify:

@@ -148,6 +148,30 @@ class TestLookup:
         with pytest.raises(ValidationError, match="69 units, design has 70"):
             d.index_of(short)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 65, 70])
+    def test_single_vector_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        masks = sorted({int.from_bytes(rng.bytes(9), "big") % (1 << n) for _ in range(12)})
+        inside, outside = masks[: max(1, len(masks) // 2)], masks[max(1, len(masks) // 2):]
+        rows = [[(m >> (n - 1 - k)) & 1 for k in range(n)] for m in inside]
+        d = ExplicitDesign(np.array(rows), np.full(len(rows), 1.0 / len(rows)))
+        full = (1 << n) - 1
+        outside += [m for m in (0, full) if m not in inside]
+        for k, m in enumerate(inside):
+            w = AssignmentVector(n, m)
+            bits = w.to_array()
+            assert bits.dtype == np.int8 and bits.tolist() == rows[k]
+            assert w in d and d.index_of(w) == k and d.vector(k) == w
+        for m in outside:
+            w = AssignmentVector(n, m)
+            bits = w.to_array()
+            assert bits.dtype == np.int8
+            assert AssignmentVector.from_bits(bits) == w
+            assert bits.tolist() == [(m >> (n - 1 - k)) & 1 for k in range(n)]
+            assert w not in d
+            with pytest.raises(ValidationError, match="is not in the design support"):
+                d.index_of(w)
+
     def test_rows_of_rejects_a_wrong_width(self):
         with pytest.raises(ValidationError, match="assignments"):
             build_crd(6, 3).rows_of(np.zeros((2, 5)))
