@@ -113,7 +113,7 @@ def cmd_oracle(args) -> int:
     po = io_mod.load_science_table(args.table)
     kernel = _estimate_from_args(args, d)[1]
     var = true_variance(d, po)
-    mean = _weighted_moments(d, _kernel_values(d, po, kernel))[0]
+    mean = _weighted_moments(d, _kernel_values(d, po, kernel)[0])[0]
     payload = {
         "estimator": args.estimator,
         "true_variance": var,

@@ -17,7 +17,6 @@ import math
 import weakref
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import compress
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -108,11 +107,7 @@ def _substitution_mode(d: Design) -> str:
     if sizes == [n // 2] and n % 4 == 0:
         return EQUAL_SIZE
     for nt in sizes:
-        if (nt * nt) % n:
-            raise AssumptionError(
-                f"substitution undefined: overlap count N_t(w)^2/N = {nt * nt / n} "
-                f"is not an integer (N_t = {nt}, N = {n})"
-            )
+        _overlap_count(n, nt, EPSEM)  # raises unless N_t^2 / N is whole
     return EPSEM
 
 
@@ -295,24 +290,19 @@ def full_substitute_map(
 
 def _rows_of_items(d: ExplicitDesign, items: list) -> np.ndarray:
     """Support row of each assignment given as a bit string, AssignmentVector
-    or 0/1 sequence; -1 if it is not in the support or does not parse.
-    Length-n bit strings are decoded in one numpy pass."""
-    n = d.n
-    packed = np.zeros((len(items), (n + 7) // 8), dtype=np.uint8)
-    text = np.fromiter((type(x) is str and len(x) == n for x in items), bool, len(items))
-    raw = "".join(compress(items, text)).encode("latin-1", "replace")  # a byte a character
-    bits = np.frombuffer(raw, np.uint8).reshape(-1, n) - ord("0")
-    clean = (bits <= 1).all(axis=1)  # any other character wraps past 1
-    packed[np.flatnonzero(text)[clean]] = np.packbits(bits[clean], axis=1)
-    text[np.flatnonzero(text)[~clean]] = False
-    unparsed = []
-    for i in np.flatnonzero(~text).tolist():
+    or 0/1 sequence; -1 if it is not in the support or does not parse. A map
+    names each vector many times, so each distinct string is parsed once."""
+
+    def key_of(n: int, x) -> bytes | None:
         try:
-            packed[i] = np.frombuffer(_mask_key(n, _as_assignment(items[i], n).mask), np.uint8)
+            return _mask_key(n, _as_assignment(x, n).mask)
         except Exception:  # raised again, in check order, if its entry is refused
-            unparsed.append(i)
-    rows = d._find(packed)
-    rows[unparsed] = -1
+            return None
+
+    text = {x: key_of(d.n, x) for x in {x for x in items if isinstance(x, str)}}
+    keys = [text[x] if isinstance(x, str) else key_of(d.n, x) for x in items]
+    rows = d._find(b"".join(k or bytes((d.n + 7) // 8) for k in keys))
+    rows[[k is None for k in keys]] = -1
     return rows
 
 
@@ -327,17 +317,22 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     member, then each member in list order.
     """
     s = d.support_size
-    keys, vals = list(g), [list(v) for v in g.values()]  # a SubstituteSet iterates its members
-    counts = [len(v) for v in vals]
+    keys, vals = list(g), []
+    for v in g.values():
+        try:
+            vals.append(list(v))  # a SubstituteSet iterates its members
+        except Exception:  # kept as given: its entry is refused in map order below
+            vals.append(v)
+    counts = [len(v) if isinstance(v, list) else 0 for v in vals]
     anchors = _rows_of_items(d, keys)
-    members = _rows_of_items(d, [m for v in vals for m in v])
+    members = _rows_of_items(d, [m for v, c in zip(vals, counts) if c for m in v])
     owner = np.repeat(np.arange(len(keys)), counts)
     a = anchors[owner]
     ok = (a >= 0) & (members >= 0)
     overlap = np.unpackbits(d._packed[a[ok]] & d._packed[members[ok]], axis=1).sum(axis=1)
     ok[ok] = _substitute_mask(d, a[ok], members[ok], overlap, mode)
-    faulty = (anchors < 0) | (np.bincount(owner[~ok], minlength=len(keys)) > 0)
-    faulty[[e for e, c in enumerate(counts) if not c]] = True
+    faulty = (anchors < 0) | np.equal(counts, 0)
+    faulty |= np.bincount(owner[~ok], minlength=len(keys)) > 0
     if faulty.any():
         e = int(np.argmax(faulty))
         w = _as_assignment(keys[e], d.n)
@@ -346,10 +341,9 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
         listed = [_as_assignment(m, d.n) for m in vals[e]]
         if not listed:
             raise AssumptionError(f"empty substitute set supplied for anchor {w}")
-        lo = sum(counts[:e])
-        i = int(np.argmin(ok[lo:lo + counts[e]]))
+        i = int(np.argmin(ok[owner == e]))
         m = listed[i]
-        if members[lo + i] < 0:
+        if members[owner == e][i] < 0:
             raise ValidationError(f"substitute {m} of anchor {w} is not in the design support")
         raise ValidationError(f"{m} is not a substitute of {w}")
     pairs = np.sort(members * s + a)

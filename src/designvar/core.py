@@ -205,9 +205,8 @@ def reveal(po: PotentialOutcomes, w: AssignmentVector, *,
            pair_labels: tuple[tuple[int, int], ...] | None = None) -> ObservedData:
     """Observe a science table under assignment ``w``.
 
-    Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment; the per-row
-    oracles observe through it, and ``oracles._kernel_values`` forms the
-    same values for every support row at once.
+    Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment; the batch route,
+    ``oracles._kernel_values``, forms it for every support row at once.
     """
     if po.n != w.n:
         raise ValidationError(f"table has {po.n} units but assignment has {w.n}")

@@ -136,14 +136,17 @@ def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, floa
     return _weighted_moments(d, _support_values(d, po, est))
 
 
-def _kernel_values(d: ExplicitDesign, po: PotentialOutcomes, kernel: Callable) -> np.ndarray:
-    """A batch kernel's values on the tables revealed at every support row, in
-    one call; a refusal names the support vector of its row (``exc.row``)."""
+def _kernel_values(
+    d: ExplicitDesign, po: PotentialOutcomes, *kernels: Callable
+) -> list[np.ndarray]:
+    """Each batch kernel's values on the tables revealed, once, at every support
+    row; a refusal names the support vector of its row (``exc.row``)."""
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
     u = d.matrix
+    y = np.where(u == 1, po.y1, po.y0)
     try:
-        return kernel(u, np.where(u == 1, po.y1, po.y0))
+        return [kernel(u, y) for kernel in kernels]
     except (AssumptionError, ValidationError) as exc:
         w = d.vector(getattr(exc, "row", 0))
         exc.args = (f"{exc} (estimator failed at support vector {w})",)

@@ -304,25 +304,23 @@ def _exact_estimator(
     :func:`resolve_estimator`) and its batch kernel: the same values as an
     array, from (k, n) 0/1 assignments and outcomes. A Monte Carlo
     imputation kernel calls its scalar once per row."""
-    spec = _imputation_gamma(name) if mc_draws is not None else None
-    if spec is not None:
-        scalar = partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed)
-        return scalar, partial(_per_row_kernel, scalar, d)
     key = name.strip()
     key = _ALIASES.get(key, key)
+    if key.startswith("imputation:"):
+        spec = GammaSpec.parse(key.split(":", 1)[1])
+        if mc_draws is None:
+            return partial(v_imputation, d, spec=spec), partial(imputation_values, d, spec)
+        scalar = partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed)
+        return scalar, partial(_per_row_kernel, scalar, d)
     if key == "neyman":
         return neyman_variance, _neyman_values
     if key == "v_am":
         return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
-    if key == "v_sub":
+    if key in ("v_sub", "mse_sub"):
+        mse = key == "mse_sub"
         return (
-            partial(v_sub, d, g=substitutes),
-            lambda w, y: _substitute_values(d, w, y, substitutes, mse=False)[0],
-        )
-    if key == "mse_sub":
-        return (
-            partial(mse_sub_epsem, d, g=substitutes),
-            lambda w, y: _substitute_values(d, w, y, substitutes, mse=True)[0],
+            partial(mse_sub_epsem if mse else v_sub, d, g=substitutes),
+            lambda w, y: _substitute_values(d, w, y, substitutes, mse)[0],
         )
     if key == "v_pair":
         return v_pair, lambda w, y: _v_pair_values(d.pairs, w, y)
@@ -335,9 +333,6 @@ def _exact_estimator(
                 )
             q = default_q_crd(d.n)
         return partial(estimate_decomposition, d, q=q), partial(_decomposition_values, d, q)
-    spec = _imputation_gamma(key)
-    if spec is not None:
-        return partial(v_imputation, d, spec=spec), partial(imputation_values, d, spec)
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
@@ -352,14 +347,6 @@ def _per_row_kernel(est: Callable, d: Design, w: np.ndarray, y: np.ndarray) -> n
         except (AssumptionError, ValidationError) as exc:
             raise _row_failure(exc, r)
     return out
-
-
-def _imputation_gamma(name: str) -> GammaSpec | None:
-    """The effect guess of an ``imputation:<gamma>`` name; None for other names."""
-    key = name.strip()
-    if not key.startswith("imputation:"):
-        return None
-    return GammaSpec.parse(key.split(":", 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "run_study scores estimators by exact enumeration and needs an "
             "enumerable design; use run_study_b for sampler-backed designs"
         )
-    kernels = [(name, _exact_estimator(name, d)[1]) for name in spec.estimators]
+    kernels = [_exact_estimator(name, d)[1] for name in spec.estimators]
     records: list[SimRecord] = []
     excluded = 0
     for rep in range(spec.n_replications):
@@ -392,8 +379,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         if var <= 0.0:
             excluded += 1
             continue
-        for name, kernel in kernels:
-            mean, sd = _weighted_moments(d, _kernel_values(d, po, kernel))
+        for name, values in zip(spec.estimators, _kernel_values(d, po, *kernels)):
+            mean, sd = _weighted_moments(d, values)
             records.append(
                 SimRecord(
                     scenario=spec.name,

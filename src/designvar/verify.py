@@ -63,13 +63,17 @@ def _random_table(rng: np.random.Generator, n: int, *, homogeneous: bool) -> Pot
 
 
 def _worst_gap(
-    d: ExplicitDesign, po: PotentialOutcomes, first: str, second: str, *,
+    d: ExplicitDesign, tables: list[PotentialOutcomes], first: str, second: str, *,
     q: np.ndarray | None = None, scale: float = 1.0,
 ) -> float:
     """Largest residual between two registry estimators (the second times
-    ``scale``) over the tables revealed at every support row."""
-    a, b = (_kernel_values(d, po, _exact_estimator(name, d, q=q)[1]) for name in (first, second))
-    return max(map(_rel, a.tolist(), (scale * b).tolist()))
+    ``scale``) over the tables revealed at every support row, for each table."""
+    kernels = [_exact_estimator(name, d, q=q)[1] for name in (first, second)]
+    gaps = [0.0]
+    for po in tables:
+        a, b = _kernel_values(d, po, *kernels)
+        gaps += map(_rel, a.tolist(), (scale * b).tolist())
+    return max(gaps)
 
 
 def _crossed_pairs_design() -> ExplicitDesign:
@@ -93,11 +97,8 @@ def _suite_contrast_crd(rng: np.random.Generator, tol: float) -> list[CheckResul
     """Substitute contrasts equal the two-sample estimator on half/half CRDs."""
     out = []
     for n in (4, 8, 12):
-        d = build_crd(n, n // 2)
-        worst = 0.0
-        for _ in range(3):
-            po = _random_table(rng, n, homogeneous=False)
-            worst = max(worst, _worst_gap(d, po, "v_sub", "neyman"))
+        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
+        worst = _worst_gap(build_crd(n, n // 2), tables, "v_sub", "neyman")
         out.append(CheckResult("thm2", f"contrast-equals-two-sample-crd-{n}", worst, tol))
     return out
 
@@ -107,11 +108,8 @@ def _suite_contrast_pairs(rng: np.random.Generator, tol: float) -> list[CheckRes
     out = []
     for n in (4, 8):
         pairs = tuple((2 * j, 2 * j + 1) for j in range(n // 2))
-        d = build_matched_pair(pairs)
-        worst = 0.0
-        for _ in range(3):
-            po = _random_table(rng, n, homogeneous=False)
-            worst = max(worst, _worst_gap(d, po, "v_sub", "v_pair"))
+        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
+        worst = _worst_gap(build_matched_pair(pairs), tables, "v_sub", "v_pair")
         out.append(CheckResult("thm3", f"contrast-equals-pair-estimator-n{n}", worst, tol))
     return out
 
@@ -122,10 +120,8 @@ def _suite_contrast_decomposition(rng: np.random.Generator, tol: float) -> list[
     q = _crossed_pairs_q()
     report = validate_q(q)
     feasible = q_feasible_for_design(d, q)
-    worst = 0.0
-    for _ in range(25):
-        po = _random_table(rng, 4, homogeneous=False)
-        worst = max(worst, _worst_gap(d, po, "v_sub", "decomposition", q=q))
+    tables = [_random_table(rng, 4, homogeneous=False) for _ in range(25)]
+    worst = _worst_gap(d, tables, "v_sub", "decomposition", q=q)
     return [
         CheckResult("prop3", "crossed-pairs-q-valid", 0.0 if report.passed else 1.0, tol),
         CheckResult(
@@ -145,14 +141,13 @@ def _suite_decomposition_crd(rng: np.random.Generator, tol: float) -> list[Check
         out.append(
             CheckResult("prop2", f"default-q-valid-crd-{n}", 0.0 if report.passed else 1.0, tol)
         )
+        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
         worst_split = 0.0
-        worst_est = 0.0
-        for _ in range(3):
-            po = _random_table(rng, n, homogeneous=False)
+        for po in tables:
             effect = po.y1 - po.y0
             split = v_tilde(d, po, q) - float(effect @ q @ effect)
             worst_split = max(worst_split, _rel(split, true_variance(d, po)))
-            worst_est = max(worst_est, _worst_gap(d, po, "decomposition", "neyman", q=q))
+        worst_est = _worst_gap(d, tables, "decomposition", "neyman", q=q)
         out.append(CheckResult("prop2", f"variance-split-exact-crd-{n}", worst_split, tol))
         out.append(
             CheckResult("prop2", f"decomposition-equals-two-sample-crd-{n}", worst_est, tol)
@@ -164,12 +159,9 @@ def _suite_imputation_tau_hat(rng: np.random.Generator, tol: float) -> list[Chec
     """Plug-in-effect imputation scales the two-sample estimator by (N-2)/(N-1)."""
     out = []
     for n in (4, 6, 8):
-        d = build_crd(n, n // 2)
-        ratio = (n - 2) / (n - 1)
-        worst = 0.0
-        for _ in range(3):
-            po = _random_table(rng, n, homogeneous=False)
-            worst = max(worst, _worst_gap(d, po, "imputation:tau-hat", "neyman", scale=ratio))
+        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
+        worst = _worst_gap(build_crd(n, n // 2), tables, "imputation:tau-hat", "neyman",
+                           scale=(n - 2) / (n - 1))
         out.append(CheckResult("prop4", f"tau-hat-scaling-crd-{n}", worst, tol))
     return out
 
@@ -183,7 +175,7 @@ def _suite_imputation_theta_loo(rng: np.random.Generator, tol: float) -> list[Ch
         worst = 0.0
         for _ in range(5):
             po = _random_table(rng, n, homogeneous=True)
-            mean = _weighted_moments(d, _kernel_values(d, po, kernel))[0]
+            mean = _weighted_moments(d, _kernel_values(d, po, kernel)[0])[0]
             target = true_variance(d, po) * (n - 1) / (n - 2)
             worst = max(worst, _rel(mean, target))
         out.append(CheckResult("thm4", f"theta-loo-expectation-crd-{n}", worst, tol))

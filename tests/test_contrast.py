@@ -253,13 +253,20 @@ class TestUserMapRefusals:
             # every member parses before any member is checked
             (_edited(_1100=["0011", "10x1"]), ValidationError,
              "assignment string must be nonempty 0/1, got '10x1'"),
+            # a value that is not a member list is refused in its entry's turn
+            (_edited(_1010=5), ValidationError,
+             "anchor 1010 is not in the design support"),
+            (_edited(_1100=5), TypeError, "'int' object is not iterable"),
+            (_edited(_1100=["1001", "0011"], _0011=5), ValidationError,
+             "0011 is not a substitute of 1100"),
         ],
         ids=[
             "anchor-off-support", "empty-members", "member-off-support",
             "not-a-substitute", "uncovered-support", "short-anchor", "long-member",
             "malformed-member", "malformed-anchor", "first-of-two-entries",
             "empty-after-valid", "anchor-before-members", "substitute-check-first",
-            "support-check-first", "parse-before-checks",
+            "support-check-first", "parse-before-checks", "unlisted-value-off-support",
+            "unlisted-value", "unlisted-value-after-bad",
         ],
     )
     def test_refusal_message(self, crossed_pairs, g, error, message):
