@@ -177,16 +177,18 @@ class SubstituteSet:
         return all(m.complement().mask in self._masks for m in self.members)
 
 
-def _substitute_mask(d: ExplicitDesign, anchors, members, overlap, mode: str) -> np.ndarray:
+def _substitute_rule(
+    d: ExplicitDesign, anchors, members, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
     """The substitute predicate on support rows, broadcast: row ``members``
-    substitutes for row ``anchors`` when it has the anchor's group size and
-    shares ``overlap`` == k = N_t^2 / N of its treated units (N/4 in equal-size mode)."""
+    substitutes for row ``anchors`` when ``same_size`` holds and it shares
+    ``k`` = N_t^2 / N of the anchor's treated units (N/4 in equal-size mode)."""
     sizes = d.group_sizes
     anchor_sizes = sizes[anchors]
     k = np.zeros(d.n + 1)
     for nt in np.flatnonzero(np.bincount(anchor_sizes.ravel())).tolist():
         k[nt] = _overlap_count(d.n, nt, mode)
-    return (overlap == k[anchor_sizes]) & (anchor_sizes == sizes[members])
+    return k[anchor_sizes], anchor_sizes == sizes[members]
 
 
 def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
@@ -196,8 +198,9 @@ def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
     """
     rows = np.asarray(rows)
     u = d.matrix
+    k, same_size = _substitute_rule(d, rows[:, None], slice(None), mode)
     # overlaps of 0/1 rows are small integers, exact in floating point
-    return _substitute_mask(d, rows[:, None], slice(None), u[rows] @ u.T, mode)
+    return (u[rows] @ u.T == k) & same_size
 
 
 def _row_blocks(d: ExplicitDesign) -> Iterator[np.ndarray]:
@@ -329,8 +332,9 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     owner = np.repeat(np.arange(len(keys)), counts)
     a = anchors[owner]
     ok = (a >= 0) & (members >= 0)
+    k, same_size = _substitute_rule(d, a[ok], members[ok], mode)
     overlap = np.unpackbits(d._packed[a[ok]] & d._packed[members[ok]], axis=1).sum(axis=1)
-    ok[ok] = _substitute_mask(d, a[ok], members[ok], overlap, mode)
+    ok[ok] = (overlap == k) & same_size
     faulty = (anchors < 0) | np.equal(counts, 0)
     faulty |= np.bincount(owner[~ok], minlength=len(keys)) > 0
     if faulty.any():
