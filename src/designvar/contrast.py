@@ -180,9 +180,10 @@ class SubstituteSet:
 def _substitute_rule(
     d: ExplicitDesign, anchors, members, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The substitute predicate on support rows, broadcast: row ``members``
-    substitutes for row ``anchors`` when ``same_size`` holds and it shares
-    ``k`` = N_t^2 / N of the anchor's treated units (N/4 in equal-size mode)."""
+    """The substitute predicate on support rows ``anchors`` and ``members``,
+    broadcast, as (k, same_size): a member substitutes for its anchor when the
+    group sizes match and it shares k = N_t^2 / N of the anchor's treated
+    units (N/4 in equal-size mode)."""
     sizes = d.group_sizes
     anchor_sizes = sizes[anchors]
     k = np.zeros(d.n + 1)
