@@ -48,19 +48,17 @@ def _load_q(arg: str | None, n: int):
     return io_mod.load_matrix(arg[5:] if arg.startswith("file:") else arg)
 
 
-def _estimate_from_args(args, d):
-    """The registry's (scalar, kernel) pair for --estimator, with the CLI's inputs."""
+def _estimator_from_args(args, d) -> tuple[str, dict]:
+    """The registry name of --estimator and its options, with the CLI's inputs."""
     name = args.estimator
     if name == "imputation":
         name = f"imputation:{args.gamma}"
-    return sim._exact_estimator(
-        name,
-        d,
-        substitutes=_load_substitutes(args.substitutes),
-        q=_load_q(args.q, d.n),
-        mc_draws=args.mc_draws if args.mc else None,
-        seed=args.seed,
-    )
+    return name, {
+        "substitutes": _load_substitutes(args.substitutes),
+        "q": _load_q(args.q, d.n),
+        "mc_draws": args.mc_draws if args.mc else None,
+        "seed": args.seed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,8 @@ def cmd_design_inspect(args) -> int:
 def cmd_analyze(args) -> int:
     d = io_mod.load_design(args.design)
     obs = io_mod.load_observed(args.data)
-    result = _estimate_from_args(args, d)[0](obs)
+    name, options = _estimator_from_args(args, d)
+    result = sim.resolve_estimator(name, d, **options)(obs)
     payload = {
         "estimator": result.estimator,
         "value": result.value,
@@ -111,7 +110,8 @@ def cmd_analyze(args) -> int:
 def cmd_oracle(args) -> int:
     d = io_mod.load_design(args.design)
     po = io_mod.load_science_table(args.table)
-    kernel = _estimate_from_args(args, d)[1]
+    name, options = _estimator_from_args(args, d)
+    kernel = sim._batch_kernel((name,), d, **options)
     var = true_variance(d, po)
     mean = _weighted_moments(d, _kernel_values(d, po, kernel)[0])[0]
     payload = {

@@ -66,7 +66,7 @@ class AssignmentVector:
     @classmethod
     def from_string(cls, s: str) -> "AssignmentVector":
         s = s.strip()
-        if not s or any(ch not in "01" for ch in s):
+        if not s or s.strip("01"):
             raise ValidationError(f"assignment string must be nonempty 0/1, got {s!r}")
         return cls(n=len(s), mask=int(s, 2))
 

@@ -30,7 +30,7 @@ BalanceCriterion = Callable[[np.ndarray, AssignmentVector], float]
 
 def _pack(u: np.ndarray) -> np.ndarray:
     """(k, n) 0/1 rows as (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout."""
-    if u.size and not (u.dtype.kind in "biu" and 0 <= u.min() <= u.max() <= 1):
+    if u.dtype.kind not in "biu" or (u.size and not 0 <= u.min() <= u.max() <= 1):
         bad = ~np.isin(u, (0, 1))
         if bad.any():
             raise ValidationError(f"assignment entries must be 0 or 1, got {u[bad][0].item()!r}")

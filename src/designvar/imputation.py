@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -199,24 +200,26 @@ def _loo_failure(t: np.ndarray, bad: np.ndarray, i: int) -> AssumptionError:
 
 
 def _loo_rows(
-    tables: np.ndarray, pi: np.ndarray, t: np.ndarray, y: np.ndarray, reweighted: bool
-) -> np.ndarray:
+    tables: np.ndarray, pi: np.ndarray, t: np.ndarray, y: np.ndarray, kinds: set[str]
+) -> dict[str, np.ndarray]:
     """Leave-one-out inverse-probability estimates excluding each unit, per row.
 
     With cond[r, i, j] = Pr(W_j = 1 | W_i = t[r, i]) read from the design's
-    conditional tables, entry (r, i) is the sum over units j != i of
-    y_j/cond (treated j) minus y_j/(1 - cond) (control j), over n - 1. With
-    reweighted=True the summands carry the extra (1-pi_j)/pi_j and
-    pi_j/(1-pi_j) factors that target theta instead of the effect. Rows are
-    processed in blocks of at most ROW_BLOCK (rows, n, n) elements.
+    conditional tables, entry (r, i) of ``tau_loo`` is the sum over units
+    j != i of y_j/cond (treated j) minus y_j/(1 - cond) (control j), over
+    n - 1. ``theta_loo`` sums the same terms times the extra (1-pi_j)/pi_j
+    and pi_j/(1-pi_j) factors that target theta instead of the effect. Both
+    of the requested ``kinds`` come from one pass over the conditional
+    block, processed in blocks of at most ROW_BLOCK (rows, n, n) elements.
     """
     k, n = t.shape
     others = ~np.eye(n, dtype=bool)
     diag = np.arange(n)
-    out = np.empty((k, n))
+    out = {kind: np.empty((k, n)) for kind in kinds}
     step = max(1, ROW_BLOCK // (n * n))
     for start in range(0, k, step):
         tb, yb = t[start:start + step], y[start:start + step]
+        rows = slice(start, start + len(tb))
         treated = tb[:, None, :]
         cond = np.where(tb[:, :, None], tables[1], tables[0])
         bad = np.where(treated, cond <= PROB_TOL, cond >= 1.0 - PROB_TOL)
@@ -230,25 +233,45 @@ def _loo_rows(
         np.subtract(1.0, cond, out=cond, where=~treated)
         np.divide(np.where(tb, yb, -yb)[:, None, :], cond, out=cond, where=others)
         cond[:, diag, diag] = 0.0
-        if reweighted:
+        if "tau_loo" in out:
+            out["tau_loo"][rows] = cond.sum(axis=2) / (n - 1)
+        if "theta_loo" in out:
             cond *= np.where(tb, (1.0 - pi) / pi, pi / (1.0 - pi))[:, None, :]
-        out[start:start + len(tb)] = cond.sum(axis=2) / (n - 1)
+            out["theta_loo"][rows] = cond.sum(axis=2) / (n - 1)
     return out
+
+
+def _gammas(
+    specs: Sequence[GammaSpec], d: Design, pi: np.ndarray | None, t: np.ndarray, y: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each spec's (k, n) effect-guess rows, in spec order, for (k, n)
+    treatment masks ``t`` and outcomes ``y`` (``pi`` may be None when every
+    spec is fixed). tau-loo and theta-loo share one leave-one-out pass, made
+    when the first of them is reached."""
+    k, n = t.shape
+    loo: dict[str, np.ndarray] = {}
+    for spec in specs:
+        if spec.kind == "fixed":
+            yield np.tile(_per_unit(spec.value, n, "gamma"), (k, 1))
+        elif spec.kind == "tau_hat":
+            ht = np.where(t, y / pi, -(y / (1.0 - pi))).sum(axis=1) / n
+            yield np.repeat(ht[:, None], n, axis=1)
+        else:
+            if not loo:
+                kinds = {s.kind for s in specs} & {"tau_loo", "theta_loo"}
+                loo = _loo_rows(d.conditional_tables, pi, t, y, kinds)
+            yield loo[spec.kind]
 
 
 def _gamma_rows(spec: GammaSpec, d: Design, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(k, n) effect-guess vectors for k realized tables: 0/1 rows w, outcomes y."""
-    k, n = w.shape
-    if spec.kind == "fixed":
-        return np.tile(_per_unit(spec.value, n, "gamma"), (k, 1))
-    if d.n != n:
-        raise ValidationError(f"design has {d.n} units but data has {n}")
-    pi = check_propensities(d.propensities, n)
-    t = w.astype(bool)
-    if spec.kind == "tau_hat":
-        ht = np.where(t, y / pi, -(y / (1.0 - pi))).sum(axis=1) / n
-        return np.repeat(ht[:, None], n, axis=1)
-    return _loo_rows(d.conditional_tables, pi, t, y, reweighted=spec.kind == "theta_loo")
+    n = w.shape[1]
+    pi = None
+    if spec.kind != "fixed":
+        if d.n != n:
+            raise ValidationError(f"design has {d.n} units but data has {n}")
+        pi = check_propensities(d.propensities, n)
+    return next(_gammas((spec,), d, pi, w.astype(bool), y))
 
 
 def gamma_vector(spec: GammaSpec, obs: ObservedData, d: Design) -> np.ndarray:
@@ -265,12 +288,18 @@ def _require_enumerable(d: Design) -> ExplicitDesign:
     return d
 
 
-def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact psi(c_hat) for k realized tables at once, by support enumeration.
+def _imputation_family(
+    d: Design, specs: Sequence[GammaSpec], w: np.ndarray, y: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Exact psi(c_hat) of every spec for k realized tables, by support enumeration.
 
     ``w`` is a (k, n) 0/1 array of assignments and ``y`` the matching (k, n)
-    observed outcomes; entry r is v_imputation's value on row r, to the bit.
-    An error raised for one row carries that row's index as ``exc.row``.
+    observed outcomes. The inputs and propensities are checked once, the
+    effect guesses come from :func:`_gammas` (one leave-one-out pass for
+    tau-loo and theta-loo), and each spec's c rows go to psi on their own.
+    Yields one (k,) array per spec, in spec order, so stacking gives
+    (len(specs), k); a spec's error surfaces when its values are asked for,
+    and an error raised for one row carries that row's index as ``exc.row``.
     """
     d = _require_enumerable(d)
     w = np.asarray(w)
@@ -285,11 +314,20 @@ def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) 
     if not np.all(np.isfinite(y)):
         raise ValidationError("observed outcomes must be finite")
     pi = check_propensities(d.propensities, d.n)
-    gamma = _gamma_rows(spec, d, w, y)
-    infinite = ~np.isfinite(gamma).all(axis=1)
-    if infinite.any():
-        raise _row_failure(ValidationError("gamma must be finite"), int(np.argmax(infinite)))
-    return psi(d, _impute_c_rows(w.astype(bool), y, pi, gamma))
+    t = w.astype(bool)
+    for gamma in _gammas(specs, d, pi, t, y):
+        infinite = ~np.isfinite(gamma).all(axis=1)
+        if infinite.any():
+            raise _row_failure(ValidationError("gamma must be finite"), int(np.argmax(infinite)))
+        yield psi(d, _impute_c_rows(t, y, pi, gamma))
+
+
+def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact psi(c_hat) for k realized tables at once: the one-spec call of
+    :func:`_imputation_family`. Entry r is v_imputation's value on row r, to
+    the bit; an error raised for one row carries that row's index as
+    ``exc.row``."""
+    return next(_imputation_family(d, (spec,), w, y))
 
 
 def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstimate:
@@ -303,6 +341,45 @@ def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstim
         estimator="imputation",
         params={"gamma": spec.describe()},
     )
+
+
+def _imputation_mc_rows(
+    d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray, m: int, seed: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo psi(c_hat) and its standard error for k realized tables.
+
+    ``w`` and ``y`` are (k, n) assignments and outcomes. The m design draws
+    are made once, at ``seed``, and shared by every row; each row then runs
+    v_imputation_mc's steps on its own imputed table. An error raised for
+    one row carries that row's index as ``exc.row``.
+    """
+    if m < 2:
+        raise ValidationError(f"need at least 2 draws, got {m}")
+    if w.shape[1] != d.n:
+        raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
+    pi = check_propensities(d.propensities, d.n)
+    gamma = _gamma_rows(spec, d, w, y)
+    values, ses = np.empty(len(w)), np.empty(len(w))
+    draws = rest = None
+    for r, bits in enumerate(np.asarray(w, dtype=np.int8).tolist()):
+        try:
+            obs = ObservedData(AssignmentVector.from_bits(bits), y[r])
+            table = impute_potential_outcomes(obs, implicit_beta(obs, pi, gamma[r]))
+            if draws is None:
+                draws = np.asarray(d.sample_matrix(m, seed), dtype=float)
+                rest = 1.0 - draws
+        except (AssumptionError, ValidationError) as exc:
+            raise _row_failure(exc, r)
+        tau_m = draws @ (table.y1 / pi) / d.n - rest @ (table.y0 / (1.0 - pi)) / d.n
+        dev = tau_m - tau_m.mean()
+        total = float(dev @ dev)
+        values[r] = total / (m - 1)
+        if m > 2:
+            sq_dev = dev * dev - total / m
+            ses[r] = math.sqrt(m * float(sq_dev @ sq_dev)) / ((m - 1) ** 0.5 * (m - 2))
+        else:
+            ses[r] = math.nan
+    return values, ses
 
 
 def v_imputation_mc(
@@ -321,31 +398,16 @@ def v_imputation_mc(
     3. Recompute the inverse-probability effect estimate on each draw.
     4. Report the sample variance (divisor m - 1), with a jackknife
        standard error for the variance itself.
+
+    This is the one-row call of the batch kernel ``_imputation_mc_rows``.
     """
-    if m < 2:
-        raise ValidationError(f"need at least 2 draws, got {m}")
-    if obs.n != d.n:
-        raise ValidationError(f"observed data has {obs.n} units, design has {d.n}")
-    pi = check_propensities(d.propensities, d.n)
-    gamma = gamma_vector(spec, obs, d)
-    beta = implicit_beta(obs, pi, gamma)
-    table = impute_potential_outcomes(obs, beta)
-    draws = np.asarray(d.sample_matrix(m, seed), dtype=float)
-    tau_m = draws @ (table.y1 / pi) / d.n - (1.0 - draws) @ (table.y0 / (1.0 - pi)) / d.n
-    dev = tau_m - tau_m.mean()
-    total = float(dev @ dev)
-    value = total / (m - 1)
-    if m > 2:
-        sq_dev = dev * dev - total / m
-        se = math.sqrt(m * float(sq_dev @ sq_dev)) / ((m - 1) ** 0.5 * (m - 2))
-    else:
-        se = math.nan
+    values, ses = _imputation_mc_rows(d, spec, obs.w.to_array()[None], obs.y_obs[None], m, seed)
     return VarianceEstimate(
-        value=value,
+        value=float(values[0]),
         estimator="imputation",
         exact=False,
         mc_draws=m,
-        mc_se=se,
+        mc_se=float(ses[0]),
         params={"gamma": spec.describe(), "seed": seed},
     )
 

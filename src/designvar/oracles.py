@@ -137,16 +137,17 @@ def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, floa
 
 
 def _kernel_values(
-    d: ExplicitDesign, po: PotentialOutcomes, *kernels: Callable
+    d: ExplicitDesign, po: PotentialOutcomes, kernel: Callable
 ) -> list[np.ndarray]:
-    """Each batch kernel's values on the tables revealed, once, at every support
-    row; a refusal names the support vector of its row (``exc.row``)."""
+    """A batch kernel's value arrays (one per estimator it scores) on the
+    tables revealed, once, at every support row; a refusal names the support
+    vector of its row (``exc.row``)."""
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
     u = d.matrix
     y = np.where(u == 1, po.y1, po.y0)
     try:
-        return [kernel(u, y) for kernel in kernels]
+        return kernel(u, y)
     except (AssumptionError, ValidationError) as exc:
         w = d.vector(getattr(exc, "row", 0))
         exc.args = (f"{exc} (estimator failed at support vector {w})",)

@@ -30,13 +30,11 @@ import numpy as np
 from .contrast import _substitute_values, _v_pair_values, mse_sub_epsem, v_pair, v_sub
 from .core import (
     PROB_TOL,
-    AssignmentVector,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
     ValidationError,
     VarianceEstimate,
-    _row_failure,
 )
 from .decomposition import (
     _decomposition_values,
@@ -47,7 +45,13 @@ from .decomposition import (
 )
 from .designs import Design, ExplicitDesign, SampledDesign, build_crd, build_rerandomized
 from .estimators import _neyman_values, neyman_variance
-from .imputation import GammaSpec, imputation_values, v_imputation, v_imputation_mc
+from .imputation import (
+    GammaSpec,
+    _imputation_family,
+    _imputation_mc_rows,
+    v_imputation,
+    v_imputation_mc,
+)
 from .oracles import _kernel_values, _weighted_moments, true_variance
 
 __all__ = [
@@ -288,10 +292,10 @@ def resolve_estimator(
     CRD design). With ``mc_draws`` the imputation estimators are Monte Carlo
     estimates from that many draws at ``seed``; otherwise they are exact.
     """
-    return _exact_estimator(name, d, substitutes=substitutes, q=q, mc_draws=mc_draws, seed=seed)[0]
+    return _estimator_entry(name, d, substitutes=substitutes, q=q, mc_draws=mc_draws, seed=seed)[0]
 
 
-def _exact_estimator(
+def _estimator_entry(
     name: str,
     d: Design,
     *,
@@ -299,19 +303,22 @@ def _exact_estimator(
     q: np.ndarray | None = None,
     mc_draws: int | None = None,
     seed: int = 0,
-) -> tuple[Callable, Callable]:
-    """The scalar callable of an estimator name (arguments as in
-    :func:`resolve_estimator`) and its batch kernel: the same values as an
-    array, from (k, n) 0/1 assignments and outcomes. A Monte Carlo
-    imputation kernel calls its scalar once per row."""
+) -> tuple[Callable, Callable | GammaSpec]:
+    """The registry entry of an estimator name (arguments as in
+    :func:`resolve_estimator`): its scalar callable, and its batch kernel
+    (the same values as an array, from (k, n) 0/1 assignments and outcomes)
+    or, for an exact imputation name, the GammaSpec that
+    :func:`_batch_kernel` scores through the shared imputation family."""
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key.startswith("imputation:"):
         spec = GammaSpec.parse(key.split(":", 1)[1])
         if mc_draws is None:
-            return partial(v_imputation, d, spec=spec), partial(imputation_values, d, spec)
-        scalar = partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed)
-        return scalar, partial(_per_row_kernel, scalar, d)
+            return partial(v_imputation, d, spec=spec), spec
+        return (
+            partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed),
+            lambda w, y: _imputation_mc_rows(d, spec, w, y, mc_draws, seed)[0],
+        )
     if key == "neyman":
         return neyman_variance, _neyman_values
     if key == "v_am":
@@ -336,17 +343,22 @@ def _exact_estimator(
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
-def _per_row_kernel(est: Callable, d: Design, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A scalar estimator as a batch kernel: one call per (w, y) row, in row
-    order; the first failing row sets ``exc.row``."""
-    out = np.empty(len(w))
-    for r, bits in enumerate(np.asarray(w, dtype=np.int8).tolist()):
-        try:
-            obs = ObservedData(AssignmentVector.from_bits(bits), y[r], pair_labels=d.pairs)
-            out[r] = float(est(obs))
-        except (AssumptionError, ValidationError) as exc:
-            raise _row_failure(exc, r)
-    return out
+def _batch_kernel(
+    names: Sequence[str], d: Design, **options
+) -> Callable[[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """One batch kernel for every name (options as in :func:`resolve_estimator`):
+    from (k, n) 0/1 assignments and outcomes it returns one value array per
+    name, in name order. The exact imputation names share one pass of the
+    imputation family; each estimator runs, and can fail, at its place in
+    ``names``, so the first listed estimator that fails raises."""
+    kernels = [_estimator_entry(name, d, **options)[1] for name in names]
+    specs = [k for k in kernels if isinstance(k, GammaSpec)]
+
+    def kernel(w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        family = _imputation_family(d, specs, w, y)
+        return [next(family) if isinstance(k, GammaSpec) else k(w, y) for k in kernels]
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +372,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     a seed derived from (spec.seed, replication), computes the exact design
     mean and standard deviation of each estimator, and records the relative
     bias.  Replications whose true variance is zero are excluded and counted.
-    Each estimator's batch kernel scores the whole revealed support in one
-    call.
+    One batch kernel scores the whole revealed support for every estimator
+    in one call.
     """
     d = spec.design_spec
     if not isinstance(d, ExplicitDesign):
@@ -369,7 +381,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
             "run_study scores estimators by exact enumeration and needs an "
             "enumerable design; use run_study_b for sampler-backed designs"
         )
-    kernels = [_exact_estimator(name, d)[1] for name in spec.estimators]
+    kernel = _batch_kernel(spec.estimators, d)
     records: list[SimRecord] = []
     excluded = 0
     for rep in range(spec.n_replications):
@@ -379,7 +391,7 @@ def run_study(spec: ScenarioSpec) -> SimResult:
         if var <= 0.0:
             excluded += 1
             continue
-        for name, values in zip(spec.estimators, _kernel_values(d, po, *kernels)):
+        for name, values in zip(spec.estimators, _kernel_values(d, po, kernel)):
             mean, sd = _weighted_moments(d, values)
             records.append(
                 SimRecord(
@@ -400,33 +412,42 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     )
 
 
-def _quantile_block(values: Sequence[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    qs = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "mean": float(arr.mean()),
-        "min": float(qs[0]),
-        "q25": float(qs[1]),
-        "median": float(qs[2]),
-        "q75": float(qs[3]),
-        "max": float(qs[4]),
-        "count": int(arr.size),
-    }
+_METRICS = ("relative_bias", "sd")
+_QUANTILES = (("min", 0.0), ("q25", 0.25), ("median", 0.5), ("q75", 0.75), ("max", 1.0))
 
 
 def _summarize(records: Iterable[SimRecord], excluded: int) -> dict:
-    grouped: dict[tuple[str, str], dict[str, list[float]]] = {}
+    """Mean, quantiles and count of each metric per (scenario, estimator).
+
+    The groups of one size are stacked and share one ``np.quantile`` call
+    along the last axis; each group's mean stays its own 1-D ``mean``, which
+    a stacked axis mean does not reproduce to the bit.
+    """
+    grouped: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
     for rec in records:
-        cell = grouped.setdefault(
-            (rec.scenario, rec.estimator), {"relative_bias": [], "sd": []}
-        )
-        cell["relative_bias"].append(rec.relative_bias)
-        cell["sd"].append(rec.sd)
+        cell = grouped.setdefault((rec.scenario, rec.estimator), ([], []))
+        cell[0].append(rec.relative_bias)
+        cell[1].append(rec.sd)
+    by_count: dict[int, list[tuple[str, str]]] = {}
+    for key, cell in grouped.items():
+        by_count.setdefault(len(cell[0]), []).append(key)
+    blocks: dict[tuple[str, str], dict] = {}
+    for count, keys in by_count.items():
+        # (groups, metrics, count): one contiguous row per group and metric
+        arr = np.array([grouped[key] for key in keys], dtype=float)
+        qs = np.quantile(arr, [q for _, q in _QUANTILES], axis=-1)
+        for g, key in enumerate(keys):
+            blocks[key] = {
+                metric: {
+                    "mean": float(arr[g, m].mean()),
+                    **{label: float(qs[j, g, m]) for j, (label, _) in enumerate(_QUANTILES)},
+                    "count": count,
+                }
+                for m, metric in enumerate(_METRICS)
+            }
     scenarios: dict[str, dict] = {}
-    for (scenario, estimator), cell in grouped.items():
-        scenarios.setdefault(scenario, {})[estimator] = {
-            metric: _quantile_block(vals) for metric, vals in cell.items()
-        }
+    for (scenario, estimator) in grouped:
+        scenarios.setdefault(scenario, {})[estimator] = blocks[(scenario, estimator)]
     return {"scenarios": scenarios, "excluded_zero_variance": excluded}
 
 
@@ -598,7 +619,7 @@ def run_study_b(
     draws = d.sample_matrix(n_inner_draws, draw_rng)
     emp = _empirical_design(draws)
 
-    kernels = [(name, _exact_estimator(name, emp)[1]) for name in estimators]
+    kernel = _batch_kernel(estimators, emp)
 
     records: list[SimRecord] = []
     excluded = 0
@@ -614,8 +635,7 @@ def run_study_b(
             idx = rng.choice(emp.support_size, size=n_outer, p=emp.probs)
             w = emp.matrix[idx]
             y = np.where(w.astype(bool), po.y1, po.y0)
-            for name, kernel in kernels:
-                vals = kernel(w, y)
+            for name, vals in zip(estimators, kernel(w, y)):
                 mean = float(vals.mean())
                 sd = float(vals.std(ddof=1))
                 records.append(

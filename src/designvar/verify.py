@@ -20,7 +20,7 @@ from .designs import ExplicitDesign, build_crd, build_explicit, build_matched_pa
 from .estimators import c_vector
 from .imputation import imputation_bias_terms, impute_potential_outcomes
 from .oracles import _kernel_values, _weighted_moments, estimator_expectation, psi, true_variance
-from .simulate import _exact_estimator
+from .simulate import _batch_kernel
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -68,10 +68,10 @@ def _worst_gap(
 ) -> float:
     """Largest residual between two registry estimators (the second times
     ``scale``) over the tables revealed at every support row, for each table."""
-    kernels = [_exact_estimator(name, d, q=q)[1] for name in (first, second)]
+    kernel = _batch_kernel((first, second), d, q=q)
     gaps = [0.0]
     for po in tables:
-        a, b = _kernel_values(d, po, *kernels)
+        a, b = _kernel_values(d, po, kernel)
         gaps += map(_rel, a.tolist(), (scale * b).tolist())
     return max(gaps)
 
@@ -171,7 +171,7 @@ def _suite_imputation_theta_loo(rng: np.random.Generator, tol: float) -> list[Ch
     out = []
     for n in (4, 6, 8):
         d = build_crd(n, n // 2)
-        kernel = _exact_estimator("imputation:theta-loo", d)[1]
+        kernel = _batch_kernel(("imputation:theta-loo",), d)
         worst = 0.0
         for _ in range(5):
             po = _random_table(rng, n, homogeneous=True)

@@ -176,6 +176,20 @@ class TestLookup:
         with pytest.raises(ValidationError, match="assignments"):
             build_crd(6, 3).rows_of(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("dtype", [float, int, bool, np.int8, np.uint8, np.float32])
+    def test_rows_of_an_empty_batch_is_empty_for_every_dtype(self, dtype):
+        got = build_crd(4, 2).rows_of(np.zeros((0, 4), dtype=dtype))
+        assert got.shape == (0,) and got.tolist() == []
+
+    @pytest.mark.parametrize("text", ["", "01a0", "0 1", "2", "0101b"])
+    def test_from_string_refuses_anything_but_bits(self, text):
+        with pytest.raises(ValidationError) as exc:
+            AssignmentVector.from_string(text)
+        assert str(exc.value) == f"assignment string must be nonempty 0/1, got {text!r}"
+
+    def test_from_string_strips_surrounding_whitespace(self):
+        assert AssignmentVector.from_string(" 0110\n") == AssignmentVector(4, 0b0110)
+
 
 class TestConstructor:
     def test_rows_are_sorted_with_their_probabilities(self):
