@@ -1,6 +1,6 @@
 """Randomized designs: probability queries, enumeration, sampling, checks.
 
-A design is either explicit (materialized support + probabilities, every
+A design is either explicit (materialized support + weights, every
 query exact) or sampler-backed (draws available; probability queries are
 answered in closed form or refused). Monte Carlo answers come from draws
 made into an explicit design, as ``simulate._empirical_design`` does.
@@ -121,6 +121,10 @@ class ExplicitDesign(Design):
     The support is kept once, as (support_size, ceil(n/8)) uint8 rows in
     ``np.packbits`` layout sorted by their bytes (lexicographic bit-string
     order); support vectors and the float matrix are decoded from them.
+    Each row carries a positive weight, and its probability is the weight
+    over the weights' total. Builders that know whole-number weights (ones,
+    draw counts) pass them, which makes every probability query exact: one
+    correctly rounded division of an exact sum.
     """
 
     is_enumerable = True
@@ -128,7 +132,7 @@ class ExplicitDesign(Design):
     def __init__(
         self,
         rows: np.ndarray | Sequence[Sequence[int]],
-        probs: Sequence[float] | np.ndarray,
+        weights: Sequence[float] | np.ndarray,
         *,
         kind: str = "explicit",
         pairs: tuple[tuple[int, int], ...] | None = None,
@@ -151,19 +155,17 @@ class ExplicitDesign(Design):
         self._keys = keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("support vectors must be distinct")
-        p = np.asarray(probs, dtype=float)
-        if p.shape != (len(u),):
-            raise ValidationError(f"{len(u)} support vectors but {p.size} probabilities")
-        if np.any(p <= 0) or not np.all(np.isfinite(p)):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(u),):
+            raise ValidationError(f"{len(u)} support vectors but {w.size} probabilities")
+        if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValidationError("probabilities must be finite and strictly positive")
-        total = math.fsum(memoryview(p))  # no list of S Python floats
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
         self.n = u.shape[1]
         self.kind = kind
-        self._probs = p[order] / total
-        self._probs.setflags(write=False)
+        self._weights = w[order]
+        self._weights.setflags(write=False)
+        self._total = math.fsum(memoryview(self._weights))  # no list of S Python floats
         self.pairs = pairs
         self.meta = dict(meta or {})
 
@@ -177,9 +179,11 @@ class ExplicitDesign(Design):
     def support_size(self) -> int:
         return len(self._keys)
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        return self._probs
+        p = self._weights / self._total
+        p.setflags(write=False)
+        return p
 
     def vector(self, k: int) -> AssignmentVector:
         """The support vector in row ``k``."""
@@ -188,7 +192,7 @@ class ExplicitDesign(Design):
 
     def enumerate_support(self) -> Iterator[tuple[AssignmentVector, float]]:
         """Support in lexicographic bit-string order with probabilities."""
-        return ((self.vector(k), p) for k, p in enumerate(self._probs.tolist()))
+        return ((self.vector(k), p) for k, p in enumerate(self.probs.tolist()))
 
     def rows_of(self, w: np.ndarray) -> np.ndarray:
         """Support row of each (k, n) 0/1 assignment; -1 if not in the support."""
@@ -229,41 +233,38 @@ class ExplicitDesign(Design):
         return sizes
 
     # -- probability queries -------------------------------------------------
+    def _blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The support as (rows, n) 0/1 float blocks of about ROW_BLOCK entries,
+        each with its rows' weights."""
+        step = max(1, ROW_BLOCK // self.n)
+        for start in range(0, self.support_size, step):
+            rows = self._packed[start:start + step]
+            yield (np.unpackbits(rows, axis=1, count=self.n).astype(float),
+                   self._weights[start:start + step])
+
     @cached_property
     def propensities(self) -> np.ndarray:
-        # One contiguous pairwise sum of bits * probs per unit, in unit blocks: a plain
-        # dot drifts with the support size (3e-12 on CRD(22,11)) and fails EPSEM.
-        pi = np.empty(self.n)
-        step = max(1, ROW_BLOCK // self.support_size)
-        for start in range(0, self.n, step):
-            i = np.arange(start, min(start + step, self.n))
-            bits = (self._packed[:, i >> 3] >> (7 - i % 8).astype(np.uint8)) & 1
-            pi[i] = np.multiply(bits.T, self._probs, order="C").sum(axis=1)
+        # Whole-number weights below 2^53 sum exactly in any order, so each
+        # propensity is one correctly rounded division.
+        pi = sum(w @ u for u, w in self._blocks()) / self._total
         pi.setflags(write=False)
         return pi
 
     @cached_property
-    def _p11(self) -> np.ndarray:
-        u = self.matrix
-        p11 = (u * self._probs[:, None]).T @ u
-        p11.setflags(write=False)
-        return p11
-
-    @cached_property
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # exact zeros can come out as tiny negatives after the subtractions
-        pi, p11 = self.propensities, self._p11
-        p10 = np.clip(pi[:, None] - p11, 0.0, None)
-        p01 = np.clip(pi[None, :] - p11, 0.0, None)
-        p00 = np.clip(1.0 - pi[:, None] - pi[None, :] + p11, 0.0, None)
-        for cell in (p10, p01, p00):
+        n11 = sum((u * w[:, None]).T @ u for u, w in self._blocks())
+        s1, t = np.diag(n11), self._total
+        cells = (n11 / t, (s1[:, None] - n11) / t, (s1[None, :] - n11) / t,
+                 (t - s1[:, None] - s1[None, :] + n11) / t)
+        for cell in cells:
+            np.maximum(cell, 0.0, out=cell)  # float weights can leave a tiny negative
             cell.setflags(write=False)
-        return p11, p10, p01, p00
+        return cells
 
     # -- sampling ------------------------------------------------------------
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        rows = rng.choice(self.support_size, size=m, p=self._probs)
+        rows = rng.choice(self.support_size, size=m, p=self.probs)
         return np.unpackbits(self._packed[rows], axis=1, count=self.n).astype(np.int8)
 
     # -- derived helper matrices used by the oracles -------------------------
@@ -362,9 +363,14 @@ def build_explicit(
     kind: str = "explicit",
     pairs: tuple[tuple[int, int], ...] | None = None,
 ) -> ExplicitDesign:
+    """Explicit design from user probabilities, which must sum to 1 within PROB_TOL;
+    they are summed and divided in float, so no exactness is claimed for them."""
     rows = [AssignmentVector.from_string(w).bits if isinstance(w, str)
             else w.bits if isinstance(w, AssignmentVector) else w for w in support]
-    return ExplicitDesign(rows, probs, kind=kind, pairs=pairs)
+    d = ExplicitDesign(rows, probs, kind=kind, pairs=pairs)
+    if abs(d._total - 1.0) > PROB_TOL:
+        raise ValidationError(f"probabilities sum to {d._total!r}, not 1")
+    return d
 
 
 def _crd_rows(n: int, k: int) -> np.ndarray:
@@ -398,7 +404,7 @@ def build_crd(
     meta = {"n_treated": n_treated}
     if count <= cap:
         rows = _crd_rows(n, n_treated)
-        return ExplicitDesign(rows, np.full(count, 1.0 / count), kind="crd", meta=meta)
+        return ExplicitDesign(rows, np.ones(count), kind="crd", meta=meta)
     if not allow_sampler:
         raise AssumptionError(
             f"support too large: C({n},{n_treated}) = {count} exceeds cap {cap}"
@@ -443,9 +449,7 @@ def build_matched_pair(
     for j, (a, b) in enumerate(pairs):
         bit = (np.arange(count) >> (len(pairs) - 1 - j)) & 1
         rows[:, a], rows[:, b] = 1 - bit, bit
-    return ExplicitDesign(
-        rows, np.full(count, 1.0 / count), kind="matched_pair", pairs=pairs
-    )
+    return ExplicitDesign(rows, np.ones(count), kind="matched_pair", pairs=pairs)
 
 
 def _covariates(covariates: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
@@ -504,7 +508,7 @@ def build_rerandomized(
 ) -> Design:
     """Keep only assignments whose balance criterion is below ``threshold``.
 
-    Enumerable bases are filtered exactly (probabilities renormalized);
+    Enumerable bases are filtered exactly (kept weights, over their new total);
     sampler-backed bases become accept-reject samplers. A ``criterion`` callable gets the
     (n, p) covariates and one :class:`AssignmentVector` per candidate row, in row order.
     """
@@ -528,9 +532,8 @@ def build_rerandomized(
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"
             )
-        probs = base.probs[keep]
         return ExplicitDesign(
-            rows[keep], probs / probs.sum(), kind="rerandomized",
+            rows[keep], base._weights[keep], kind="rerandomized",
             meta={**meta, "base_support": base.support_size},
         )
 

@@ -584,7 +584,7 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
     rows, counts = np.unique(rows, axis=0, return_counts=True)
     return ExplicitDesign(
-        rows, counts / counts.sum(), kind="empirical",
+        rows, counts, kind="empirical",
         meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
     )
 

@@ -13,6 +13,8 @@ from designvar import (
     ObservedData,
     PotentialOutcomes,
     build_crd,
+    build_explicit,
+    default_q_crd,
     estimate_decomposition,
     estimator_expectation,
     neyman_variance,
@@ -260,3 +262,36 @@ class TestVAm:
     def test_constant_outcomes_nonnegative_with_dead_cells(self, crossed_pairs):
         obs = ObservedData(AssignmentVector.from_string("1100"), np.full(4, 2.0))
         assert float(v_am(crossed_pairs, obs)) >= 0.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestPositivityFailure:
+    """Unit 2 is never treated: every inverse-probability coefficient is
+    refused with the imputation estimators' AssumptionError, never NaN."""
+
+    MESSAGE = r"propensity of unit 2 is 0\.0; inverse weighting needs 0 < pi < 1"
+
+    @pytest.fixture
+    def design(self):
+        return build_explicit(["100", "010"], [0.5, 0.5])
+
+    @pytest.fixture
+    def obs(self):
+        return ObservedData(AssignmentVector.from_string("100"), np.array([3.0, 2.0, 5.0]))
+
+    def test_v_am(self, design, obs):
+        with pytest.raises(AssumptionError, match=self.MESSAGE):
+            v_am(design, obs)
+
+    def test_estimate_decomposition(self, design, obs):
+        with pytest.raises(AssumptionError, match=self.MESSAGE):
+            estimate_decomposition(design, obs, default_q_crd(3))
+
+    def test_v_tilde(self, design):
+        po = PotentialOutcomes(np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 4.0]))
+        with pytest.raises(AssumptionError, match=self.MESSAGE):
+            v_tilde(design, po, default_q_crd(3))
+
+    def test_q_feasible_for_design(self, design):
+        with pytest.raises(AssumptionError, match=self.MESSAGE):
+            q_feasible_for_design(design, default_q_crd(3))

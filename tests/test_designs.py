@@ -313,9 +313,12 @@ class TestCheckAssumptions:
         assert report.epsem is True
 
     def test_crd_22_11_propensities_do_not_drift(self):
-        # 705,432 rows: a plain dot of the row probabilities spreads the
-        # propensities by about 3e-12, past PROB_TOL, and fails EPSEM.
-        report = check_assumptions(build_crd(22, 11))
+        # 705,432 rows: a float dot of the row probabilities spread the
+        # propensities by about 3e-12, past PROB_TOL, and failed EPSEM; sums
+        # of whole-number weights give exactly one half.
+        d = build_crd(22, 11)
+        report = check_assumptions(d)
+        assert d.propensities.tolist() == [0.5] * 22
         assert report.epsem is True
         assert report.equal_size_constant_propensity is True
         assert report.substitution is False

@@ -290,6 +290,21 @@ class TestCliAnalyze:
         assert code == 3
         assert "assumption violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", [["v_am"], ["decomposition", "--q", "default-crd"]])
+    def test_positivity_failure_exits_3(self, tmp_path, capsys, estimator):
+        design = tmp_path / "never-treated.json"
+        design.write_text(json.dumps({"kind": "explicit", "n": 3, "support": ["100", "010"]}))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,w,y_obs\n1,1,3\n2,0,2\n3,0,5\n")
+        code = main(["analyze", "--design", str(design), "--data", str(obs),
+                     "--estimator", *estimator, "--json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "assumption violated: propensity of unit 2 is 0.0; inverse weighting needs 0 < pi < 1\n"
+        )
+
     def test_validation_failure_exits_2(self, crd_file, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code = main(

@@ -1,9 +1,10 @@
-"""The packed support of ExplicitDesign against the per-row construction.
+"""The packed support of ExplicitDesign against a per-row construction.
 
 Every builder must give the support order, probabilities, indicator
-matrix, propensities and P11 of the per-row construction it replaced, to
-the bit. The reference below is that construction, written out: one int
-mask per row, sorted as ints, indicators read off the mask bits.
+matrix, propensities and cell tables of the reference below, to the bit.
+The reference is written out from scratch: one int mask per row, sorted as
+ints, indicators read off the mask bits, and every probability the exact
+ratio of an integer weight sum to the total weight, rounded once.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,26 +38,38 @@ from designvar.simulate import _empirical_design
 from conftest import random_table
 
 
-def _reference(n: int, masks: list[int], probs) -> dict:
-    """What the per-row constructor kept for these rows and probabilities."""
+def _bits(n: int, masks: list[int]) -> np.ndarray:
+    return np.array([[(m >> (n - 1 - k)) & 1 for k in range(n)] for m in masks], dtype=np.int64)
+
+
+def _reference(n: int, masks: list[int], weights: list[int]) -> dict:
+    """What the constructor must keep for these rows and whole-number weights."""
     order = sorted(range(len(masks)), key=masks.__getitem__)
-    raw = np.asarray(probs, dtype=float)
-    p = raw[order] / math.fsum(raw.tolist())
     sorted_masks = [masks[k] for k in order]
-    u = np.array([[(m >> (n - 1 - k)) & 1 for k in range(n)] for m in sorted_masks], dtype=float)
+    w = np.array([weights[k] for k in order], dtype=np.int64)
+    u = _bits(n, sorted_masks)
+    total = int(w.sum())
+    ratio = np.vectorize(lambda count: float(Fraction(int(count), total)), otypes=[float])
+    # the integer weight of each cell (W_i, W_j) = (a, b), counted directly
+    arms = {1: u, 0: 1 - u}
+    counts = [(arms[a] * w[:, None]).T @ arms[b] for a, b in ((1, 1), (1, 0), (0, 1), (0, 0))]
     return {
         "masks": sorted_masks,
-        "probs": p,
-        "matrix": u,
-        "propensities": np.multiply(u.T, p, order="C").sum(axis=1),
-        "p11": (u * p[:, None]).T @ u,
+        "probs": ratio(w),
+        "matrix": u.astype(float),
+        "propensities": ratio(w @ u),
+        "cells": [ratio(c) for c in counts],
     }
 
 
+def _crd_masks(n: int, k: int) -> list[int]:
+    return [sum(1 << (n - 1 - i) for i in treated)
+            for treated in itertools.combinations(range(n), k)]
+
+
 def _crd_reference(n: int, k: int) -> dict:
-    masks = [sum(1 << (n - 1 - i) for i in treated)
-             for treated in itertools.combinations(range(n), k)]
-    return _reference(n, masks, np.full(len(masks), 1.0 / len(masks)))
+    masks = _crd_masks(n, k)
+    return _reference(n, masks, [1] * len(masks))
 
 
 def _hex(a) -> list[str]:
@@ -67,7 +82,8 @@ def _assert_matches(d: ExplicitDesign, ref: dict) -> None:
     for name in ("probs", "matrix", "propensities"):
         assert _hex(getattr(d, name)) == _hex(ref[name]), name
     assert d.matrix.dtype == np.float64 and d.matrix.flags.c_contiguous
-    assert _hex(d._p11) == _hex(ref["p11"])
+    for k, (got, want) in enumerate(zip(d.pairwise_cells(), ref["cells"])):
+        assert _hex(got) == _hex(want), f"cell {k}"
     assert d.group_sizes.tolist() == ref["matrix"].sum(axis=1).astype(int).tolist()
 
 
@@ -80,26 +96,54 @@ def test_crd_matches_per_row_construction(n, k):
 def test_matched_pairs_match_per_row_construction():
     pairs = [(0, 5), (1, 2), (3, 7), (4, 6)]
     masks = [sum(1 << (7 - i) for i in chosen) for chosen in itertools.product(*pairs)]
-    ref = _reference(8, masks, np.full(16, 1.0 / 16))
-    _assert_matches(build_matched_pair(pairs), ref)
+    _assert_matches(build_matched_pair(pairs), _reference(8, masks, [1] * 16))
 
 
 def test_weighted_crossed_pairs_match_per_row_construction(weighted_crossed_pairs):
-    strings = ["1100", "0011", "1001", "0110"]
-    ref = _reference(4, [int(s, 2) for s in strings], [1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
-    _assert_matches(weighted_crossed_pairs, ref)
+    # User float probabilities are summed and divided in float; no exactness is
+    # claimed. On this support every sum has at most two nonzero terms, so the
+    # formula below gives the same bits in any summation order.
+    w = {"0011": 1.0 / 3.0, "0110": 1.0 / 6.0, "1001": 1.0 / 6.0, "1100": 1.0 / 3.0}
+    t = math.fsum(w.values())
+    s = [math.fsum(p for r, p in w.items() if r[i] == "1") for i in range(4)]
+    n11 = [[math.fsum(p for r, p in w.items() if r[i] == r[j] == "1") for j in range(4)]
+           for i in range(4)]
+    cells = [
+        [[n11[i][j] / t for j in range(4)] for i in range(4)],
+        [[max((s[i] - n11[i][j]) / t, 0.0) for j in range(4)] for i in range(4)],
+        [[max((s[j] - n11[i][j]) / t, 0.0) for j in range(4)] for i in range(4)],
+        [[max((t - s[i] - s[j] + n11[i][j]) / t, 0.0) for j in range(4)] for i in range(4)],
+    ]
+    d = weighted_crossed_pairs
+    assert [w.to_string() for w in d.support] == list(w)
+    assert _hex(d.probs) == _hex([p / t for p in w.values()])
+    assert _hex(d.propensities) == _hex([x / t for x in s])
+    for k, (got, want) in enumerate(zip(d.pairwise_cells(), cells)):
+        assert _hex(got) == _hex(want), f"cell {k}"
+
+
+def _rerandomized_masks(n: int, x: np.ndarray, threshold: float) -> list[int]:
+    return [m for m in _crd_masks(n, n // 2)
+            if max_asmd(x, AssignmentVector(n, m)) < threshold]
 
 
 def test_rerandomized_crd_matches_per_row_construction():
     x = np.random.default_rng(3).normal(size=(8, 2))
-    base = _crd_reference(8, 4)
-    keep = [k for k, m in enumerate(base["masks"])
-            if max_asmd(x, AssignmentVector(8, m)) < 0.5]
-    kept = base["probs"][keep]
-    ref = _reference(8, [base["masks"][k] for k in keep], kept / kept.sum())
+    masks = _rerandomized_masks(8, x, 0.5)
     d = build_rerandomized(build_crd(8, 4), x, 0.5)
     assert 0 < d.support_size < 70
-    _assert_matches(d, ref)
+    _assert_matches(d, _reference(8, masks, [1] * len(masks)))
+
+
+def _draw_counts(draws: np.ndarray, symmetrize: bool) -> Counter[int]:
+    n = draws.shape[1]
+    counts: Counter[int] = Counter()
+    for row in draws:
+        mask = AssignmentVector.from_bits(row.tolist()).mask
+        counts[mask] += 1
+        if symmetrize:
+            counts[mask ^ ((1 << n) - 1)] += 1
+    return counts
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])
@@ -107,18 +151,65 @@ def test_empirical_design_matches_per_row_construction(symmetrize):
     rng = np.random.default_rng(7)
     draws = (rng.random((60, 10)) < 0.5).astype(np.int8)
     draws = np.concatenate([draws, draws[:25], draws[:5]])  # repeated draws
-    counts: Counter[int] = Counter()
-    for row in draws:
-        mask = AssignmentVector.from_bits(row.tolist()).mask
-        counts[mask] += 1
-        if symmetrize:
-            counts[mask ^ ((1 << 10) - 1)] += 1
-    total = sum(counts.values())
+    counts = _draw_counts(draws, symmetrize)
     masks = sorted(counts)
-    ref = _reference(10, masks, [counts[m] / total for m in masks])
     d = _empirical_design(draws, symmetrize=symmetrize)
     assert max(counts.values()) > 1
-    _assert_matches(d, ref)
+    _assert_matches(d, _reference(10, masks, [counts[m] for m in masks]))
+
+
+def _exact_cases():
+    x = np.random.default_rng(5).normal(size=(10, 2))
+    draws = (np.random.default_rng(11).random((300, 8)) < 0.5).astype(np.int8)
+    counts = _draw_counts(draws, True)
+    pairs = [(0, 5), (1, 2), (3, 7), (4, 6)]
+    return {
+        "crd-10-5": (lambda: build_crd(10, 5), 10, dict.fromkeys(_crd_masks(10, 5), 1)),
+        "crd-9-4": (lambda: build_crd(9, 4), 9, dict.fromkeys(_crd_masks(9, 4), 1)),
+        "matched-pairs-4": (
+            lambda: build_matched_pair(pairs), 8,
+            dict.fromkeys((sum(1 << (7 - i) for i in c) for c in itertools.product(*pairs)), 1),
+        ),
+        "rerandomized-crd-10-5": (
+            lambda: build_rerandomized(build_crd(10, 5), x, 0.3), 10,
+            dict.fromkeys(_rerandomized_masks(10, x, 0.3), 1),
+        ),
+        "empirical-300": (lambda: _empirical_design(draws), 8, dict(counts)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_exact_cases()))
+def test_whole_number_weights_give_correctly_rounded_probabilities(case):
+    build, n, weight = _exact_cases()[case]
+    d = build()
+    assert {w.mask for w in d.support} == set(weight)
+    if case == "empirical-300":
+        assert max(weight.values()) > 1  # repeated draws: weights above one
+    total = sum(weight.values())
+    vectors = [(AssignmentVector(n, m).bits, c) for m, c in weight.items()]
+
+    def exact(*event) -> float:
+        """Pr of the event ((unit, state), ...), as a correctly rounded ratio."""
+        return float(Fraction(sum(c for b, c in vectors if all(b[i] == s for i, s in event)),
+                              total))
+
+    assert d.propensities.tolist() == [exact((i, 1)) for i in range(n)]
+    cells = d.pairwise_cells()
+    for i, j in itertools.permutations(range(n), 2):
+        got = [float(cell[i, j]) for cell in cells]
+        assert got == [exact((i, a), (j, b)) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0))]
+
+
+def test_pairwise_cells_memory_is_bounded():
+    # 184,756 rows: a float support matrix alone would take 28 MiB
+    d = build_crd(20, 10)
+    tracemalloc.start()
+    try:
+        d.pairwise_cells()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestLookup:
