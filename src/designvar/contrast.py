@@ -412,12 +412,12 @@ def _substitute_values(
         block, yb = rows[start:start + step], y[start:start + step]
         hits = hits_of(block)
         # one matrix-vector product per table, so it rounds as when scored alone
+        treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
+        total = yb.sum(axis=1)[:, None]
         if mse:
-            treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
-            total = yb.sum(axis=1)[:, None]
             c = treated_sum / d.group_sizes - (total - treated_sum) / (d.n - d.group_sizes)
         else:
-            c = np.matmul(d.sign_matrix, yb[..., None])[..., 0]
+            c = 2.0 * treated_sum - total
         flat = np.flatnonzero(hits)
         anchors = flat % s
         per_row = np.count_nonzero(hits, axis=1)

@@ -267,30 +267,30 @@ class ExplicitDesign(Design):
         rows = rng.choice(self.support_size, size=m, p=self.probs)
         return np.unpackbits(self._packed[rows], axis=1, count=self.n).astype(np.int8)
 
-    # -- derived helper matrices used by the oracles -------------------------
     @cached_property
-    def sign_matrix(self) -> np.ndarray:
-        """(support_size, n) matrix of l(w) = 2w - 1 sign vectors."""
-        s = 2.0 * self.matrix - 1.0
-        s.setflags(write=False)
-        return s
+    def _psi_factor(self) -> np.ndarray:
+        """Upper-triangular R with R'R = D' diag(p) D, D_wi = w_i/pi_i - (1-w_i)/(1-pi_i).
 
-    @cached_property
-    def contrast_matrix(self) -> np.ndarray:
-        """Rows D_w with D_wi = w_i/pi_i - (1-w_i)/(1-pi_i).
-
-        The Horvitz-Thompson error can be written (1/N) D_w . c - tau, so
-        psi(v) = (1/N^2) sum_w p_w (D_w . v)^2.
+        The Horvitz-Thompson error is (1/N) D_w . c - tau, so psi(v) =
+        (1/N^2) sum_w p_w (D_w . v)^2 = ||R v||^2 / N^2. Each row block of
+        sqrt(p) D is stacked under the R so far and factored again (TSQR), so
+        no S x n float array is formed; R is (S, n) when S < n.
         """
         pi = self.propensities
         if np.any(pi <= 0.0) or np.any(pi >= 1.0):
             raise AssumptionError(
                 "positivity fails: some unit is always (or never) treated"
             )
-        u = self.matrix
-        d = u / pi - (1.0 - u) / (1.0 - pi)
-        d.setflags(write=False)
-        return d
+        treated, control = 1.0 / pi, -1.0 / (1.0 - pi)
+        r = np.empty((0, self.n))
+        step = max(1, ROW_BLOCK // self.n)
+        for start in range(0, self.support_size, step):
+            bits = np.unpackbits(self._packed[start:start + step], axis=1, count=self.n)
+            block = np.where(bits == 1, treated, control)
+            block *= np.sqrt(self._weights[start:start + step] / self._total)[:, None]
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+        r.setflags(write=False)
+        return r
 
 
 class SampledDesign(Design):
@@ -356,6 +356,12 @@ class SampledDesign(Design):
 # builders
 # ---------------------------------------------------------------------------
 
+def _support_rows(support: Sequence[AssignmentVector | str | Sequence[int]]) -> list:
+    """Support entries (bit strings, vectors or 0/1 lists) as 0/1 lists."""
+    return [AssignmentVector.from_string(w).bits if isinstance(w, str)
+            else w.bits if isinstance(w, AssignmentVector) else w for w in support]
+
+
 def build_explicit(
     support: Sequence[AssignmentVector | str | Sequence[int]],
     probs: Sequence[float],
@@ -365,9 +371,7 @@ def build_explicit(
 ) -> ExplicitDesign:
     """Explicit design from user probabilities, which must sum to 1 within PROB_TOL;
     they are summed and divided in float, so no exactness is claimed for them."""
-    rows = [AssignmentVector.from_string(w).bits if isinstance(w, str)
-            else w.bits if isinstance(w, AssignmentVector) else w for w in support]
-    d = ExplicitDesign(rows, probs, kind=kind, pairs=pairs)
+    d = ExplicitDesign(_support_rows(support), probs, kind=kind, pairs=pairs)
     if abs(d._total - 1.0) > PROB_TOL:
         raise ValidationError(f"probabilities sum to {d._total!r}, not 1")
     return d

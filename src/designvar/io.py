@@ -39,6 +39,8 @@ from .core import (
 )
 from .designs import (
     Design,
+    ExplicitDesign,
+    _support_rows,
     build_crd,
     build_explicit,
     build_matched_pair,
@@ -84,8 +86,8 @@ def build_design(payload: dict) -> Design:
         if not support:
             raise ValidationError("explicit design: support must be nonempty")
         probs = payload.get("probs")
-        if probs is None:
-            probs = [1.0 / len(support)] * len(support)
+        if probs is None:  # weights of one: exact uniform probabilities
+            return ExplicitDesign(_support_rows(support), np.ones(len(support)))
         return build_explicit(support, probs)
     if kind == "crd":
         n = int(_require(payload, "n", "crd design"))

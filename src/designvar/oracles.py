@@ -1,9 +1,10 @@
 """Exact enumeration oracles: psi, true variance, estimator expectations.
 
-Everything here walks the full design support, so it applies to explicit
+Everything here needs the full design support, so it applies to explicit
 designs only. These are the reference quantities the estimators are tested
 against; they deliberately use routes independent of the estimators
-themselves (direct enumeration rather than shared algebra).
+themselves (direct enumeration rather than shared algebra). psi alone does
+not sum along the support: it reads the design's n x n factor of its form.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .core import (
 )
 from .designs import Design, ExplicitDesign
 from .estimators import check_propensities, hajek
-
-# Elements of the (rows, support) contrast block psi holds at once.
-_PSI_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,9 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
     Equals Var_d of the inverse-propensity estimator when v is the
     propensity-weighted average potential outcome vector c. ``v`` is one
     length-N vector (returns a float) or a (k, N) batch (returns a (k,)
-    array); each row is summed pairwise along the support. Every row gets its
-    own matrix-vector product, so its value does not depend on the batch.
+    array). No call sums along the support: a row is ||R v||^2 / N^2 with
+    the design's n x n factor R, and each row gets its own matrix-vector
+    product, so its value does not depend on the batch.
     """
     d = _require_explicit(d, "psi")
     v = np.asarray(v, dtype=float)
@@ -60,15 +59,8 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
             f"psi needs a length-{d.n} vector or a (k, {d.n}) batch, got shape {v.shape}"
         )
     rows = np.atleast_2d(v)
-    out = np.empty(len(rows))
-    contrast = d.contrast_matrix
-    step = max(1, _PSI_BLOCK // d.support_size)
-    for start in range(0, len(rows), step):
-        g = np.matmul(contrast, rows[start:start + step, :, None])[..., 0]
-        g *= g
-        g *= d.probs
-        out[start:start + len(g)] = g.sum(axis=1)
-    out /= d.n**2
+    g = np.matmul(d._psi_factor, rows[..., None])[..., 0]
+    out = (g * g).sum(axis=1) / d.n**2
     return float(out[0]) if v.ndim == 1 else out
 
 

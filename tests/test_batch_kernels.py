@@ -98,7 +98,7 @@ def _anchors(d, g, r_obs):
 
 def ref_v_sub(d, g, r_obs, y):
     anchors, counts = _anchors(d, g, r_obs)
-    contrasts = d.sign_matrix @ y
+    contrasts = 2.0 * (d.matrix @ y) - float(y.sum())
     terms = d.probs[anchors] / float(d.probs[r_obs]) * contrasts[anchors] ** 2 / counts
     return 4.0 / d.n**2 * math.fsum(terms.tolist())
 

@@ -5,9 +5,11 @@ fixed-seed runs, so a change to how the studies are scored or summarized
 must leave every output byte the same. The appendix-c run has 150
 replications, enough for the summary means to reach numpy's pairwise
 summation. The SVG digests were made with the code before the imputation
-family kernel and the stacked summary; the results.csv and summary.json
-digests with the exact design probabilities from whole-number weights,
-which moved values by at most 1.5e-11 relative. All on numpy 2.4.
+family kernel and the stacked summary. The results.csv and summary.json
+digests were made with psi read from the design's n x n support factor
+(R'R = D' diag(p) D), which moved imputation values by at most 1.4e-14
+absolute (appendix-c) and 1.9e-14 relative (study-b) from the support-sum
+psi. All on numpy 2.4.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ GOLDEN = {
             "boxplot-scenario-4.svg": "e1b8e42028eb11f03a42cf74aa9cc9cf1f1dfd9c7ec948e660b3dfea4a36bd18",
             "boxplot-scenario-5.svg": "b9a7fbd1f91bd91c6858d84d7c553e11326fef2204b2c7cb59146c158a3481d9",
             "boxplot-scenario-6.svg": "8207c19ca5e75d34b83b468bbecfeeb641009ea7051f2ca3488a4d56930894e4",
-            "results.csv": "ae3cefcd4ed65385c5b13686f63487706d6c3f44ffe40ca66730eb312d6e2af1",
-            "summary.json": "035fec477006f5a6e32698512d9c3544cfd6b1a3773535c8318d24cad2d72e2f",
+            "results.csv": "8297918252934907f9967b66b25d57ea63c65f46254f1701ad4da87a76aab0a1",
+            "summary.json": "d7a09739a00cc5d407c88e27ebf80a2d00e1cb77073ea05378b445bf544ac65e",
         },
     ),
     "study-b": (
@@ -39,8 +41,8 @@ GOLDEN = {
             "boxplot-study-b-constant_random.svg": "79f814b7c05dd45210f13451f38405e8e5639aff0191917cba2c4dda573b06d2",
             "boxplot-study-b-heterogeneous.svg": "3d649bb0387c3fadb42ff36d0c1e5cbf847542a3814f919f8083f429320fe16d",
             "boxplot-study-b-no_effect.svg": "3af1c3065064d5978987a35dc4b49c86c82982c1dbda5c2413baabc680130770",
-            "results.csv": "dbe72d7e02bc4d5d665e4c6086dabdc39b0d6d9302430bc5aa91f477b7a7c5ff",
-            "summary.json": "ff560881f236a0b273aa630c5cb3b3c4672da12f9f7b791156aa57a951729423",
+            "results.csv": "d2b9399fda8c0909666cefd535acb74c86a29cef489aeb5f2cdf23aacb1522f5",
+            "summary.json": "f2697009d673e0fb0a8b7982d787cd30e94661b7269f6ef562ca16831936163a",
         },
     ),
 }

@@ -60,6 +60,13 @@ class TestBuildDesign:
         d = build_design({"support": ["10", "01"]})
         assert np.allclose(d.probs, 0.5)
 
+    def test_uniform_explicit_file_equals_its_builder_twin(self):
+        twin = build_crd(10, 5)
+        d = build_design({"kind": "explicit", "support": [w.to_string() for w in twin.support]})
+        assert d.propensities.tobytes() == twin.propensities.tobytes()
+        for got, want in zip(d.pairwise_cells(), twin.pairwise_cells()):
+            assert got.tobytes() == want.tobytes()
+
     def test_kind_inferred_from_support(self):
         d = build_design({"support": ["1100", "0011"], "probs": [0.5, 0.5]})
         assert d.kind == "explicit"

@@ -31,6 +31,7 @@ from designvar import (
     build_matched_pair,
     build_rerandomized,
     max_asmd,
+    psi,
 )
 from designvar import contrast
 from designvar.simulate import _empirical_design
@@ -206,6 +207,18 @@ def test_pairwise_cells_memory_is_bounded():
     tracemalloc.start()
     try:
         d.pairwise_cells()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_psi_memory_is_bounded():
+    # the first call builds psi's n x n factor in row blocks, never an S x n float array
+    d = build_crd(20, 10)
+    tracemalloc.start()
+    try:
+        psi(d, np.arange(20.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -291,6 +291,30 @@ class TestRunStudy:
         assert str(exc.value) == message
 
 
+def _study_b_empirical(n_draws):
+    x = gen_covariates_hainmueller(50, 0)
+    d = dv.build_rerandomized(build_crd(50, 25), x, dv.simulate.BALANCE_THRESHOLD)
+    return _empirical_design(d.sample_matrix(n_draws, 0))
+
+
+def _float_weight_design():
+    support = [w.to_string() for w in build_crd(6, 3).support]
+    probs = np.random.default_rng(3).dirichlet(np.ones(len(support)))
+    return build_explicit(support, probs.tolist())
+
+
+PSI_DESIGNS = {
+    "crd-16-8": lambda: build_crd(16, 8),
+    "crd-8-5": lambda: build_crd(8, 5),
+    "matched-pairs-4": lambda: dv.build_matched_pair([(0, 5), (1, 2), (3, 7), (4, 6)]),
+    "study-a": lambda: study_a_design(0)[0],
+    "study-b-300": lambda: _study_b_empirical(300),
+    "study-b-8": lambda: _study_b_empirical(8),  # S <= 16 < n = 50
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+    "float-weights": _float_weight_design,
+}
+
+
 class TestPsiBatch:
     def test_matches_single_vector_oracle(self, crossed_pairs):
         rng = np.random.default_rng(4)
@@ -300,16 +324,21 @@ class TestPsiBatch:
         for k in range(rows.shape[0]):
             assert batch[k] == pytest.approx(psi(crossed_pairs, rows[k]), rel=1e-12)
 
-    def test_matches_compensated_reference_on_crd_16_8(self):
-        d = build_crd(16, 8)
+    @pytest.mark.parametrize("design", sorted(PSI_DESIGNS))
+    def test_matches_direct_support_sum(self, design):
+        d = PSI_DESIGNS[design]()
         rng = np.random.default_rng(7)
-        rows = rng.uniform(0.0, 10.0, size=(5, 16))
+        rows = np.vstack([rng.uniform(0.0, 10.0, size=(5, d.n)), np.ones(d.n)])
         batch = psi(d, rows)
+        u, pi = d.matrix, d.propensities
+        contrast = u / pi - (1.0 - u) / (1.0 - pi)  # D_wi, written out from its formula
+        assert (batch >= 0.0).all()
         for k in range(rows.shape[0]):
-            g = d.contrast_matrix @ rows[k]
-            ref = math.fsum((d.probs * (g * g)).tolist()) / d.n**2
-            assert psi(d, rows[k]) == pytest.approx(batch[k], rel=EST_RTOL)
-            assert batch[k] == pytest.approx(ref, rel=EST_RTOL)
+            assert psi(d, rows[k]) == batch[k]
+            if k < 5:  # the constant row is about 0 on CRD, so only its sign is checked
+                g = contrast @ rows[k]
+                ref = math.fsum((d.probs * (g * g)).tolist()) / d.n**2
+                assert batch[k] == pytest.approx(ref, rel=EST_RTOL)
 
     def test_rejects_wrong_width(self, crossed_pairs):
         with pytest.raises(ValidationError):
