@@ -423,10 +423,8 @@ def _substitute_values(
         per_row = np.count_nonzero(hits, axis=1)
         p_obs = np.repeat(d.probs[block], per_row)
         terms = d.probs[anchors] / p_obs * c.ravel()[flat] ** 2 / sizes[anchors]
-        ends = np.cumsum(per_row).tolist()
-        sums[start:start + len(block)] = [
-            math.fsum(terms[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)
-        ]
+        # every term is >= 0, so a running sum per table does not cancel
+        sums[start:start + len(block)] = np.bincount(flat // s, terms, minlength=len(block))
         counts[start:start + len(block)] = per_row
     return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
 
@@ -459,7 +457,7 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     t = np.asarray(w, dtype=bool)
     if pairs is None:
         raise ValidationError("matched-pair variance needs pair labels")
-    k, n = t.shape
+    n = t.shape[1]
     _check_pairs(pairs, n)
     if n < 4:
         raise AssumptionError(f"matched-pair variance needs at least 4 units, got {n}")
@@ -471,12 +469,8 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"pair ({a[j]}, {b[j]}) does not have exactly one treated unit"
         ), int(r))
     diffs = np.where(t[:, a], y[:, a] - y[:, b], y[:, b] - y[:, a])
-    out = np.empty(k)
-    for r in range(k):
-        row = diffs[r].tolist()
-        dbar = math.fsum(row) / len(row)
-        out[r] = 4.0 / (n * (n - 2)) * math.fsum((dj - dbar) ** 2 for dj in row)
-    return out
+    dev = diffs - diffs.mean(axis=1, keepdims=True)
+    return 4.0 / (n * (n - 2)) * (dev * dev).sum(axis=1)
 
 
 def v_pair(obs: ObservedData) -> VarianceEstimate:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     PROB_TOL,
-    ROW_BLOCK,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
@@ -196,32 +195,30 @@ def _pair_expansion(d: Design, cells, coefs, w: np.ndarray, y: np.ndarray,
     """Inverse-probability estimate of a pair expansion on k realized tables
     (0/1 assignments ``w``, outcomes ``y``), and the number of dead cells.
 
-    Row r is the fsum of y^2/(norm pi^2) per treated unit, y^2/(norm (1-pi)^2)
-    per control, and 2 sign c/p y_i y_j per pair i < j whose realized cell
-    (sign -1 if mixed) has probability p > PROB_TOL. A dead cell adds nothing
-    or, with ``bound``, bound (x_i^2 + x_j^2), its squares estimated from the
-    observed arm by inverse propensity. Rows go in blocks of ROW_BLOCK terms.
+    Row r is z'Mz, z = (t y, (1-t) y), one matrix-vector product per row. M
+    has 1/(norm pi^2) and 1/(norm (1-pi)^2) on its diagonal and sign c/p
+    (sign -1 if mixed) at both places of each pair i < j whose cell has
+    probability p > PROB_TOL. A dead cell adds nothing or, with ``bound``,
+    bound (x_i^2 + x_j^2), its squares estimated from the observed arm by
+    inverse propensity: bound/pi_arm on the diagonal of each unit it touches.
     """
-    k, n = w.shape
-    pi = d.propensities
-    iu, ju = np.triu_indices(n, k=1)
-    pair_cells = [(p[iu, ju], c[iu, ju]) for p, c in zip(cells, coefs)]
-    out = np.empty(k)
-    step = max(1, ROW_BLOCK // (2 * n * n))
-    for start in range(0, k, step):
-        tb, yb = w[start:start + step].astype(float), y[start:start + step]
-        arm = {1: tb, 0: 1.0 - tb}
-        terms = [tb * yb * yb / (norm * pi**2), (1.0 - tb) * yb * yb / (norm * (1.0 - pi) ** 2)]
-        yy = yb[:, iu] * yb[:, ju]
-        for (wi, wj), sign, (p, c) in zip(_CELLS, _SIGNS, pair_cells):
-            alive = p > PROB_TOL
-            ratio = np.divide(c, p, out=np.zeros_like(c), where=alive)
-            terms.append(2.0 * sign * (arm[wi][:, iu] * arm[wj][:, ju]) * yy * ratio)
-            if bound is not None and not alive.all():
-                sq = {1: tb * yb * yb / pi, 0: (1.0 - tb) * yb * yb / (1.0 - pi)}
-                terms.append(bound * (sq[wi][:, iu[~alive]] + sq[wj][:, ju[~alive]]))
-        out[start:start + len(tb)] = [math.fsum(r.tolist()) for r in np.concatenate(terms, axis=1)]
-    return out, sum(int((p <= PROB_TOL).sum()) for p, _ in pair_cells)
+    n = d.n
+    arm_pi = np.concatenate([d.propensities, 1.0 - d.propensities])
+    m = np.zeros((2 * n, 2 * n))
+    dead = np.zeros(2 * n)
+    for (wi, wj), sign, p, c in zip(_CELLS, _SIGNS, cells, coefs):
+        alive = p > PROB_TOL
+        bi, bj = (1 - wi) * n, (1 - wj) * n
+        ratio = np.divide(c, p, out=np.zeros_like(c), where=alive)
+        m[bi:bi + n, bj:bj + n] = sign * np.triu(ratio, 1)
+        off = np.triu(~alive, 1)
+        dead[bi:bi + n] += off.sum(axis=1)
+        dead[bj:bj + n] += off.sum(axis=0)
+    m += m.T + np.diag(1.0 / (norm * arm_pi**2) + (bound or 0.0) * dead / arm_pi)
+    t = w.astype(float)
+    z = np.concatenate([t * y, (1.0 - t) * y], axis=1)
+    # each dead cell touches two (unit, arm) places
+    return (np.matmul(m, z[..., None])[..., 0] * z).sum(axis=1), int(dead.sum()) // 2
 
 
 def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -285,7 +282,8 @@ def v_am(d: Design, obs: ObservedData) -> VarianceEstimate:
     variance; unbiased for the expansion when the design is measurable.
     Reconstruction: the source describes the construction without printing a
     formula, so only its guaranteed properties are asserted. One row of
-    the batch kernel ``_v_am_values``.
+    the batch kernel ``_v_am_values``: the quadratic form z'Mz of
+    ``_pair_expansion``, each dead cell's bound folded into M's diagonal.
     """
     if obs.w.n != d.n:
         raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")

@@ -211,18 +211,23 @@ def load_observed(path) -> ObservedData:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Plain numeric CSV (no header) -> 2-D float array."""
+    """Plain numeric CSV (no header) -> 2-D float array. Trailing empty cells
+    (a trailing comma) are dropped; an empty cell before a value is refused."""
     try:
         with Path(path).open(newline="") as handle:
-            rows = [
-                [float(cell) for cell in row if cell.strip() != ""]
-                for row in csv.reader(handle)
-                if row
-            ]
+            records = [(number, row) for number, row in enumerate(csv.reader(handle), 1) if row]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{path}: matrix entries must be numeric: {exc}") from exc
+    rows = []
+    for number, record in records:
+        cells = [cell.strip() for cell in record]
+        gap = cells.index("") if "" in cells else len(cells)
+        if any(cells[gap:]):
+            raise ValidationError(f"{path}: row {number}, column {gap + 1} is empty")
+        try:
+            rows.append([float(cell) for cell in cells[:gap]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: matrix entries must be numeric: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
     width = len(rows[0])

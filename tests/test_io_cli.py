@@ -159,6 +159,17 @@ class TestLoaders:
         with pytest.raises(ValidationError):
             load_matrix(str(path))
 
+    def test_load_matrix_rejects_an_empty_cell_before_a_value(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("0.1,,0.2\n0.3,,0.4\n")
+        with pytest.raises(ValidationError, match="row 1, column 2 is empty"):
+            load_matrix(str(path))
+
+    def test_load_matrix_accepts_a_trailing_comma(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("1,2,\n3,4,\n\n")
+        assert load_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_load_substitute_map(self, tmp_path):
         path = tmp_path / "subs.json"
         path.write_text(json.dumps({"1100": ["1001", "0110"]}))

@@ -28,6 +28,7 @@ from designvar import (
     study_models,
 )
 from designvar.core import EST_RTOL
+from designvar.decomposition import _v_am_values
 from designvar.simulate import _empirical_design, resolve_estimator
 
 from conftest import random_table
@@ -291,10 +292,14 @@ class TestRunStudy:
         assert str(exc.value) == message
 
 
-def _study_b_empirical(n_draws):
+def _study_b_draws(n_draws):
     x = gen_covariates_hainmueller(50, 0)
     d = dv.build_rerandomized(build_crd(50, 25), x, dv.simulate.BALANCE_THRESHOLD)
-    return _empirical_design(d.sample_matrix(n_draws, 0))
+    return d.sample_matrix(n_draws, 0)
+
+
+def _study_b_empirical(n_draws):
+    return _empirical_design(_study_b_draws(n_draws))
 
 
 def _float_weight_design():
@@ -372,6 +377,19 @@ class TestEmpiricalDesign:
         # Symmetrized: three copies of each of 10/01 plus complements.
         assert d.support_size == 2
         assert np.allclose(sorted(d.probs), [0.5, 0.5])
+
+    def test_v_am_does_not_depend_on_draw_order(self):
+        draws = _study_b_draws(300)
+        shuffled = draws[np.random.default_rng(8).permutation(len(draws))]
+        assert not np.array_equal(draws, shuffled)
+        rng = np.random.default_rng(9)
+        po = random_table(rng, 50)
+        designs = [_empirical_design(draws), _empirical_design(shuffled)]
+        w = designs[0].matrix[rng.choice(designs[0].support_size, size=40)]
+        y = np.where(w == 1, po.y1, po.y0)
+        (a, bounded_a), (b, bounded_b) = (_v_am_values(d, w, y) for d in designs)
+        assert a.tobytes() == b.tobytes()
+        assert bounded_a == bounded_b
 
 
 class TestStudyADesign:
