@@ -187,20 +187,28 @@ def _scenario_from_json(payload: dict, args) -> sim.ScenarioSpec:
     model_payload = payload["outcome_model"]
     if isinstance(model_payload, str):
         model_payload = {"kind": model_payload}
-    model = sim.OutcomeModel(
-        kind=model_payload.get("kind", ""),
-        delta=float(model_payload.get("delta", 0.0)),
-        low=float(model_payload.get("low", -5.0)),
-        high=float(model_payload.get("high", 5.0)),
-    )
+    if not isinstance(model_payload, dict):
+        raise ValidationError("scenario file: 'outcome_model' must be a name or an object")
+    effect = {key: io_mod._number(model_payload.get(key, default),
+                                  f"scenario file: outcome_model {key!r}")
+              for key, default in (("delta", 0.0), ("low", -5.0), ("high", 5.0))}
+    model = sim.OutcomeModel(kind=model_payload.get("kind", ""), **effect)
+    design = io_mod.build_design(payload["design"])
+    estimators = payload.get("estimators", list(sim.STUDY_ESTIMATORS))
+    if not isinstance(estimators, list) or not all(isinstance(e, str) for e in estimators):
+        raise ValidationError(
+            f"scenario file: 'estimators' must be a list of names, got {estimators!r}"
+        )
     return sim.ScenarioSpec(
         name=str(payload["name"]),
-        design_spec=io_mod.build_design(payload["design"]),
+        design_spec=design,
         outcome_model=model,
-        estimators=tuple(payload.get("estimators", sim.STUDY_ESTIMATORS)),
-        n_replications=int(payload.get("n_replications", args.reps)),
-        n_inner_draws=int(payload.get("n_inner_draws", args.inner_draws)),
-        seed=int(payload.get("seed", args.seed)),
+        estimators=tuple(estimators),
+        n_replications=io_mod._whole(
+            payload.get("n_replications", args.reps), "scenario file: 'n_replications'"),
+        n_inner_draws=io_mod._whole(
+            payload.get("n_inner_draws", args.inner_draws), "scenario file: 'n_inner_draws'"),
+        seed=io_mod._whole(payload.get("seed", args.seed), "scenario file: 'seed'"),
     )
 
 

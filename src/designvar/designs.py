@@ -24,6 +24,7 @@ from .core import (
     _mask_key,
     _row_failure,
 )
+from .estimators import check_propensities
 
 BalanceCriterion = Callable[[np.ndarray, AssignmentVector], float]
 
@@ -36,6 +37,12 @@ def _pack(u: np.ndarray) -> np.ndarray:
             raise ValidationError(f"assignment entries must be 0 or 1, got {u[bad][0].item()!r}")
         u = u != 0
     return np.packbits(u, axis=1)
+
+
+def _contrast_rows(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """(k, n) contrast rows D_wi = w_i/pi_i - (1-w_i)/(1-pi_i) of k 0/1 rows w: the
+    Horvitz-Thompson estimate at w is tau + D_w . c / N, c = (1-pi) Y(1) + pi Y(0)."""
+    return np.where(w == 1, 1.0 / pi, -1.0 / (1.0 - pi))
 
 
 class Design:
@@ -269,24 +276,19 @@ class ExplicitDesign(Design):
 
     @cached_property
     def _psi_factor(self) -> np.ndarray:
-        """Upper-triangular R with R'R = D' diag(p) D, D_wi = w_i/pi_i - (1-w_i)/(1-pi_i).
+        """Upper-triangular R with R'R = D' diag(p) D, D the support's :func:`_contrast_rows`.
 
-        The Horvitz-Thompson error is (1/N) D_w . c - tau, so psi(v) =
+        The Horvitz-Thompson error is (1/N) D_w . c, so psi(v) =
         (1/N^2) sum_w p_w (D_w . v)^2 = ||R v||^2 / N^2. Each row block of
         sqrt(p) D is stacked under the R so far and factored again (TSQR), so
         no S x n float array is formed; R is (S, n) when S < n.
         """
-        pi = self.propensities
-        if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-            raise AssumptionError(
-                "positivity fails: some unit is always (or never) treated"
-            )
-        treated, control = 1.0 / pi, -1.0 / (1.0 - pi)
+        pi = check_propensities(self.propensities, self.n)
         r = np.empty((0, self.n))
         step = max(1, ROW_BLOCK // self.n)
         for start in range(0, self.support_size, step):
             bits = np.unpackbits(self._packed[start:start + step], axis=1, count=self.n)
-            block = np.where(bits == 1, treated, control)
+            block = _contrast_rows(bits, pi)
             block *= np.sqrt(self._weights[start:start + step] / self._total)[:, None]
             r = np.linalg.qr(np.vstack([r, block]), mode="r")
         r.setflags(write=False)

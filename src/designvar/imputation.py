@@ -30,9 +30,9 @@ from .core import (
     _as_float_vector,
     _row_failure,
 )
-from .designs import Design, ExplicitDesign
+from .designs import Design, ExplicitDesign, _contrast_rows
 from .estimators import check_propensities
-from .oracles import psi
+from .oracles import _factor_values
 
 GAMMA_KINDS = ("fixed", "tau_hat", "tau_loo", "theta_loo")
 
@@ -288,20 +288,48 @@ def _require_enumerable(d: Design) -> ExplicitDesign:
     return d
 
 
+def _mc_draws(d: Design, m: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The centered contrast rows of m design draws at ``seed`` and their QR
+    factor R over sqrt(m - 1). On an imputed table tau_hat(w) - tau = D_w . c / N,
+    so the draws' sample variance of tau_hat is ||R c||^2 / N^2: psi's form."""
+    rows = _contrast_rows(d.sample_matrix(m, seed), check_propensities(d.propensities, d.n))
+    rows -= rows.mean(axis=0)
+    return rows, np.linalg.qr(rows, mode="r") / math.sqrt(m - 1)
+
+
 def _imputation_family(
-    d: Design, specs: Sequence[GammaSpec], w: np.ndarray, y: np.ndarray
+    d: Design, specs: Sequence[GammaSpec], w: np.ndarray, y: np.ndarray,
+    m: int | None = None, seed: int | None = None,
 ) -> Iterator[np.ndarray]:
-    """Exact psi(c_hat) of every spec for k realized tables, by support enumeration.
+    """psi(c_hat) of every spec for k realized tables: exact by support
+    enumeration or, given ``m``, over m design draws at ``seed``.
 
     ``w`` is a (k, n) 0/1 array of assignments and ``y`` the matching (k, n)
     observed outcomes. The inputs and propensities are checked once, the
     effect guesses come from :func:`_gammas` (one leave-one-out pass for
-    tau-loo and theta-loo), and each spec's c rows go to psi on their own.
-    Yields one (k,) array per spec, in spec order, so stacking gives
-    (len(specs), k); a spec's error surfaces when its values are asked for,
-    and an error raised for one row carries that row's index as ``exc.row``.
+    tau-loo and theta-loo), and each spec's c rows meet one factor: the
+    support's (exact psi) or the draws', drawn once when the first spec's
+    guesses have succeeded. Yields one (k,) array per spec, in spec order,
+    so stacking gives (len(specs), k); a spec's error surfaces when its
+    values are asked for, and an error raised for one row carries that
+    row's index as ``exc.row``.
     """
-    d = _require_enumerable(d)
+    if m is None:
+        d = _require_enumerable(d)
+    elif m < 2:
+        raise ValidationError(f"need at least 2 draws, got {m}")
+    r = None
+    for c in _imputed_c(d, specs, w, y):
+        if r is None:
+            r = d._psi_factor if m is None else _mc_draws(d, m, seed)[1]
+        yield _factor_values(r, c)
+
+
+def _imputed_c(
+    d: Design, specs: Sequence[GammaSpec], w: np.ndarray, y: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each spec's (k, n) c_hat rows, after one check of the inputs and
+    propensities (arguments as in :func:`_imputation_family`)."""
     w = np.asarray(w)
     y = np.asarray(y, dtype=float)
     if w.ndim != 2 or w.shape[1] != d.n or y.shape != w.shape:
@@ -319,7 +347,7 @@ def _imputation_family(
         infinite = ~np.isfinite(gamma).all(axis=1)
         if infinite.any():
             raise _row_failure(ValidationError("gamma must be finite"), int(np.argmax(infinite)))
-        yield psi(d, _impute_c_rows(t, y, pi, gamma))
+        yield _impute_c_rows(t, y, pi, gamma)
 
 
 def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,45 +371,6 @@ def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstim
     )
 
 
-def _imputation_mc_rows(
-    d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray, m: int, seed: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo psi(c_hat) and its standard error for k realized tables.
-
-    ``w`` and ``y`` are (k, n) assignments and outcomes. The m design draws
-    are made once, at ``seed``, and shared by every row; each row then runs
-    v_imputation_mc's steps on its own imputed table. An error raised for
-    one row carries that row's index as ``exc.row``.
-    """
-    if m < 2:
-        raise ValidationError(f"need at least 2 draws, got {m}")
-    if w.shape[1] != d.n:
-        raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
-    pi = check_propensities(d.propensities, d.n)
-    gamma = _gamma_rows(spec, d, w, y)
-    values, ses = np.empty(len(w)), np.empty(len(w))
-    draws = rest = None
-    for r, bits in enumerate(np.asarray(w, dtype=np.int8).tolist()):
-        try:
-            obs = ObservedData(AssignmentVector.from_bits(bits), y[r])
-            table = impute_potential_outcomes(obs, implicit_beta(obs, pi, gamma[r]))
-            if draws is None:
-                draws = np.asarray(d.sample_matrix(m, seed), dtype=float)
-                rest = 1.0 - draws
-        except (AssumptionError, ValidationError) as exc:
-            raise _row_failure(exc, r)
-        tau_m = draws @ (table.y1 / pi) / d.n - rest @ (table.y0 / (1.0 - pi)) / d.n
-        dev = tau_m - tau_m.mean()
-        total = float(dev @ dev)
-        values[r] = total / (m - 1)
-        if m > 2:
-            sq_dev = dev * dev - total / m
-            ses[r] = math.sqrt(m * float(sq_dev @ sq_dev)) / ((m - 1) ** 0.5 * (m - 2))
-        else:
-            ses[r] = math.nan
-    return values, ses
-
-
 def v_imputation_mc(
     d: Design,
     obs: ObservedData,
@@ -391,23 +380,29 @@ def v_imputation_mc(
 ) -> VarianceEstimate:
     """Monte Carlo psi(c_hat): resample the design over a fixed imputed table.
 
-    1. Impute the science table with the effect guess that makes its c
-       vector equal impute_c's estimate (so the MC target is the exact
-       estimator's value).
-    2. Draw m assignments from the design.
-    3. Recompute the inverse-probability effect estimate on each draw.
-    4. Report the sample variance (divisor m - 1), with a jackknife
-       standard error for the variance itself.
-
-    This is the one-row call of the batch kernel ``_imputation_mc_rows``.
+    The imputed table is the one whose c vector is impute_c's estimate, so
+    the Monte Carlo target is the exact estimator's value. The value is the
+    sample variance (divisor m - 1) of the inverse-probability estimate over
+    m design draws: one row of :func:`_imputation_family` on the draws, to
+    the bit. Sampler-backed designs work, as only the draws are needed. The
+    jackknife standard error of the variance reads the row's m draw
+    contrasts (D_w - mean D) . c / N from the same draws.
     """
-    values, ses = _imputation_mc_rows(d, spec, obs.w.to_array()[None], obs.y_obs[None], m, seed)
+    if m < 2:
+        raise ValidationError(f"need at least 2 draws, got {m}")
+    if obs.n != d.n:
+        raise ValidationError(f"observed data has {obs.n} units, design has {d.n}")
+    c = next(_imputed_c(d, (spec,), obs.w.to_array()[None], obs.y_obs[None]))
+    rows, r = _mc_draws(d, m, seed)
+    dev = rows @ c[0] / d.n
+    sq_dev = dev * dev - float(dev @ dev) / m
+    se = math.sqrt(m * float(sq_dev @ sq_dev)) / ((m - 1) ** 0.5 * (m - 2)) if m > 2 else math.nan
     return VarianceEstimate(
-        value=float(values[0]),
+        value=float(_factor_values(r, c)[0]),
         estimator="imputation",
         exact=False,
         mc_draws=m,
-        mc_se=float(ses[0]),
+        mc_se=se,
         params={"gamma": spec.describe(), "seed": seed},
     )
 

@@ -74,6 +74,36 @@ def _require(payload: dict, key: str, context: str):
     return payload[key]
 
 
+def _whole(value, field: str) -> int:
+    """A count or unit id from JSON: an integer, or a float with no fraction."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{field} must be a whole number, got {value!r}")
+
+
+def _number(value, field: str) -> float:
+    """A JSON number (not a string, boolean or null) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{field} must be a number, got {value!r}")
+
+
+def _numbers(value, field: str) -> np.ndarray:
+    """A JSON list, or rectangular nested lists, of numbers as a float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{field} must be a rectangular list of numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{field} must hold numbers only")
+    return arr.astype(float)
+
+
 def build_design(payload: dict) -> Design:
     """Build a design from a parsed JSON payload (see module docstring)."""
     if not isinstance(payload, dict):
@@ -90,21 +120,24 @@ def build_design(payload: dict) -> Design:
             return ExplicitDesign(_support_rows(support), np.ones(len(support)))
         return build_explicit(support, probs)
     if kind == "crd":
-        n = int(_require(payload, "n", "crd design"))
-        n_treated = int(_require(payload, "n_treated", "crd design"))
+        n = _whole(_require(payload, "n", "crd design"), "crd design: 'n'")
+        n_treated = _whole(_require(payload, "n_treated", "crd design"), "crd design: 'n_treated'")
         return build_crd(n, n_treated)
     if kind == "matched_pair":
         pairs = _require(payload, "pairs", "matched-pair design")
+        if not isinstance(pairs, list):
+            raise ValidationError(f"matched-pair design: 'pairs' must be a list, got {pairs!r}")
         zero_based = []
         for pair in pairs:
-            if len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"pair {pair} must have exactly two unit ids")
-            zero_based.append((int(pair[0]) - 1, int(pair[1]) - 1))
+            zero_based.append(tuple(_whole(u, "matched-pair design: 'pairs'") - 1 for u in pair))
         return build_matched_pair(zero_based)
     if kind == "rerandomized":
-        base = build_design(_require(payload, "base", "rerandomized design"))
-        covariates = np.asarray(_require(payload, "covariates", "rerandomized design"), dtype=float)
-        threshold = float(_require(payload, "threshold", "rerandomized design"))
+        context = "rerandomized design"
+        base = build_design(_require(payload, "base", context))
+        covariates = _numbers(_require(payload, "covariates", context), f"{context}: 'covariates'")
+        threshold = _number(_require(payload, "threshold", context), f"{context}: 'threshold'")
         return build_rerandomized(base, covariates, threshold)
     raise ValidationError(
         f"unknown design kind {kind!r}; expected explicit, crd, matched_pair, "

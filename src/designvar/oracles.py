@@ -22,7 +22,7 @@ from .core import (
     ValidationError,
     reveal,
 )
-from .designs import Design, ExplicitDesign
+from .designs import Design, ExplicitDesign, _contrast_rows
 from .estimators import check_propensities, hajek
 
 
@@ -41,6 +41,13 @@ def _require_explicit(d: Design, what: str) -> ExplicitDesign:
     return d
 
 
+def _factor_values(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """||R v||^2 / N^2 for each row v of a (k, N) batch: one matrix-vector
+    product per row, so a row's value does not depend on the batch."""
+    g = np.matmul(r, rows[..., None])[..., 0]
+    return (g * g).sum(axis=1) / rows.shape[1] ** 2
+
+
 def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
     """Design-weighted squared-contrast functional of a unit vector v.
 
@@ -49,8 +56,7 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
     propensity-weighted average potential outcome vector c. ``v`` is one
     length-N vector (returns a float) or a (k, N) batch (returns a (k,)
     array). No call sums along the support: a row is ||R v||^2 / N^2 with
-    the design's n x n factor R, and each row gets its own matrix-vector
-    product, so its value does not depend on the batch.
+    the design's n x n factor R.
     """
     d = _require_explicit(d, "psi")
     v = np.asarray(v, dtype=float)
@@ -58,22 +64,21 @@ def psi(d: Design, v: np.ndarray) -> "float | np.ndarray":
         raise ValidationError(
             f"psi needs a length-{d.n} vector or a (k, {d.n}) batch, got shape {v.shape}"
         )
-    rows = np.atleast_2d(v)
-    g = np.matmul(d._psi_factor, rows[..., None])[..., 0]
-    out = (g * g).sum(axis=1) / d.n**2
+    out = _factor_values(d._psi_factor, np.atleast_2d(v))
     return float(out[0]) if v.ndim == 1 else out
 
 
 def psi_mc(d: Design, v: np.ndarray, m: int, seed: int) -> MCEstimate:
-    """Monte Carlo version of :func:`psi` for sampler-backed designs."""
+    """Monte Carlo version of :func:`psi` for sampler-backed designs: the mean
+    of (D_w . v)^2 / N^2 over m design draws w, uncentered (v_imputation_mc
+    centers its draws), with the standard error of that mean."""
     v = np.asarray(v, dtype=float)
     if v.shape != (d.n,):
         raise ValidationError(f"psi needs a length-{d.n} vector, got shape {v.shape}")
     if m < 2:
         raise ValidationError("psi_mc needs at least 2 draws")
     pi = check_propensities(d.propensities, d.n)
-    draws = d.sample_matrix(m, seed).astype(float)
-    vals = (draws @ (v / pi) - (1.0 - draws) @ (v / (1.0 - pi))) ** 2 / d.n**2
+    vals = (_contrast_rows(d.sample_matrix(m, seed), pi) @ v) ** 2 / d.n**2
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)), m)
 
 
@@ -81,10 +86,8 @@ def ht_values(d: ExplicitDesign, po: PotentialOutcomes) -> np.ndarray:
     """Inverse-propensity estimate at every support vector, in support order."""
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    pi = d.propensities
+    pi = check_propensities(d.propensities, d.n)
     u = d.matrix
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise AssumptionError("positivity fails: some unit is always (or never) treated")
     return (u @ (po.y1 / pi) - (1.0 - u) @ (po.y0 / (1.0 - pi))) / d.n
 
 

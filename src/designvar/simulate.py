@@ -48,7 +48,6 @@ from .estimators import _neyman_values, neyman_variance
 from .imputation import (
     GammaSpec,
     _imputation_family,
-    _imputation_mc_rows,
     v_imputation,
     v_imputation_mc,
 )
@@ -76,6 +75,7 @@ STUDY_A_TREATED = 6
 STUDY_B_N = 50
 STUDY_B_TREATED = 25
 BALANCE_THRESHOLD = 0.2
+STUDY_B_RETRY_BUDGET = 5_000_000  # accept-reject candidates for study B's draws
 DEFAULT_REPLICATIONS = 100
 DEFAULT_INNER_DRAWS = 20_000
 DEFAULT_OUTER_EVALUATIONS = 200
@@ -307,18 +307,15 @@ def _estimator_entry(
     """The registry entry of an estimator name (arguments as in
     :func:`resolve_estimator`): its scalar callable, and its batch kernel
     (the same values as an array, from (k, n) 0/1 assignments and outcomes)
-    or, for an exact imputation name, the GammaSpec that
-    :func:`_batch_kernel` scores through the shared imputation family."""
+    or, for an imputation name, the GammaSpec that :func:`_batch_kernel`
+    scores through the shared imputation family."""
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key.startswith("imputation:"):
         spec = GammaSpec.parse(key.split(":", 1)[1])
         if mc_draws is None:
             return partial(v_imputation, d, spec=spec), spec
-        return (
-            partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed),
-            lambda w, y: _imputation_mc_rows(d, spec, w, y, mc_draws, seed)[0],
-        )
+        return partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed), spec
     if key == "neyman":
         return neyman_variance, _neyman_values
     if key == "v_am":
@@ -348,14 +345,16 @@ def _batch_kernel(
 ) -> Callable[[np.ndarray, np.ndarray], list[np.ndarray]]:
     """One batch kernel for every name (options as in :func:`resolve_estimator`):
     from (k, n) 0/1 assignments and outcomes it returns one value array per
-    name, in name order. The exact imputation names share one pass of the
-    imputation family; each estimator runs, and can fail, at its place in
-    ``names``, so the first listed estimator that fails raises."""
+    name, in name order. The imputation names share one pass of the
+    imputation family and, with ``mc_draws``, one set of design draws per
+    call; each estimator runs, and can fail, at its place in ``names``, so
+    the first listed estimator that fails raises."""
     kernels = [_estimator_entry(name, d, **options)[1] for name in names]
     specs = [k for k in kernels if isinstance(k, GammaSpec)]
+    mc = {"m": options.get("mc_draws"), "seed": options.get("seed", 0)}
 
     def kernel(w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        family = _imputation_family(d, specs, w, y)
+        family = _imputation_family(d, specs, w, y, **mc)
         return [next(family) if isinstance(k, GammaSpec) else k(w, y) for k in kernels]
 
     return kernel
@@ -596,7 +595,6 @@ def run_study_b(
     n_inner_draws: int = DEFAULT_INNER_DRAWS,
     n_outer: int = DEFAULT_OUTER_EVALUATIONS,
     estimators: tuple[str, ...] = STUDY_ESTIMATORS,
-    retry_budget: int = 5_000_000,
 ) -> SimResult:
     """Study B: four outcome models on the 50-unit rerandomized design.
 
@@ -613,7 +611,7 @@ def run_study_b(
         raise ValidationError("study B needs at least two outer evaluations")
     x = gen_covariates_hainmueller(STUDY_B_N, seed)
     base = build_crd(STUDY_B_N, STUDY_B_TREATED)
-    d = build_rerandomized(base, x, BALANCE_THRESHOLD, retry_budget=retry_budget)
+    d = build_rerandomized(base, x, BALANCE_THRESHOLD, retry_budget=STUDY_B_RETRY_BUDGET)
     assert isinstance(d, SampledDesign)
     draw_rng = np.random.default_rng((seed, _DESIGN_STREAM))
     draws = d.sample_matrix(n_inner_draws, draw_rng)
@@ -632,9 +630,8 @@ def run_study_b(
             if var <= 0.0:
                 excluded += 1
                 continue
-            idx = rng.choice(emp.support_size, size=n_outer, p=emp.probs)
-            w = emp.matrix[idx]
-            y = np.where(w.astype(bool), po.y1, po.y0)
+            w = emp.sample_matrix(n_outer, rng)
+            y = np.where(w == 1, po.y1, po.y0)
             for name, vals in zip(estimators, kernel(w, y)):
                 mean = float(vals.mean())
                 sd = float(vals.std(ddof=1))

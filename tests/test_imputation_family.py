@@ -1,11 +1,13 @@
 """One pass per table: the imputation family kernel, the shared registry
-kernel, the Monte Carlo batch and the stacked summary.
+kernel, the Monte Carlo branch of the family and the stacked summary.
 
 The family kernel scores several effect guesses on the same revealed tables
 and must give each guess's one-spec call to the bit, errors included. The
 registry's one kernel must keep the old error order: the first listed
-estimator that fails raises. The summary must give the per-group
-``np.quantile``/``mean`` block of each (scenario, estimator) to the bit.
+estimator that fails raises. Its Monte Carlo names share one draw and one
+leave-one-out pass per call, drawn only after the effect guesses succeed.
+The summary must give the per-group ``np.quantile``/``mean`` block of each
+(scenario, estimator) to the bit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from designvar import (
     ValidationError,
     build_crd,
     build_explicit,
+    build_rerandomized,
     gamma_vector,
     implicit_beta,
     impute_potential_outcomes,
@@ -34,10 +37,17 @@ from designvar import (
     v_imputation,
     v_imputation_mc,
 )
-from designvar.designs import ExplicitDesign
-from designvar.imputation import _imputation_family, _imputation_mc_rows
+from designvar.core import EST_RTOL
+from designvar.designs import ExplicitDesign, SampledDesign
+from designvar.imputation import _imputation_family
 from designvar.oracles import _kernel_values
-from designvar.simulate import SimRecord, _batch_kernel, _summarize
+from designvar.simulate import (
+    BALANCE_THRESHOLD,
+    SimRecord,
+    _batch_kernel,
+    _summarize,
+    gen_covariates_hainmueller,
+)
 
 from conftest import random_table
 
@@ -183,46 +193,91 @@ def _reference_mc(d, obs, spec, m, seed):
     return total / (m - 1), se
 
 
+def _count_draws(monkeypatch, cls) -> list[int]:
+    """Record the size of every ``cls.sample_matrix`` call."""
+    draws: list[int] = []
+    real = cls.sample_matrix
+    monkeypatch.setattr(
+        cls, "sample_matrix", lambda self, m, seed=None: draws.append(m) or real(self, m, seed)
+    )
+    return draws
+
+
 class TestMonteCarloBatch:
     def test_draws_once_and_matches_the_scalar_per_row(self, monkeypatch):
         d = build_crd(6, 3)
         u, y = _revealed(d, seed=8)
         spec = GammaSpec.parse("theta-loo")
-        draws = []
-        real = ExplicitDesign.sample_matrix
-        monkeypatch.setattr(
-            ExplicitDesign, "sample_matrix",
-            lambda self, m, seed=None: draws.append(m) or real(self, m, seed),
-        )
-        values, ses = _imputation_mc_rows(d, spec, u, y, 400, 5)
+        draws = _count_draws(monkeypatch, ExplicitDesign)
+        values = next(_imputation_family(d, [spec], u, y, m=400, seed=5))
         assert draws == [400]
         for r, bits in enumerate(u.astype(int).tolist()):
             obs = ObservedData(AssignmentVector.from_bits(bits), y[r])
             est = v_imputation_mc(d, obs, spec, m=400, seed=5)
-            assert (est.value, est.mc_se) == (values[r], ses[r])
-            assert _reference_mc(d, obs, spec, 400, 5) == (values[r], ses[r])
+            assert est.value == values[r]
+            ref_value, ref_se = _reference_mc(d, obs, spec, 400, 5)
+            assert est.value == pytest.approx(ref_value, rel=EST_RTOL)
+            assert est.mc_se == pytest.approx(ref_se, rel=EST_RTOL)
 
     def test_registry_kernel_draws_once(self, monkeypatch):
+        import designvar.imputation as imp
+
         d = build_crd(6, 3)
         po = random_table(np.random.default_rng(4), 6)
-        draws = []
-        real = ExplicitDesign.sample_matrix
-        monkeypatch.setattr(
-            ExplicitDesign, "sample_matrix",
-            lambda self, m, seed=None: draws.append(m) or real(self, m, seed),
-        )
-        kernel = _batch_kernel(["imputation:tau-hat"], d, mc_draws=300, seed=1)
-        assert _kernel_values(d, po, kernel)[0].shape == (d.support_size,)
-        assert draws == [300]
+        draws = _count_draws(monkeypatch, ExplicitDesign)
+        passes = []
+        real = imp._loo_rows
+        monkeypatch.setattr(imp, "_loo_rows", lambda *a: passes.append(a[-1]) or real(*a))
+        names = ["imputation:tau-loo", "imputation:theta-loo", "imputation:tau-hat"]
+        kernel = _batch_kernel(names, d, mc_draws=300, seed=1)
+        for call in (1, 2):
+            got = _kernel_values(d, po, kernel)
+            assert [v.shape for v in got] == [(d.support_size,)] * 3
+            assert draws == [300] * call
+            assert passes == [{"tau_loo", "theta_loo"}] * call
+        for name, values in zip(names, got):
+            alone = _kernel_values(d, po, _batch_kernel([name], d, mc_draws=300, seed=1))[0]
+            assert np.array_equal(values, alone), name
+
+    def test_refused_guess_costs_no_draws(self, monkeypatch):
+        x = gen_covariates_hainmueller(50, 0)
+        d = build_rerandomized(build_crd(50, 25), x, BALANCE_THRESHOLD)
+        draws = _count_draws(monkeypatch, SampledDesign)
+        w = np.tile(np.arange(50) % 2, (2, 1))
+        spec = GammaSpec.parse("theta-loo")
+        obs = ObservedData(AssignmentVector.from_bits(w[0].tolist()), np.ones(50))
+        with pytest.raises(AssumptionError, match="exact pairwise assignment probabilities"):
+            v_imputation_mc(d, obs, spec, m=100_000, seed=0)
+        kernel = _batch_kernel(["imputation:theta-loo", "imputation:tau-hat"], d,
+                               mc_draws=100_000, seed=0)
+        with pytest.raises(AssumptionError, match="exact pairwise assignment probabilities"):
+            kernel(w, np.ones(w.shape))
+        assert draws == []
+
+    @pytest.mark.parametrize("rule", ["tau-hat", "fixed:0", "theta-loo"])
+    def test_runs_on_a_sampled_crd_and_repeats(self, rule):
+        d = build_crd(30, 15)
+        assert isinstance(d, SampledDesign)
+        rng = np.random.default_rng(30)
+        po = random_table(rng, 30)
+        w = d.sample_assignment(rng)
+        obs = ObservedData(w, np.where(w.to_array() == 1, po.y1, po.y0))
+        spec = GammaSpec.parse(rule)
+        est = v_imputation_mc(d, obs, spec, m=2_000, seed=7)
+        assert est == v_imputation_mc(d, obs, spec, m=2_000, seed=7)
+        assert not est.exact and est.mc_draws == 2_000
+        ref_value, ref_se = _reference_mc(d, obs, spec, 2_000, 7)
+        assert est.value == pytest.approx(ref_value, rel=EST_RTOL)
+        assert est.mc_se == pytest.approx(ref_se, rel=EST_RTOL)
 
     def test_failing_row_is_named(self):
         d = build_crd(4, 1)
         u = d.matrix
         with pytest.raises(AssumptionError) as exc:
-            _imputation_mc_rows(d, GammaSpec.parse("tau-loo"), u, np.ones(u.shape), 50, 0)
+            next(_imputation_family(d, [GammaSpec.parse("tau-loo")], u, np.ones(u.shape), 50, 0))
         assert exc.value.row == 0
         with pytest.raises(ValidationError, match="at least 2 draws"):
-            _imputation_mc_rows(d, GammaSpec.parse("tau-hat"), u, np.ones(u.shape), 1, 0)
+            next(_imputation_family(d, [GammaSpec.parse("tau-hat")], u, np.ones(u.shape), 1, 0))
 
 
 def _reference_block(values: list[float]) -> dict:

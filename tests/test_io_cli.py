@@ -331,6 +331,42 @@ class TestCliAnalyze:
         assert code == 2
 
 
+_CRD = {"kind": "crd", "n": 4, "n_treated": 2}
+_SCENARIO = {"name": "s", "design": _CRD, "outcome_model": "heterogeneous"}
+_MALFORMED = {
+    "crd-count-word": ("design", {"kind": "crd", "n": "eight", "n_treated": 4}, "'n'"),
+    "crd-count-fraction": ("design", {"kind": "crd", "n": 8, "n_treated": 4.7}, "'n_treated'"),
+    "crd-count-bool": ("design", {"kind": "crd", "n": True, "n_treated": 1}, "'n'"),
+    "pair-id-word": ("design", {"kind": "matched_pair", "pairs": [[1, "b"], [3, 4]]}, "'pairs'"),
+    "covariate-word": ("design", {"kind": "rerandomized", "base": _CRD,
+                                  "covariates": [1.0, "a", 3.0, 4.0], "threshold": 1.5},
+                       "'covariates'"),
+    "threshold-word": ("design", {"kind": "rerandomized", "base": _CRD,
+                                  "covariates": [1.0, 2.0, 3.0, 4.0], "threshold": "1.5"},
+                       "'threshold'"),
+    "replications-word": ("scenario", {**_SCENARIO, "n_replications": "ten"}, "'n_replications'"),
+    "seed-fraction": ("scenario", {**_SCENARIO, "seed": 1.5}, "'seed'"),
+    "estimators-string": ("scenario", {**_SCENARIO, "estimators": "neyman"}, "'estimators'"),
+    "effect-word": ("scenario", {**_SCENARIO, "outcome_model": {"kind": "constant_fixed",
+                                                               "delta": "5"}}, "'delta'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_number_exits_2_naming_the_field(case, tmp_path, capsys):
+    kind, payload, field = _MALFORMED[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    if kind == "design":
+        code = main(["design-inspect", "--design", str(path)])
+    else:
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestCliOracle:
     def test_bias_report(self, crossed_pairs_file, science_file, capsys):
         code = main(
