@@ -253,16 +253,55 @@ def full_substitute_set(
     return SubstituteSet(anchor=w, members=members, mode=mode)
 
 
+def _closed_form_counts(d: ExplicitDesign, mode: str) -> np.ndarray | None:
+    """The counts of :func:`substitute_counts` by formula when the support is
+    complete, else None. Rows are distinct, so C(N, m) rows of size m are the
+    whole layer, and 2^J rows that treat one unit of each of J pairs
+    partitioning the units are all of them; k is the overlap count."""
+    n, sizes = d.n, d.group_sizes
+    present = {m: c for m, c in enumerate(np.bincount(sizes).tolist()) if c}
+    if all(c == math.comb(n, m) for m, c in present.items()):
+        per_size = np.zeros(n + 1, dtype=np.int64)
+        for m in present:  # ascending, so a refusal names the size the scan names
+            k = _overlap_count(n, m, mode)
+            per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
+        return per_size[sizes]
+    pairs = d.pairs or ()
+    units = sorted(u for ab in pairs for u in ab)
+    if (pairs and units == list(range(n)) and all(len(ab) == 2 for ab in pairs)
+            and d.support_size == 1 << len(pairs)):
+
+        def treats(i: int) -> np.ndarray:
+            return (d._packed[:, i // 8] & (0x80 >> i % 8)) != 0
+
+        if all(np.all(treats(a) != treats(b)) for a, b in pairs):
+            j = len(pairs)
+            return np.full(d.support_size, math.comb(j, _overlap_count(n, j, mode)))
+    return None
+
+
 def substitute_counts(d: Design, mode: str | None = None) -> np.ndarray:
-    """|G*(w)| for every support vector, in support order."""
+    """|G*(w)| for every support vector, in support order; cached, read-only.
+
+    A complete support takes a counting formula, with no scan: one whose
+    every treated-group size m has all C(N, m) vectors (complete
+    randomization, or a union of such layers), where a size-m vector has
+    C(m, k)·C(N - m, m - k) substitutes, k = m^2 / N; and complete matched
+    pairs (``pairs`` set, all 2^J one-per-pair vectors), C(J, J/2) each.
+    Weights never enter: the count is of support rows. Any other support,
+    whatever its ``kind``, is scanned in blocks of about ROW_BLOCK
+    (rows, support) elements.
+    """
     d = _require_explicit(d, "count")
     if mode is None:
         mode = substitution_mode(d)
     per_design = _COUNTS_CACHE.setdefault(d, {})
     if mode not in per_design:
-        counts = np.concatenate(
-            [_substitute_rows(d, rows, mode).sum(axis=1) for rows in _row_blocks(d)]
-        )
+        counts = _closed_form_counts(d, mode)
+        if counts is None:
+            counts = np.concatenate(
+                [_substitute_rows(d, rows, mode).sum(axis=1) for rows in _row_blocks(d)]
+            )
         counts.setflags(write=False)
         per_design[mode] = counts
     return per_design[mode]

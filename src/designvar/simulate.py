@@ -315,6 +315,8 @@ def _estimator_entry(
         spec = GammaSpec.parse(key.split(":", 1)[1])
         if mc_draws is None:
             return partial(v_imputation, d, spec=spec), spec
+        if mc_draws < 2:  # refused here, not as the failure of a support row
+            raise ValidationError(f"need at least 2 draws, got {mc_draws}")
         return partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed), spec
     if key == "neyman":
         return neyman_variance, _neyman_values

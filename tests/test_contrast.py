@@ -30,6 +30,7 @@ from designvar import (
     v_pair,
     v_sub,
 )
+from designvar import contrast
 from designvar.contrast import substitute_counts
 
 from conftest import random_table
@@ -422,3 +423,80 @@ class TestSubstituteScanParity:
         assert not d.is_enumerable
         with pytest.raises(AssumptionError, match="sampler-backed"):
             full_substitute_set(d, _av("1" * 16 + "0" * 16))
+
+
+def _scanned_counts(d, mode):
+    """|G*(w)| by the blocked support scan, which the closed form replaces."""
+    return np.concatenate(
+        [contrast._substitute_rows(d, rows, mode).sum(axis=1) for rows in contrast._row_blocks(d)]
+    )
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the support was scanned")
+
+
+def _layers(n, *sizes):
+    """The 0/1 rows of every size-m assignment of n units, for each m in sizes."""
+    return [row for m in sizes for row in build_crd(n, m).matrix.astype(int).tolist()]
+
+
+class TestClosedFormCounts:
+    """Complete supports count substitutes by formula, equal to the scan."""
+
+    @pytest.mark.parametrize(
+        "make, mode",
+        [
+            (lambda: build_crd(16, 4), "epsem"),
+            (lambda: build_crd(12, 6), "equal-size"),
+            (lambda: build_crd(16, 8), "equal-size"),
+            (lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]), "equal-size"),
+            (lambda: build_matched_pair([(j, 11 - j) for j in range(6)]), "epsem"),
+            # weights never enter: the count is of support rows
+            (lambda: build_explicit(_layers(8, 4), np.arange(1.0, 71.0) / 2485.0), "equal-size"),
+            (lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168), "epsem"),
+        ],
+        ids=["crd-16-4", "crd-12-6", "crd-16-8", "pairs-4", "pairs-6",
+             "explicit-crd-8-4-unequal", "crd-9-3-and-9-6"],
+    )
+    def test_matches_scan_without_scanning(self, make, mode, monkeypatch):
+        d = make()
+        with monkeypatch.context() as patch:
+            patch.setattr(contrast, "_substitute_rows", _no_scan)
+            counts = substitute_counts(d, mode)
+        scanned = _scanned_counts(d, mode)
+        assert counts.dtype == scanned.dtype and counts.tolist() == scanned.tolist()
+        assert not counts.flags.writeable
+
+    def test_refusal_matches_scan(self):
+        d = build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168)
+        with pytest.raises(AssumptionError) as scanned:
+            _scanned_counts(d, "equal-size")
+        with pytest.raises(AssumptionError) as closed:
+            substitute_counts(d, "equal-size")
+        assert str(closed.value) == str(scanned.value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4, kind="crd"),
+            # 2^J rows under pair labels, but one treats both units of pair (0, 4)
+            lambda: build_explicit(
+                [*(r for r in build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]).support
+                   if r.to_string() != "11110000"), "11001100"],
+                [1.0 / 16] * 16, pairs=((0, 4), (1, 5), (2, 6), (3, 7)),
+            ),
+        ],
+        ids=["crossed-pairs-labelled-crd", "pairs-with-unpaired-row"],
+    )
+    def test_incomplete_support_is_scanned(self, make):
+        d = make()
+        assert contrast._closed_form_counts(d, "epsem") is None
+        assert substitute_counts(d, "epsem").tolist() == _scanned_counts(d, "epsem").tolist()
+
+    def test_crd_20_10_is_never_scanned(self, monkeypatch):
+        d = build_crd(20, 10)
+        monkeypatch.setattr(contrast, "_substitute_rows", _no_scan)
+        counts = substitute_counts(d)
+        assert counts.shape == (184_756,)
+        assert set(counts.tolist()) == {63_504} == {math.comb(10, 5) ** 2}

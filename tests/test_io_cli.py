@@ -403,6 +403,16 @@ class TestCliOracle:
         assert code == 2
         assert "science table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_single_mc_draw_refused_before_scoring(
+        self, crossed_pairs_file, obs_file, science_file, command, capsys
+    ):
+        inputs = ["--table", science_file] if command == "oracle" else ["--data", obs_file]
+        code = main([command, "--design", crossed_pairs_file, *inputs,
+                     "--estimator", "imputation:tau-hat", "--mc", "--mc-draws", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least 2 draws, got 1\n"
+
 
 class TestCliSubstituteFile:
     """``--substitutes file:<map>`` against ``--substitutes full``."""
