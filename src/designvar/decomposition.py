@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -190,13 +191,12 @@ def v_tilde(d: Design, po: PotentialOutcomes, q: np.ndarray) -> float:
     return math.fsum(terms)
 
 
-def _pair_expansion(d: Design, cells, coefs, w: np.ndarray, y: np.ndarray,
-                    norm: int, bound: float | None = None) -> tuple[np.ndarray, int]:
-    """Inverse-probability estimate of a pair expansion on k realized tables
-    (0/1 assignments ``w``, outcomes ``y``), and the number of dead cells.
+def _pair_matrix(d: Design, cells, coefs, norm: int,
+                 bound: float | None = None) -> tuple[np.ndarray, int]:
+    """The 2n x 2n matrix M of a pair expansion, read-only, and the number of
+    dead cells: the estimate on a realized table is z'Mz, z = (t y, (1-t) y).
 
-    Row r is z'Mz, z = (t y, (1-t) y), one matrix-vector product per row. M
-    has 1/(norm pi^2) and 1/(norm (1-pi)^2) on its diagonal and sign c/p
+    M has 1/(norm pi^2) and 1/(norm (1-pi)^2) on its diagonal and sign c/p
     (sign -1 if mixed) at both places of each pair i < j whose cell has
     probability p > PROB_TOL. A dead cell adds nothing or, with ``bound``,
     bound (x_i^2 + x_j^2), its squares estimated from the observed arm by
@@ -215,10 +215,17 @@ def _pair_expansion(d: Design, cells, coefs, w: np.ndarray, y: np.ndarray,
         dead[bi:bi + n] += off.sum(axis=1)
         dead[bj:bj + n] += off.sum(axis=0)
     m += m.T + np.diag(1.0 / (norm * arm_pi**2) + (bound or 0.0) * dead / arm_pi)
+    m.setflags(write=False)
+    # each dead cell touches two (unit, arm) places
+    return m, int(dead.sum()) // 2
+
+
+def _quadratic_values(m: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z'Mz on k realized tables (0/1 assignments ``w``, outcomes ``y``),
+    z = (t y, (1-t) y): one matrix-vector product per row."""
     t = w.astype(float)
     z = np.concatenate([t * y, (1.0 - t) * y], axis=1)
-    # each dead cell touches two (unit, arm) places
-    return (np.matmul(m, z[..., None])[..., 0] * z).sum(axis=1), int(dead.sum()) // 2
+    return (np.matmul(m, z[..., None])[..., 0] * z).sum(axis=1)
 
 
 def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,7 +240,7 @@ def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray
             f"Q is not estimable under this design: Pr(W_{i}={wi}, W_{j}={wj}) = 0 "
             f"but its coefficient is {c:.3e} (and {len(feas.violations) - 1} more)"
         )
-    return _pair_expansion(d, cells, coefs, w, y, d.n**2)[0]
+    return _quadratic_values(_pair_matrix(d, cells, coefs, d.n**2)[0], w, y)
 
 
 def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> VarianceEstimate:
@@ -257,17 +264,23 @@ def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> Varia
     )
 
 
+def _v_am_matrix(d: Design) -> tuple[np.ndarray, int]:
+    """v_am's pair-expansion matrix and its number of bounded cells: the
+    default-Q expansion in units of 1/N^2, shift -N/(N-1) on every cell."""
+    scale = d.n / (d.n - 1.0)
+    cells, coefs = _coefficients(d, -scale, 1)
+    return _pair_matrix(d, cells, coefs, 1, bound=scale)
+
+
 def _v_am_values(d: Design, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """v_am's value on k realized tables at once, (k, n) 0/1 assignments ``w``
-    and outcomes ``y``, and the number of bounded cells."""
+    and outcomes ``y``, and the number of bounded cells. The matrix depends on
+    the design alone, so it is built on the first call and kept on the design."""
     n = d.n
     if n < 2:
         raise ValidationError("variance expansion needs at least 2 units")
-    # the default-Q expansion in units of 1/N^2: shift -N/(N-1) on every cell
-    scale = n / (n - 1.0)
-    cells, coefs = _coefficients(d, -scale, 1)
-    values, bounded = _pair_expansion(d, cells, coefs, w, y, 1, bound=scale)
-    return values / n**2, bounded
+    m, bounded = d._memo("_v_am_matrix", partial(_v_am_matrix, d))
+    return _quadratic_values(m, w, y) / n**2, bounded
 
 
 def v_am(d: Design, obs: ObservedData) -> VarianceEstimate:
@@ -283,7 +296,7 @@ def v_am(d: Design, obs: ObservedData) -> VarianceEstimate:
     Reconstruction: the source describes the construction without printing a
     formula, so only its guaranteed properties are asserted. One row of
     the batch kernel ``_v_am_values``: the quadratic form z'Mz of
-    ``_pair_expansion``, each dead cell's bound folded into M's diagonal.
+    ``_pair_matrix``, each dead cell's bound folded into M's diagonal.
     """
     if obs.w.n != d.n:
         raise ValidationError(f"observed data has {obs.w.n} units, design has {d.n}")

@@ -111,6 +111,34 @@ class Design:
         tables.setflags(write=False)
         return tables
 
+    @cached_property
+    def _loo_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(2, 2, n, n) arrays ``inv`` and ``dead``, indexed [a, b, i, j]: ``inv``
+        holds 1/Pr(W_j = b | W_i = a) and ``dead`` flags the cells where that
+        probability is within PROB_TOL of 0, which hold 0 in ``inv``. The
+        diagonal is 0 and not dead.
+
+        Built on first use from :attr:`conditional_tables`. Both are laid out
+        in memory as [a, i, b, j], so ``x.transpose(0, 2, 1, 3).reshape(2n, 2n)``
+        is a view: the block matrix with rows (a, i) and columns (b, j).
+        """
+        cond = self.conditional_tables[:, :, None, :]  # [a, i, ., j]
+        others = ~np.eye(self.n, dtype=bool)[None, :, None, :]
+        dead = np.concatenate([cond >= 1.0 - PROB_TOL, cond <= PROB_TOL], axis=2) & others
+        arm = np.concatenate([1.0 - cond, cond], axis=2)  # [a, i, b, j]: Pr(W_j = b | W_i = a)
+        inv = np.divide(1.0, arm, out=np.zeros_like(arm), where=~dead & others)
+        inv, dead = inv.transpose(0, 2, 1, 3), dead.transpose(0, 2, 1, 3)
+        inv.setflags(write=False)
+        dead.setflags(write=False)
+        return inv, dead
+
+    def _memo(self, name: str, build: Callable[[], Any]) -> Any:
+        """``build()``, made on the first call with ``name`` and kept on the
+        design: an estimator's operator that depends on the design alone."""
+        if name not in self.__dict__:
+            self.__dict__[name] = build()
+        return self.__dict__[name]
+
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ValidationError(f"unit index {i} out of range for n={self.n}")
@@ -517,6 +545,14 @@ def build_rerandomized(
     Enumerable bases are filtered exactly (kept weights, over their new total);
     sampler-backed bases become accept-reject samplers. A ``criterion`` callable gets the
     (n, p) covariates and one :class:`AssignmentVector` per candidate row, in row order.
+
+    The accept-reject sampler draws base rows in batches: m rows first, then as many as
+    the acceptance rate so far expects to need (twice the last batch while none was
+    accepted), at most 1024 and never past ``retry_budget`` candidates in all. It
+    returns the first m accepted rows in draw order, so on a base whose sampler draws
+    row after row (CRD) the draws do not depend on the batch sizes. Candidates after the
+    m-th accepted row are drawn and discarded: the generator's state after the call is
+    not part of the contract.
     """
     x = _covariates(covariates, base.n)
     if criterion == "max-asmd":
@@ -548,15 +584,19 @@ def build_rerandomized(
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         out = np.zeros((m, base.n), dtype=np.int8)
         tries = got = 0
+        size = m
         while got < m:
             if tries >= retry_budget:
                 raise AssumptionError(
                     f"accept-reject budget {retry_budget} exhausted; "
                     f"acceptance rate so far about {got / max(tries, 1):.2e}"
                 )
-            batch = base.sample_matrix(min(m - got, 1024), rng)  # at most m - got: all are scored
+            if tries:  # the rows the acceptance rate so far expects, or twice as many
+                size = -(-(m - got) * tries // got) if got else 2 * size
+            size = min(size, 1024, retry_budget - tries)
+            batch = base.sample_matrix(size, rng)
             tries += len(batch)
-            keep = batch[score(batch) < threshold]
+            keep = batch[score(batch) < threshold][:m - got]
             out[got:got + len(keep)] = keep
             got += len(keep)
         return out

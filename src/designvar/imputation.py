@@ -19,8 +19,6 @@ import numpy as np
 
 from .core import (
     MC_DEFAULT_DRAWS,
-    PROB_TOL,
-    ROW_BLOCK,
     AssignmentVector,
     AssumptionError,
     ObservedData,
@@ -200,44 +198,54 @@ def _loo_failure(t: np.ndarray, bad: np.ndarray, i: int) -> AssumptionError:
 
 
 def _loo_rows(
-    tables: np.ndarray, pi: np.ndarray, t: np.ndarray, y: np.ndarray, kinds: set[str]
+    d: Design, pi: np.ndarray, t: np.ndarray, y: np.ndarray, kinds: set[str]
 ) -> dict[str, np.ndarray]:
     """Leave-one-out inverse-probability estimates excluding each unit, per row.
 
-    With cond[r, i, j] = Pr(W_j = 1 | W_i = t[r, i]) read from the design's
+    With cond[r, i, j] = Pr(W_j = t[r, j] | W_i = t[r, i]) from the design's
     conditional tables, entry (r, i) of ``tau_loo`` is the sum over units
-    j != i of y_j/cond (treated j) minus y_j/(1 - cond) (control j), over
-    n - 1. ``theta_loo`` sums the same terms times the extra (1-pi_j)/pi_j
-    and pi_j/(1-pi_j) factors that target theta instead of the effect. Both
-    of the requested ``kinds`` come from one pass over the conditional
-    block, processed in blocks of at most ROW_BLOCK (rows, n, n) elements.
+    j != i of y_j/cond (treated j) minus y_j/cond (control j), over n - 1.
+    ``theta_loo`` sums the same terms times the extra (1-pi_j)/pi_j and
+    pi_j/(1-pi_j) factors that target theta instead of the effect.
+
+    The design's leave-one-out operator (``_loo_operators``, built once per
+    design) is the 2n x 2n block matrix of 1/Pr(W_j = b | W_i = a), rows
+    (a, i) and columns (b, j). Each requested kind is one matrix-vector
+    product of it per row, with z = (-(1-t) y, t y) (times the theta
+    factors), and unit i keeps the sum of its own arm a = t[r, i]. The
+    products are stacked matrix-vector products, not one matrix product,
+    so row r does not depend on its batch. The products of the dead-cell
+    mask with (1-t, t) flag every unit some observed cell refuses; the
+    first flagged (row, unit), in row-major order, raises.
     """
-    k, n = t.shape
-    others = ~np.eye(n, dtype=bool)
-    diag = np.arange(n)
-    out = {kind: np.empty((k, n)) for kind in kinds}
-    step = max(1, ROW_BLOCK // (n * n))
-    for start in range(0, k, step):
-        tb, yb = t[start:start + step], y[start:start + step]
-        rows = slice(start, start + len(tb))
-        treated = tb[:, None, :]
-        cond = np.where(tb[:, :, None], tables[1], tables[0])
-        bad = np.where(treated, cond <= PROB_TOL, cond >= 1.0 - PROB_TOL)
-        bad &= others
-        n_treated = tb.sum(axis=1, keepdims=True) - tb
-        failed = bad.any(axis=2) | (n_treated == 0) | (n_treated == n - 1)
-        if failed.any():
-            r, i = (int(v) for v in np.argwhere(failed)[0])
-            raise _row_failure(_loo_failure(tb[r], bad[r, i], i), start + r)
-        # cond becomes Pr(W_j = t_rj | W_i = t_ri), then each unit's signed term
-        np.subtract(1.0, cond, out=cond, where=~treated)
-        np.divide(np.where(tb, yb, -yb)[:, None, :], cond, out=cond, where=others)
-        cond[:, diag, diag] = 0.0
-        if "tau_loo" in out:
-            out["tau_loo"][rows] = cond.sum(axis=2) / (n - 1)
-        if "theta_loo" in out:
-            cond *= np.where(tb, (1.0 - pi) / pi, pi / (1.0 - pi))[:, None, :]
-            out["theta_loo"][rows] = cond.sum(axis=2) / (n - 1)
+    n = t.shape[1]
+    operators = d._loo_operators  # (inv, dead), each indexed [a, b, i, j]
+    inv, dead = (x.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n) for x in operators)
+    n_treated = t.sum(axis=1, keepdims=True) - t
+    failed = (n_treated == 0) | (n_treated == n - 1)
+    if dead.any():
+        arms = np.concatenate([~t, t], axis=1).astype(float)
+        hits = np.matmul(dead.astype(float), arms[..., None])[..., 0]
+        failed |= np.where(t, hits[:, n:], hits[:, :n]) > 0.0
+    if failed.any():
+        r, i = (int(v) for v in np.argwhere(failed)[0])
+        bad = operators[1][int(t[r, i]), t[r].astype(int), i, np.arange(n)]
+        raise _row_failure(_loo_failure(t[r], bad, i), r)
+
+    def own_arm_sums(z: np.ndarray) -> np.ndarray:
+        both = np.matmul(inv, z[..., None])[..., 0]
+        sums = np.where(t, both[:, n:], both[:, :n])
+        sums /= n - 1
+        return sums
+
+    z = np.concatenate([np.where(t, 0.0, -y), np.where(t, y, 0.0)], axis=1)
+    out = {}
+    if "tau_loo" in kinds:
+        out["tau_loo"] = own_arm_sums(z)
+    if "theta_loo" in kinds:
+        z[:, :n] *= pi / (1.0 - pi)
+        z[:, n:] *= (1.0 - pi) / pi
+        out["theta_loo"] = own_arm_sums(z)
     return out
 
 
@@ -259,7 +267,7 @@ def _gammas(
         else:
             if not loo:
                 kinds = {s.kind for s in specs} & {"tau_loo", "theta_loo"}
-                loo = _loo_rows(d.conditional_tables, pi, t, y, kinds)
+                loo = _loo_rows(d, pi, t, y, kinds)
             yield loo[spec.kind]
 
 

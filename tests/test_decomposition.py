@@ -14,9 +14,13 @@ from designvar import (
     PotentialOutcomes,
     build_crd,
     build_explicit,
+    build_matched_pair,
+    build_rerandomized,
+    check_assumptions,
     default_q_crd,
     estimate_decomposition,
     estimator_expectation,
+    gen_covariates_hainmueller,
     neyman_variance,
     q_feasible_for_design,
     reveal,
@@ -25,6 +29,10 @@ from designvar import (
     v_tilde,
     validate_q,
 )
+
+from designvar.core import PROB_TOL
+from designvar.decomposition import _quadratic_values, _v_am_matrix, _v_am_values
+from designvar.simulate import BALANCE_THRESHOLD, _empirical_design
 
 from conftest import random_table
 
@@ -262,6 +270,62 @@ class TestVAm:
     def test_constant_outcomes_nonnegative_with_dead_cells(self, crossed_pairs):
         obs = ObservedData(AssignmentVector.from_string("1100"), np.full(4, 2.0))
         assert float(v_am(crossed_pairs, obs)) >= 0.0
+
+
+def _skewed_groups_design():
+    """The 20 size-3 groups of 6 units with skewed weights: unequal propensities."""
+    support = ["".join("1" if i in g else "0" for i in range(6))
+               for g in itertools.combinations(range(6), 3)]
+    probs = np.random.default_rng(108).uniform(0.5, 2.0, len(support))
+    return build_explicit(support, probs / probs.sum())
+
+
+def _study_b_empirical_design():
+    x = gen_covariates_hainmueller(50, 0)
+    d = build_rerandomized(build_crd(50, 25), x, BALANCE_THRESHOLD, retry_budget=1_000_000)
+    return _empirical_design(d.sample_matrix(40, np.random.default_rng(5)))
+
+
+_CACHE_DESIGNS = {
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+    "matched-pairs-4": lambda: build_matched_pair([(0, 1), (2, 3), (4, 5), (6, 7)]),
+    "heterogeneous-20": _skewed_groups_design,
+    "study-b-empirical": _study_b_empirical_design,
+}
+
+
+class TestVAmMatrixCache:
+    """v_am's matrix depends on the design alone: built on the first call, kept
+    on the design, and every value equals the one from a freshly built matrix."""
+
+    @pytest.mark.parametrize("name", sorted(_CACHE_DESIGNS))
+    def test_values_equal_a_fresh_matrix_to_the_bit(self, name, monkeypatch):
+        import designvar.decomposition as dec
+
+        d = _CACHE_DESIGNS[name]()
+        d.pairwise_cells()
+        check_assumptions(d)
+        assert "_v_am_matrix" not in vars(d)
+        assert "_loo_operators" not in vars(d)
+        builds = []
+        monkeypatch.setattr(dec, "_v_am_matrix", lambda d: builds.append(d) or _v_am_matrix(d))
+        rng = np.random.default_rng(sorted(_CACHE_DESIGNS).index(name))
+        iu, ju = np.triu_indices(d.n, k=1)
+        dead = sum(int((p[iu, ju] <= PROB_TOL).sum()) for p in d.pairwise_cells())
+        u = d.matrix
+        for _ in range(2):
+            po = random_table(rng, d.n)
+            y = np.where(u == 1, po.y1, po.y0)
+            values, bounded = _v_am_values(d, u, y)
+            m, fresh_bounded = _v_am_matrix(d)
+            fresh = _quadratic_values(m, u, y) / d.n**2
+            assert values.tobytes() == fresh.tobytes()
+            assert bounded == fresh_bounded == dead
+            est = v_am(d, reveal(po, d.vector(0)))
+            assert est.value == values[0]
+            assert est.params == {"bounded_cells": dead}
+        assert builds == [d]
+        assert not vars(d)["_v_am_matrix"][0].flags.writeable
 
 
 @pytest.mark.filterwarnings("error")

@@ -22,6 +22,7 @@ from designvar import (
     check_assumptions,
     gen_covariates_hainmueller,
     max_asmd,
+    run_study_b,
     substitution_mode,
     validate_q,
 )
@@ -430,19 +431,59 @@ class TestBalanceKernel:
         with pytest.raises(ValidationError, match=message):
             max_asmd(x, AssignmentVector.from_string(rows[1]))
 
-    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
     def test_sampled_draws_equal_per_row_reference(self, s):
+        # the reference draws at most the rows still missing, so it scores
+        # every row it draws; the sampler's batch sizes must not matter
         x = gen_covariates_hainmueller(50, s)
         base = build_crd(50, 25)
         d = build_rerandomized(base, x, 0.2)
-        got = d.sample_matrix(200, np.random.default_rng((s, 104729)))
-        rng = np.random.default_rng((s, 104729))
-        accepted = []
-        while len(accepted) < 200:
-            for row in base.sample_matrix(min(200 - len(accepted), 1024), rng):
-                if _reference_max_asmd(x, row) < 0.2:
-                    accepted.append(row)
-        assert np.array_equal(got, np.array(accepted))
+        for m in (1, 8, 200):
+            got = d.sample_matrix(m, np.random.default_rng((s, 104729)))
+            rng = np.random.default_rng((s, 104729))
+            accepted = []
+            while len(accepted) < m:
+                for row in base.sample_matrix(min(m - len(accepted), 1024), rng):
+                    if _reference_max_asmd(x, row) < 0.2:
+                        accepted.append(row)
+            assert got.tobytes() == np.array(accepted, dtype=np.int8).tobytes(), m
+
+
+def _spy_base_draws(monkeypatch) -> list[int]:
+    """Record the size of every draw from a CRD sampler-backed design."""
+    sizes: list[int] = []
+    real = SampledDesign.sample_matrix
+
+    def spy(self, m, seed=None):
+        if self.kind == "crd":
+            sizes.append(m)
+        return real(self, m, seed)
+
+    monkeypatch.setattr(SampledDesign, "sample_matrix", spy)
+    return sizes
+
+
+class TestAcceptRejectBatches:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_study_b_call_takes_few_base_draws(self, seed, monkeypatch):
+        # one row per batch of at most the missing rows took 31-58 base draws here
+        sizes = _spy_base_draws(monkeypatch)
+        run_study_b(seed=seed, n_replications=1, n_inner_draws=8, n_outer=6)
+        assert 1 <= len(sizes) <= 4
+        assert sizes[0] == 8
+
+    @pytest.mark.parametrize("budget", [100, 1000])
+    def test_budget_bounds_the_rows_drawn(self, budget, monkeypatch):
+        d = build_rerandomized(build_crd(50, 25), gen_covariates_hainmueller(50, 0), 0.2,
+                               retry_budget=budget)
+        sizes = _spy_base_draws(monkeypatch)
+        with pytest.raises(AssumptionError, match=(
+            rf"^accept-reject budget {budget} exhausted; acceptance rate so far about "
+            r"\d\.\d\de[-+]\d\d$"
+        )):
+            d.sample_matrix(200, np.random.default_rng(0))
+        assert sum(sizes) == budget
+        assert max(sizes) <= 1024
 
 
 class TestNonFiniteCovariates:

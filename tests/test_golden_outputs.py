@@ -13,7 +13,16 @@ psi. The study-b results.csv and summary.json digests were then made with
 v_am scored as one quadratic form z'Mz per table instead of an fsum of its
 pair terms, which moved 17 of 72 study-b results.csv values (all v_am) by at
 most 1.2e-14 relative and 31 summary.json values by at most 3.3e-16
-absolute; no appendix-c or SVG digest moved. All on numpy 2.4.
+absolute; no appendix-c or SVG digest moved. The results.csv and
+summary.json digests of both runs were then made with tau-loo and theta-loo
+as one matrix-vector product per row with the design's leave-one-out
+operator (1/Pr(W_j = b | W_i = a), built once per design) instead of a sum
+of quotients over a (rows, n, n) conditional block. That moved only
+leave-one-out values: appendix-c results.csv 1,187 of 7,200 values by at
+most 1.6e-15 relative, its summary.json 56 values by at most 7.1e-15
+absolute (1.0e-15 relative); study-b results.csv 14 of 72 values by at most
+7.0e-16 relative, its summary.json 17 values by at most 2.8e-17 absolute
+(6.9e-16 relative). No SVG digest moved. All on numpy 2.4.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ GOLDEN = {
             "boxplot-scenario-4.svg": "e1b8e42028eb11f03a42cf74aa9cc9cf1f1dfd9c7ec948e660b3dfea4a36bd18",
             "boxplot-scenario-5.svg": "b9a7fbd1f91bd91c6858d84d7c553e11326fef2204b2c7cb59146c158a3481d9",
             "boxplot-scenario-6.svg": "8207c19ca5e75d34b83b468bbecfeeb641009ea7051f2ca3488a4d56930894e4",
-            "results.csv": "8297918252934907f9967b66b25d57ea63c65f46254f1701ad4da87a76aab0a1",
-            "summary.json": "d7a09739a00cc5d407c88e27ebf80a2d00e1cb77073ea05378b445bf544ac65e",
+            "results.csv": "ad38024f9a2727401c1fa8e1159652b337c992c3091df3e9c8632c3dfec51440",
+            "summary.json": "f50086ce8be8d137f6c0fdf416ba64935a6041b561c32ae916cebfb81d7ed873",
         },
     ),
     "study-b": (
@@ -45,8 +54,8 @@ GOLDEN = {
             "boxplot-study-b-constant_random.svg": "79f814b7c05dd45210f13451f38405e8e5639aff0191917cba2c4dda573b06d2",
             "boxplot-study-b-heterogeneous.svg": "3d649bb0387c3fadb42ff36d0c1e5cbf847542a3814f919f8083f429320fe16d",
             "boxplot-study-b-no_effect.svg": "3af1c3065064d5978987a35dc4b49c86c82982c1dbda5c2413baabc680130770",
-            "results.csv": "7b734e4087295a1e5f501b527ce829305b0bd8cac1e7bf64ed8e8cadc3a3ad7f",
-            "summary.json": "a84ee1fba5b4a46b6e13dd2affd3e937bbdb75990ed2077b6370a36d4cc8ccc8",
+            "results.csv": "d7e3905b4fd6af9ba69b252f99cc0ce042886f547d6d4be842a6cf96a1cc55bc",
+            "summary.json": "e9c6b23028e905aafbd32f1796ae563cbda2420c2fefd4b314d7ed4fb977a0e8",
         },
     ),
 }

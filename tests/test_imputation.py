@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from designvar import (
     build_explicit,
     build_matched_pair,
     c_vector,
+    check_assumptions,
     estimator_expectation,
     gamma_vector,
     horvitz_thompson,
@@ -598,3 +600,78 @@ class TestImputationBatch:
             tracemalloc.stop()
         assert gamma.shape == (12_870, 16)
         assert peak < 16 * 2**20
+
+
+def _reference_loo_refusal(d, t: np.ndarray) -> str | None:
+    """The first leave-one-out refusal of one 0/1 row, unit by unit and in unit
+    order within a unit, as the per-row conditional block found it; None if
+    every unit's leave-one-out estimate is defined."""
+    n = len(t)
+    for i in range(n):
+        wi = int(t[i])
+        cond = d.conditional_tables[wi, i]
+        for j in range(n):
+            if j != i and t[j] and cond[j] <= PROB_TOL:
+                return (f"unit {j} is treated but Pr(W_{j}=1 | W_{i}={wi}) = 0; "
+                        "leave-one-out weight undefined")
+            if j != i and not t[j] and cond[j] >= 1.0 - PROB_TOL:
+                return (f"unit {j} is control but Pr(W_{j}=1 | W_{i}={wi}) = 1; "
+                        "leave-one-out weight undefined")
+        others = int(t.sum()) - wi
+        if others in (0, n - 1):
+            arm = "treated" if others == 0 else "control"
+            return (f"leave-one-out estimate undefined: no {arm} units remain "
+                    f"after excluding unit {i}")
+    return None
+
+
+_REFUSAL_DESIGNS = {
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+    "matched-pairs-3": lambda: build_matched_pair([(0, 1), (2, 3), (4, 5)]),
+    "matched-pairs-4-crossed": lambda: build_matched_pair([(0, 5), (1, 7), (2, 4), (3, 6)]),
+}
+
+
+class TestLeaveOneOutRefusals:
+    @pytest.mark.parametrize("kind", ["tau-loo", "theta-loo"])
+    @pytest.mark.parametrize("name", sorted(_REFUSAL_DESIGNS))
+    def test_every_row_refuses_as_the_reference(self, name, kind):
+        d = _REFUSAL_DESIGNS[name]()
+        spec = GammaSpec.parse(kind)
+        n = d.n
+        w = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        y = np.random.default_rng(n).normal(size=w.shape)
+        expected = [_reference_loo_refusal(d, row.astype(bool)) for row in w]
+        assert any(expected) and not all(expected)
+        for start in range(len(w)):
+            refused = [r for r in range(start, len(w)) if expected[r]]
+            if not refused:
+                _gamma_rows(spec, d, w[start:], y[start:])
+                continue
+            with pytest.raises(AssumptionError) as exc:
+                _gamma_rows(spec, d, w[start:], y[start:])
+            assert exc.value.row == refused[0] - start
+            assert str(exc.value) == expected[refused[0]]
+        for r in range(len(w)):
+            if expected[r]:
+                with pytest.raises(AssumptionError, match=re.escape(expected[r])) as exc:
+                    _gamma_rows(spec, d, w[r:r + 1], y[r:r + 1])
+                assert exc.value.row == 0
+            else:
+                _gamma_rows(spec, d, w[r:r + 1], y[r:r + 1])
+
+    def test_operators_are_built_on_first_use(self, crossed_pairs):
+        crossed_pairs.pairwise_cells()
+        check_assumptions(crossed_pairs)
+        assert "_loo_operators" not in vars(crossed_pairs)
+        u = crossed_pairs.matrix
+        _gamma_rows(GammaSpec.parse("tau-loo"), crossed_pairs, u, u)
+        inv, dead = vars(crossed_pairs)["_loo_operators"]
+        assert inv.shape == dead.shape == (2, 2, 4, 4)
+        cond = crossed_pairs.conditional_tables
+        arm = np.stack([1.0 - cond, cond], axis=1)  # [a, b, i, j]
+        alive = ~dead & ~np.eye(4, dtype=bool)
+        assert np.array_equal(inv[alive], 1.0 / arm[alive])
+        assert not inv[~alive].any()
+        assert not dead[:, :, np.arange(4), np.arange(4)].any()
+
