@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import io as io_mod
 from . import simulate as sim
 from . import verify as verify_mod
@@ -65,6 +67,13 @@ def _estimator_from_args(args, d) -> tuple[str, dict]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _count_summary(counts) -> list[dict]:
+    """Each distinct substitute count with its number of support rows, in
+    support order of first appearance."""
+    values, first, rows = np.unique(counts, return_index=True, return_counts=True)
+    return [{"count": int(values[i]), "rows": int(rows[i])} for i in np.argsort(first)]
+
+
 def cmd_design_inspect(args) -> int:
     d = io_mod.load_design(args.design)
     payload: dict = {"kind": d.kind, "n": d.n}
@@ -73,7 +82,7 @@ def cmd_design_inspect(args) -> int:
         payload["propensities"] = [float(p) for p in d.propensities]
         try:
             payload["substitution_mode"] = substitution_mode(d)
-            payload["substitute_counts"] = [int(c) for c in substitute_counts(d)]
+            payload["substitute_counts"] = _count_summary(substitute_counts(d))
         except (AssumptionError, ValidationError) as exc:
             payload["substitution_mode"] = None
             payload["substitution_note"] = str(exc)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -399,6 +398,55 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     return sizes, pairs
 
 
+_BYTE_VALUES = np.arange(256, dtype=np.uint8)
+#: (8, 256): entry [j, v] is bit j of byte v in ``np.packbits`` order (high bit first)
+_BYTE_BITS = np.unpackbits(_BYTE_VALUES[:, None], axis=1).T.astype(float)
+_POPCOUNT = _BYTE_BITS.sum(axis=0).astype(np.uint8)
+
+
+def _byte_tables(values: np.ndarray, width: int) -> np.ndarray:
+    """(width, 256) table whose entry [b, v] sums ``values[8b + j]`` over the
+    set bits j of byte v, at most 8 values; units past the end count 0."""
+    v = np.zeros(8 * width)
+    v[:len(values)] = values
+    return v.reshape(width, 8) @ _BYTE_BITS
+
+
+def _lookup(tables: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Sum over bytes b of ``tables[b][columns[b]]``, added in byte order, for
+    (width, k) packed rows by column: each row's sum of the per-unit values
+    of its set bits."""
+    out = tables[0].take(columns[0])
+    for b in range(1, len(columns)):
+        out += tables[b].take(columns[b])
+    return out
+
+
+def _relation(d: ExplicitDesign, mode: str) -> tuple[int, np.ndarray | None]:
+    """Facts of the substitute relation decided once per design and mode,
+    next to the cached counts: the support row with the fewest substitutes
+    if it has none (else -1), and otherwise each anchor's weight
+    p_w / |G*(w)|."""
+    per_design = _COUNTS_CACHE.setdefault(d, {})
+    if (mode, "relation") not in per_design:
+        counts = substitute_counts(d, mode)
+        r = int(np.argmin(counts))
+        per_design[mode, "relation"] = (-1, d.probs / counts) if counts[r] else (r, None)
+    return per_design[mode, "relation"]
+
+
+def _relation_anchors(d: ExplicitDesign, mode: str, row: int) -> np.ndarray:
+    """The support rows, ascending, whose substitute set holds support row
+    ``row``. The relation is symmetric, so they are the rows of its size that
+    share k of its treated units: one pass over the packed support, with a
+    256-entry table per byte of the overlap with the row."""
+    columns = d._packed_columns
+    m = int(d.group_sizes[row])
+    tables = _POPCOUNT[_BYTE_VALUES & columns[:, row, None]]
+    overlap = _lookup(tables.astype(np.min_scalar_type(d.n), copy=False), columns)
+    return np.flatnonzero((overlap == _overlap_count(d.n, m, mode)) & (d.group_sizes == m))
+
+
 def _substitute_values(
     d: Design, w, y, g: Mapping | None, mse: bool
 ) -> tuple[np.ndarray, str, np.ndarray]:
@@ -408,8 +456,13 @@ def _substitute_values(
     Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
     substitute set holds its assignment W, c_w being l(w)'y (v_sub, scaled by
     4/N^2) or the group-size contrast (mse_sub_epsem). Anchors come from the
-    substitute relation or from a user map ``g``, validated once per call;
-    tables go in blocks of at most ROW_BLOCK (rows, support) elements.
+    substitute relation, one pass over the packed support per table, or from
+    a user map ``g``, validated once per call, as the range of its sorted
+    (member, anchor) pairs whose member is W. Either way each anchor's
+    treated sum comes from per-byte 256-entry tables of the table's y, and
+    the contrasts and terms are formed on the anchors alone, with the same
+    arithmetic: a user map and the relation give the same bits, and a row's
+    value does not depend on its batch.
     """
     if not isinstance(d, ExplicitDesign):
         raise AssumptionError(
@@ -433,38 +486,32 @@ def _substitute_values(
         )
     s = d.support_size
     if g is None:
-        sizes = substitute_counts(d, mode)
-        r = int(np.argmin(sizes))
-        _check_count(d.vector(r), int(sizes[r]))
-        hits_of = partial(_substitute_rows, d, mode=mode)
+        empty, weight = _relation(d, mode)
+        if empty >= 0:
+            _check_count(d.vector(empty), 0)
     else:
         sizes, pairs = _normalize_g(d, g, mode)
-
-        def hits_of(block: np.ndarray) -> np.ndarray:
-            keys = block[:, None] * s + np.arange(s)
-            return pairs.take(np.searchsorted(pairs, keys), mode="clip") == keys
-
+        weight = d.probs / sizes
+        lo = np.searchsorted(pairs, rows * s).tolist()
+        hi = np.searchsorted(pairs, rows * s + s).tolist()
+    columns = d._packed_columns
     sums = np.empty(len(rows))
     counts = np.empty(len(rows), dtype=np.int64)
-    step = max(1, ROW_BLOCK // s)
-    for start in range(0, len(rows), step):
-        block, yb = rows[start:start + step], y[start:start + step]
-        hits = hits_of(block)
-        # one matrix-vector product per table, so it rounds as when scored alone
-        treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
-        total = yb.sum(axis=1)[:, None]
-        if mse:
-            c = treated_sum / d.group_sizes - (total - treated_sum) / (d.n - d.group_sizes)
+    for i, row in enumerate(rows.tolist()):
+        if g is None:
+            a = _relation_anchors(d, mode, row)
+        else:
+            a = pairs[lo[i]:hi[i]] - row * s
+        treated_sum = _lookup(_byte_tables(y[i], len(columns)), columns.take(a, axis=1))
+        total = y[i].sum()
+        if mse:  # every anchor has the group size of the row
+            m = int(d.group_sizes[row])
+            c = treated_sum / m - (total - treated_sum) / (d.n - m)
         else:
             c = 2.0 * treated_sum - total
-        flat = np.flatnonzero(hits)
-        anchors = flat % s
-        per_row = np.count_nonzero(hits, axis=1)
-        p_obs = np.repeat(d.probs[block], per_row)
-        terms = d.probs[anchors] / p_obs * c.ravel()[flat] ** 2 / sizes[anchors]
-        # every term is >= 0, so a running sum per table does not cancel
-        sums[start:start + len(block)] = np.bincount(flat // s, terms, minlength=len(block))
-        counts[start:start + len(block)] = per_row
+        # every term is >= 0, so the sum does not cancel
+        sums[i] = (weight[a] * c**2).sum() / d.probs[row]
+        counts[i] = len(a)
     return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
 
 

@@ -228,9 +228,9 @@ def _quadratic_values(m: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray
     return (np.matmul(m, z[..., None])[..., 0] * z).sum(axis=1)
 
 
-def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """estimate_decomposition's value on k realized tables: (k, n) 0/1
-    assignments ``w`` and outcomes ``y``. Q is validated once per call."""
+def _decomposition_matrix(d: Design, q: np.ndarray) -> np.ndarray:
+    """estimate_decomposition's pair-expansion matrix M for Q, read-only. An
+    invalid Q, or one with a nonzero coefficient on a dead cell, raises."""
     q = require_valid_q(q, d.n)
     cells, coefs = _coefficients(d, q - 1.0 / d.n**2, d.n**2)
     feas = _feasibility(cells, coefs)
@@ -240,7 +240,19 @@ def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray
             f"Q is not estimable under this design: Pr(W_{i}={wi}, W_{j}={wj}) = 0 "
             f"but its coefficient is {c:.3e} (and {len(feas.violations) - 1} more)"
         )
-    return _quadratic_values(_pair_matrix(d, cells, coefs, d.n**2)[0], w, y)
+    return _pair_matrix(d, cells, coefs, d.n**2)[0]
+
+
+def _decomposition_values(d: Design, q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """estimate_decomposition's value on k realized tables: (k, n) 0/1
+    assignments ``w`` and outcomes ``y``. M depends on the design and Q
+    alone, so it is kept on the design in one slot keyed by Q's shape and
+    bytes: a call with the Q of the last call reads it, another Q is
+    validated and replaces it, and a refused Q is never kept."""
+    q = np.asarray(q, dtype=float)
+    m = d._slot("_decomposition_matrix", (q.shape, q.tobytes()),
+                partial(_decomposition_matrix, d, q))
+    return _quadratic_values(m, w, y)
 
 
 def estimate_decomposition(d: Design, obs: ObservedData, q: np.ndarray) -> VarianceEstimate:

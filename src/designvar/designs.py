@@ -139,6 +139,16 @@ class Design:
             self.__dict__[name] = build()
         return self.__dict__[name]
 
+    def _slot(self, name: str, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, kept on the design in one slot ``name`` with its ``key``:
+        an operator of the design and one argument. A call with an equal key
+        reads the slot; another key builds and replaces it, so one operator is
+        kept at a time. A build that raises leaves the slot as it was."""
+        slot = self.__dict__.get(name)
+        if slot is None or slot[0] != key:
+            slot = self.__dict__[name] = (key, build())
+        return slot[1]
+
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ValidationError(f"unit index {i} out of range for n={self.n}")
@@ -259,6 +269,14 @@ class ExplicitDesign(Design):
         m = np.unpackbits(self._packed, axis=1, count=self.n).astype(float)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def _packed_columns(self) -> np.ndarray:
+        """The packed support by column, (ceil(n/8), support_size) uint8 and
+        read-only: one contiguous row per byte position, built on first use."""
+        columns = np.ascontiguousarray(self._packed.T)
+        columns.setflags(write=False)
+        return columns
 
     @cached_property
     def group_sizes(self) -> np.ndarray:

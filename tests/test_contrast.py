@@ -32,6 +32,8 @@ from designvar import (
 )
 from designvar import contrast
 from designvar.contrast import substitute_counts
+from designvar.core import EST_RTOL, ROW_BLOCK, _row_failure
+from designvar.designs import ExplicitDesign
 
 from conftest import random_table
 
@@ -500,3 +502,167 @@ class TestClosedFormCounts:
         counts = substitute_counts(d)
         assert counts.shape == (184_756,)
         assert set(counts.tolist()) == {63_504} == {math.comb(10, 5) ** 2}
+
+
+def _scan_values(d, w, y, g, mse):
+    """v_sub, or with ``mse`` mse_sub_epsem, by the blocked scan that the
+    packed-support pass replaced: per block of tables, an overlap GEMM on the
+    (S, n) float matrix against every support row, contrasts on every row,
+    and one ``np.bincount`` of the hit terms. Returns (values, counts)."""
+    s = d.support_size
+    rows = d.rows_of(w)
+    if np.any(rows < 0):
+        r = int(np.argmax(rows < 0))
+        w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
+        raise _row_failure(
+            ValidationError(f"realized assignment {w_r} is not in the design support"), r
+        )
+    mode = substitution_mode(d)
+    if not mse and mode != contrast.EQUAL_SIZE:
+        raise AssumptionError(
+            "the contrast variance estimator needs equal group sizes with N "
+            f"divisible by 4; this design supports only {mode} substitution "
+            "(see mse_sub_epsem)"
+        )
+    if g is None:
+        sizes = substitute_counts(d, mode)
+        r = int(np.argmin(sizes))
+        contrast._check_count(d.vector(r), int(sizes[r]))
+
+        def hits_of(block):
+            return contrast._substitute_rows(d, block, mode)
+    else:
+        sizes, pairs = contrast._normalize_g(d, g, mode)
+
+        def hits_of(block):
+            keys = block[:, None] * s + np.arange(s)
+            return pairs.take(np.searchsorted(pairs, keys), mode="clip") == keys
+
+    sums = np.empty(len(rows))
+    counts = np.empty(len(rows), dtype=np.int64)
+    step = max(1, ROW_BLOCK // s)
+    for start in range(0, len(rows), step):
+        block, yb = rows[start:start + step], y[start:start + step]
+        hits = hits_of(block)
+        treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
+        total = yb.sum(axis=1)[:, None]
+        if mse:
+            c = treated_sum / d.group_sizes - (total - treated_sum) / (d.n - d.group_sizes)
+        else:
+            c = 2.0 * treated_sum - total
+        flat = np.flatnonzero(hits)
+        anchors = flat % s
+        per_row = np.count_nonzero(hits, axis=1)
+        p_obs = np.repeat(d.probs[block], per_row)
+        terms = d.probs[anchors] / p_obs * c.ravel()[flat] ** 2 / sizes[anchors]
+        sums[start:start + len(block)] = np.bincount(flat // s, terms, minlength=len(block))
+        counts[start:start + len(block)] = per_row
+    return (sums if mse else 4.0 / d.n**2 * sums), counts
+
+
+def _complement_weighted_crd_8_4():
+    """CRD(8,4)'s rows with whole-number weights, not all equal, that give a
+    row and its complement the same weight: every propensity stays 1/2."""
+    rows = build_crd(8, 4).matrix.astype(int)
+    r = np.arange(len(rows))  # rows are sorted, so row r's complement is row S-1-r
+    return ExplicitDesign(rows, 1.0 + np.minimum(r, len(rows) - 1 - r) % 5)
+
+
+_PASS_DESIGNS = {
+    "crd-8-4": (lambda: build_crd(8, 4), None),
+    "crd-16-8-sampled": (lambda: build_crd(16, 8), 200),
+    "matched-pairs-4": (lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]), None),
+    "rerandomized-12-6": (
+        lambda: build_rerandomized(build_crd(12, 6), np.arange(12.0) ** 1.5, 0.3), None),
+    "epsem-9-3-and-9-6": (lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168), None),
+    "whole-weights-crd-8-4": (_complement_weighted_crd_8_4, None),
+}
+
+
+class TestPackedSupportPass:
+    """The per-table pass over the packed support against the blocked scan it
+    replaced: values within EST_RTOL, the same contributing anchors, a user
+    map equal to the relation and every batch row equal to its one-row call,
+    to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(_PASS_DESIGNS))
+    def test_matches_the_blocked_scan(self, name):
+        make, sample = _PASS_DESIGNS[name]
+        d = make()
+        rng = np.random.default_rng(sorted(_PASS_DESIGNS).index(name))
+        picked = np.arange(d.support_size) if sample is None else np.sort(
+            rng.choice(d.support_size, size=sample, replace=False))
+        po = random_table(rng, d.n)
+        u = d.matrix[picked]
+        y = np.where(u == 1, po.y1, po.y0)
+        # a user map lists every member of every set: 63M vectors on CRD(16,8)
+        g = full_substitute_map(d) if d.support_size <= 1000 else None
+        modes = [True] if substitution_mode(d) == "epsem" else [False, True]
+        if name == "epsem-9-3-and-9-6":
+            assert set(d.group_sizes.tolist()) == {3, 6}
+        if name == "rerandomized-12-6":
+            assert contrast._closed_form_counts(d, "equal-size") is None
+        if name == "whole-weights-crd-8-4":
+            assert np.ptp(d.probs) > 0 and np.all(d.propensities == 0.5)
+        for mse in modes:
+            want, want_counts = _scan_values(d, u, y, None, mse)
+            got, mode, counts = contrast._substitute_values(d, u, y, None, mse)
+            np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
+            assert counts.tolist() == want_counts.tolist()
+            if g is not None:
+                by_map, _, map_counts = contrast._substitute_values(d, u, y, g, mse)
+                assert by_map.tobytes() == got.tobytes()
+                assert map_counts.tolist() == counts.tolist()
+                scan_map, scan_map_counts = _scan_values(d, u, y, g, mse)
+                np.testing.assert_allclose(scan_map, want, rtol=EST_RTOL, atol=0)
+                assert scan_map_counts.tolist() == counts.tolist()
+            est = mse_sub_epsem if mse else v_sub
+            for i in range(0, len(picked), max(1, len(picked) // 25)):
+                one = est(d, ObservedData(d.vector(int(picked[i])), y[i]))
+                assert one.value == got[i]
+                assert one.params == {"mode": mode, "contributing_anchors": int(counts[i])}
+                if g is not None:
+                    assert est(d, ObservedData(d.vector(int(picked[i])), y[i]), g).value == got[i]
+
+    def test_overlaps_past_255_units(self):
+        # crossed pairs with each unit repeated 256 times: substitutes share
+        # 256 treated units, a row shares 512 with itself
+        d = build_explicit([c * 256 for c in ("1100", "0011", "1001", "0110")], [0.25] * 4)
+        y = np.random.default_rng(14).uniform(0.0, 10.0, (4, d.n))
+        u = d.matrix
+        for mse in (False, True):
+            want, want_counts = _scan_values(d, u, y, None, mse)
+            got, _, counts = contrast._substitute_values(d, u, y, None, mse)
+            np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
+            assert counts.tolist() == want_counts.tolist() == [2] * 4
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "make, rows, mse",
+        [
+            (lambda: build_crd(8, 4), ["11110000", "10101011"], False),
+            (lambda: build_crd(16, 4), ["1111" + "0" * 12], False),
+            (lambda: build_explicit(["1100", "0011"], [0.5, 0.5]), ["1100", "0011"], True),
+        ],
+        ids=["row-off-support", "equal-size-mode", "empty-substitute-set"],
+    )
+    def test_refusals_keep_message_and_row(self, make, rows, mse):
+        d = make()
+        w = np.array([[int(b) for b in r] for r in rows])
+        y = np.arange(w.size, dtype=float).reshape(w.shape)
+        for _ in range(2):  # a refusal decided once per design is raised again
+            with pytest.raises((AssumptionError, ValidationError)) as want:
+                _scan_values(d, w, y, None, mse)
+            with pytest.raises(type(want.value)) as got:
+                contrast._substitute_values(d, w, y, None, mse)
+            assert str(got.value) == str(want.value)
+            assert getattr(got.value, "row", None) == getattr(want.value, "row", None)
+
+    def test_no_float_support_matrix(self, monkeypatch):
+        d = build_crd(8, 4)
+        po = random_table(np.random.default_rng(13), 8)
+        u = d.matrix
+        y = np.where(u == 1, po.y1, po.y0)
+        monkeypatch.setattr(contrast.ExplicitDesign, "matrix", property(_no_scan))
+        values, _, _ = contrast._substitute_values(d, u, y, None, False)
+        assert values.shape == (70,)

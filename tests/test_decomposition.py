@@ -12,6 +12,7 @@ from designvar import (
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
+    ValidationError,
     build_crd,
     build_explicit,
     build_matched_pair,
@@ -30,6 +31,7 @@ from designvar import (
     validate_q,
 )
 
+import designvar.decomposition as dec
 from designvar.core import PROB_TOL
 from designvar.decomposition import _quadratic_values, _v_am_matrix, _v_am_values
 from designvar.simulate import BALANCE_THRESHOLD, _empirical_design
@@ -359,3 +361,116 @@ class TestPositivityFailure:
     def test_q_feasible_for_design(self, design):
         with pytest.raises(AssumptionError, match=self.MESSAGE):
             q_feasible_for_design(design, default_q_crd(3))
+
+
+def _pair_q(pairs, n):
+    """A valid Q with zero coefficients on a matched-pair design's dead cells:
+    1/N^2 within each pair and -2/((N-2) N^2) across pairs."""
+    within = np.zeros((n, n))
+    for a, b in pairs:
+        within[np.ix_([a, b], [a, b])] = 1.0
+    return (within - 2.0 / (n - 2) * (1.0 - within)) / n**2
+
+
+_PAIRS_4 = ((0, 1), (2, 3), (4, 5), (6, 7))
+
+_SLOT_DESIGNS = {
+    "crd-8-4": (lambda: build_crd(8, 4), lambda: default_q_crd(8)),
+    "matched-pairs-4": (lambda: build_matched_pair(_PAIRS_4), lambda: _pair_q(_PAIRS_4, 8)),
+    "heterogeneous-20": (_skewed_groups_design, lambda: default_q_crd(6)),
+}
+
+
+def _fresh_values(d, q, w, y):
+    """estimate_decomposition's values with M validated and built afresh,
+    as every call built it before M was kept on the design."""
+    q = dec.require_valid_q(q, d.n)
+    cells, coefs = dec._coefficients(d, q - 1.0 / d.n**2, d.n**2)
+    assert dec._feasibility(cells, coefs).feasible
+    return _quadratic_values(dec._pair_matrix(d, cells, coefs, d.n**2)[0], w, y)
+
+
+class TestDecompositionSlot:
+    """estimate_decomposition's M depends on the design and Q alone: it is
+    kept on the design in one slot keyed by Q's shape and bytes, and a
+    refused Q never fills it."""
+
+    SLOT = "_decomposition_matrix"
+
+    @pytest.fixture
+    def count_builds(self, monkeypatch):
+        builds = []
+        build = dec._pair_matrix
+        monkeypatch.setattr(dec, "_pair_matrix", lambda *a, **k: builds.append(1) or build(*a, **k))
+        return builds
+
+    @pytest.mark.parametrize("name", sorted(_SLOT_DESIGNS))
+    def test_values_equal_a_fresh_matrix_to_the_bit(self, name):
+        make, make_q = _SLOT_DESIGNS[name]
+        d, q = make(), make_q()
+        d.pairwise_cells()
+        check_assumptions(d)
+        assert self.SLOT not in vars(d)
+        po = random_table(np.random.default_rng(sorted(_SLOT_DESIGNS).index(name)), d.n)
+        u = d.matrix
+        y = np.where(u == 1, po.y1, po.y0)
+        fresh = _fresh_values(d, q, u, y)
+        for _ in range(2):
+            assert dec._decomposition_values(d, q, u, y).tobytes() == fresh.tobytes()
+            for r in range(d.support_size):
+                assert estimate_decomposition(d, reveal(po, d.vector(r)), q).value == fresh[r]
+        key, m = vars(d)[self.SLOT]
+        assert key == ((d.n, d.n), q.tobytes())
+        assert not m.flags.writeable
+        cells, coefs = dec._coefficients(d, q - 1.0 / d.n**2, d.n**2)
+        assert m.tobytes() == dec._pair_matrix(d, cells, coefs, d.n**2)[0].tobytes()
+
+    def test_built_once_per_q_and_replaced_by_another(self, count_builds):
+        d = build_crd(6, 3)
+        obs = reveal(random_table(np.random.default_rng(11), 6), d.vector(3))
+        q1, q2 = default_q_crd(6), _random_valid_q(6, np.random.default_rng(12))
+        for q in (q1, q1, q1.copy(), q1.tolist()):  # equal bytes: one build
+            estimate_decomposition(d, obs, q)
+        assert len(count_builds) == 1
+        second = estimate_decomposition(d, obs, q2).value
+        assert len(count_builds) == 2
+        assert vars(d)[self.SLOT][0] == ((6, 6), q2.tobytes())
+        assert estimate_decomposition(d, obs, q2).value == second
+        estimate_decomposition(d, obs, q1)  # one slot: q1 is built again
+        assert len(count_builds) == 3
+
+    @pytest.mark.parametrize(
+        "make, valid, q, error, message",
+        [
+            (lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4), CROSS_Q,
+             default_q_crd(4), AssumptionError,
+             "Q is not estimable under this design: Pr(W_0=1, W_2=1) = 0 but its "
+             "coefficient is -8.333e-02 (and 3 more)"),
+            (lambda: build_matched_pair(_PAIRS_4), _pair_q(_PAIRS_4, 8),
+             default_q_crd(8), AssumptionError,
+             "Q is not estimable under this design: Pr(W_0=1, W_1=1) = 0 but its "
+             "coefficient is -1.786e-02 (and 7 more)"),
+            (lambda: build_crd(4, 2), default_q_crd(4), np.zeros((4, 4)), ValidationError,
+             "invalid Q matrix: {'diagonal': 'q[0,0]=0.0, expected 1/N^2=0.0625'}"),
+            (lambda: build_matched_pair(_PAIRS_4), _pair_q(_PAIRS_4, 8),
+             np.zeros((8, 8)), ValidationError,
+             "invalid Q matrix: {'diagonal': 'q[0,0]=0.0, expected 1/N^2=0.015625'}"),
+        ],
+        ids=["infeasible-crossed-pairs", "infeasible-matched-pairs", "invalid-crd",
+             "invalid-matched-pairs"],
+    )
+    def test_refused_q_never_fills_the_slot(self, make, valid, q, error, message, count_builds):
+        d = make()
+        obs = ObservedData(d.vector(0), np.arange(float(d.n)))
+        for cached in (None, valid):  # before and after a valid Q is kept
+            if cached is not None:
+                estimate_decomposition(d, obs, cached)
+            for _ in range(2):
+                with pytest.raises(error) as exc:
+                    estimate_decomposition(d, obs, q)
+                assert str(exc.value) == message
+                slot = vars(d).get(self.SLOT)
+                assert slot is None if cached is None else slot[0][1] == cached.tobytes()
+        builds = len(count_builds)
+        estimate_decomposition(d, obs, valid)  # the valid Q's M is still kept
+        assert len(count_builds) == builds

@@ -11,6 +11,7 @@ from designvar import (
     ValidationError,
     build_crd,
     build_design,
+    build_rerandomized,
     full_substitute_map,
     load_design,
     load_matrix,
@@ -19,6 +20,7 @@ from designvar import (
     load_substitute_map,
 )
 from designvar.cli import main
+from designvar.contrast import substitute_counts
 
 from conftest import random_table
 
@@ -197,6 +199,21 @@ class TestCliDesignInspect:
         payload = json.loads(capsys.readouterr().out)
         assert payload["assumptions"]["flags"]["measurable"] is False
         assert payload["substitution_mode"] == "equal-size"
+
+    def test_substitute_counts_summary(self, tmp_path, capsys):
+        # an incomplete support whose rows have 18 to 24 substitutes
+        d = build_rerandomized(build_crd(8, 4), np.arange(8.0) ** 1.5, 0.6)
+        path = tmp_path / "rerandomized.json"
+        path.write_text(json.dumps({"support": [w.to_string() for w in d.support],
+                                    "probs": d.probs.tolist()}))
+        assert main(["design-inspect", "--design", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        summary = payload["substitute_counts"]
+        counts = substitute_counts(d).tolist()
+        first_seen = list(dict.fromkeys(counts))
+        assert [e["count"] for e in summary] == first_seen and len(first_seen) > 1
+        assert [e["rows"] for e in summary] == [counts.count(c) for c in first_seen]
+        assert sum(e["rows"] for e in summary) == payload["support_size"] == d.support_size
 
     def test_substitutes_listing(self, crossed_pairs_file, capsys):
         code = main(
