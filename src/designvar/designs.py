@@ -442,6 +442,48 @@ def _crd_rows(n: int, k: int) -> np.ndarray:
     return blocks[k]
 
 
+def _crd_sample(n: int, k: int, rng: np.random.Generator, m: int) -> np.ndarray:
+    """(m, n) int8 rows with k ones, the same rows and generator state as m calls of
+    ``rng.choice(n, k, replace=False)``, each setting its picks of a zero row to 1.
+
+    ``choice`` draws each pick with one bounded integer on [0, i], in a fixed order of
+    ranges; ``rng.integers`` with an array of highs makes the same draws in the same
+    order, so one call per row block takes them all. Floyd's algorithm then rebuilds
+    the chosen sets of the block in k vectorized steps (the draws of the shuffle that
+    follows it are consumed but do not change the set), and the tail shuffle is
+    replayed as k vectorized swaps. Blocks keep the draws and the swapped (rows, n)
+    index array to about ROW_BLOCK entries.
+    """
+    # choice's own switch: it tail-shuffles an arange(n), else runs Floyd's algorithm
+    tail = n > 10_000 and k > n // 50
+    if tail:  # swap slot i with a draw on [0, i], for i = n-1 ... n-k
+        highs = np.arange(n, n - k, -1)
+        slot = np.arange(n - 1, n - k - 1, -1)
+    else:  # Floyd on [0, j] for j = n-k ... n-1, then shuffle on [0, i] for i = k-1 ... 1
+        highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+        slot = np.arange(n - k, n)
+    out = np.zeros((m, n), dtype=np.int8)
+    step = max(1, ROW_BLOCK // (2 * n))
+    for s in range(0, m, step):
+        rows = min(step, m - s)
+        draws = rng.integers(0, highs, size=(rows, len(highs)), dtype=np.int64)
+        base = np.arange(rows) * n  # flat offset of each row of the block
+        # (k, rows) flat positions: step t's slot and draw in every row
+        slots = slot[:, None] + base
+        picks = np.ascontiguousarray((draws[:, :k] + base[:, None]).T)
+        flat = out[s:s + rows].reshape(-1)
+        if tail:
+            idx = np.tile(np.arange(n), rows)
+            for a, b in zip(slots, picks):
+                idx[a], idx[b] = idx[b], idx[a]
+            flat[idx.reshape(rows, n)[:, n - k:] + base[:, None]] = 1
+        else:
+            taken = flat.view(bool)
+            for j, v in zip(slots, picks):  # a draw already taken picks slot j
+                taken[np.where(taken[v], j, v)] = True
+    return out
+
+
 def build_crd(
     n: int,
     n_treated: int,
@@ -449,7 +491,14 @@ def build_crd(
     cap: int = SUPPORT_CAP,
     allow_sampler: bool = True,
 ) -> Design:
-    """Completely randomized design: uniform over all size-``n_treated`` groups."""
+    """Completely randomized design: uniform over all size-``n_treated`` groups.
+
+    Up to ``cap`` rows the support is enumerated. A larger design is sampler-backed
+    (unless ``allow_sampler`` is false): a batch of m rows is drawn as m calls of
+    ``rng.choice(n, n_treated, replace=False)`` would draw it, to the bit and with
+    the same generator state afterwards (:func:`_crd_sample`), so the rows do not
+    depend on how the draws are split into batches.
+    """
     if not 0 < n_treated < n:
         raise ValidationError(f"need 0 < n_treated < n, got n_treated={n_treated}, n={n}")
     count = math.comb(n, n_treated)
@@ -462,16 +511,10 @@ def build_crd(
             f"support too large: C({n},{n_treated}) = {count} exceeds cap {cap}"
         )
 
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        out = np.zeros((m, n), dtype=np.int8)
-        for r in range(m):
-            out[r, rng.choice(n, size=n_treated, replace=False)] = 1
-        return out
-
     k, denom = n_treated, n * (n - 1)
     return SampledDesign(
         n,
-        sampler,
+        partial(_crd_sample, n, k),
         kind="crd",
         propensities=np.full(n, k / n),
         cells=(k * (k - 1) / denom, k * (n - k) / denom, k * (n - k) / denom,
@@ -567,10 +610,10 @@ def build_rerandomized(
     The accept-reject sampler draws base rows in batches: m rows first, then as many as
     the acceptance rate so far expects to need (twice the last batch while none was
     accepted), at most 1024 and never past ``retry_budget`` candidates in all. It
-    returns the first m accepted rows in draw order, so on a base whose sampler draws
-    row after row (CRD) the draws do not depend on the batch sizes. Candidates after the
-    m-th accepted row are drawn and discarded: the generator's state after the call is
-    not part of the contract.
+    returns the first m accepted rows in draw order. A CRD base's batch makes the draws
+    of one ``Generator.choice`` per row, so on it the accepted draws do not depend on
+    the batch sizes. Candidates after the m-th accepted row are drawn and discarded:
+    the generator's state after the call is not part of the contract.
     """
     x = _covariates(covariates, base.n)
     if criterion == "max-asmd":

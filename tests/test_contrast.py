@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -387,6 +388,18 @@ def test_full_substitute_map_covers_support():
     for anchor, sub in mapping.items():
         assert anchor in d.support
         assert all(is_substitute(anchor, m, "equal-size") for m in sub.members)
+
+
+def test_full_substitute_map_refuses_a_map_over_the_cap_before_building_it():
+    # CRD(16,8): 12,870 sets of 4,900 members, about 63 M references in all
+    d = build_crd(16, 8)
+    start = time.perf_counter()
+    with pytest.raises(AssumptionError, match=(
+        r"^substitute map too large: 12870 sets hold 63063000 members in all, which "
+        r"exceeds cap 1000000; the map would take about \d+\.\d\d GiB$"
+    )):
+        full_substitute_map(d)
+    assert time.perf_counter() - start < 5.0
 
 
 class TestSubstituteScanParity:

@@ -284,6 +284,46 @@ class TestSampling:
         assert np.array_equal(a, b)
 
 
+def _choice_rows(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """The per-row reference: m calls of ``rng.choice(n, k, replace=False)``."""
+    out = np.zeros((m, n), dtype=np.int8)
+    for r in range(m):
+        out[r, rng.choice(n, size=k, replace=False)] = 1
+    return out
+
+
+class TestCrdSamplerParity:
+    """The batched CRD sampler makes the draws of one ``Generator.choice`` per row."""
+
+    @staticmethod
+    def _check(n: int, k: int, m: int, seed: int) -> None:
+        d = build_crd(n, k, cap=0)  # sampler-backed at any size
+        assert isinstance(d, SampledDesign)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = d.sample_matrix(m, rng)
+        assert got.dtype == np.int8 and got.shape == (m, n)
+        assert got.tobytes() == _choice_rows(ref, n, k, m).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    # Floyd's algorithm and its shuffle: n <= 10000
+    @pytest.mark.parametrize("n,k", [(50, 25), (50, 10), (7, 3), (2, 1)])
+    @pytest.mark.parametrize("m", [0, 1, 8, 1024])
+    def test_floyd_branch(self, n, k, m):
+        for seed in (0, 1):
+            self._check(n, k, m, seed)
+
+    # the tail shuffle: n > 10000 and k > n // 50; 30 rows span three row blocks
+    @pytest.mark.parametrize("n,k", [(10001, 300), (12000, 6000)])
+    @pytest.mark.parametrize("m", [0, 1, 30])
+    def test_tail_shuffle_branch(self, n, k, m):
+        self._check(n, k, m, 3)
+
+    def test_branch_boundary(self):
+        # k = n // 50 still runs Floyd's algorithm; one more pick switches to the tail
+        for k in (400, 401):
+            self._check(20000, k, 2, 5)
+
+
 class TestCheckAssumptions:
     def test_crossed_pairs_report(self, crossed_pairs):
         report = check_assumptions(crossed_pairs)
