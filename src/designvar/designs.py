@@ -578,6 +578,62 @@ def _max_asmd_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (diff / scale).max(axis=1)
 
 
+_SCREEN_MARGIN = 1e-9  # band around the threshold that the exact kernel decides
+
+
+class _MaxAsmdScreen:
+    """max-ASMD scores of (k, n) 0/1 batches from centered sufficient statistics.
+
+    Scores agree with :func:`_max_asmd_rows` to rounding, and every accept decision
+    ``score < threshold`` is the exact kernel's: a row whose screened score lies
+    within ``_SCREEN_MARGIN`` of the threshold (relative, absolute below 1) carries
+    the exact kernel's score, which has the same bits in any batch. A batch with a
+    degenerate row (a group under 2 units, or a pooled variance at rounding level)
+    is scored whole by the exact kernel, so each refusal keeps its message and row.
+    """
+
+    def __init__(self, x: np.ndarray, threshold: float) -> None:
+        self.x, self.threshold = x, float(threshold)
+        self.band = _SCREEN_MARGIN * max(self.threshold, 1.0)
+
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[xc, xc²] as one (n, 2p) operand, its column totals, and each column's
+        pooled-variance floor. Centering keeps Σx² − k·m² from cancelling; ASMD is
+        shift-invariant."""
+        x = self.x
+        xc = x - x.mean(axis=0)
+        xs = np.hstack([xc, xc * xc])
+        total = xs.sum(axis=0)
+        # Below the floor, the rounding of these sums (first term) or of the exact
+        # kernel's uncentered means (second) could move a score by half the band.
+        n, eps = len(x), np.finfo(float).eps
+        floor = (2 * n * eps * total[x.shape[1]:]
+                 + (n * eps * np.abs(x).max(axis=0)) ** 2 / _SCREEN_MARGIN) / _SCREEN_MARGIN
+        return xs, total, floor
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        t = np.asarray(w, dtype=float)
+        n, p = t.shape[1], self.x.shape[1]
+        kt = t.sum(axis=1)[:, None]
+        kc = n - kt
+        if min(kt.min(), kc.min()) < 2:
+            return _max_asmd_rows(self.x, w)
+        xs, total, floor = self._sums
+        st = t @ xs  # treated sums of xc and xc²; control sums are the totals minus these
+        sc = total - st
+        mt, mc = st[:, :p] / kt, sc[:, :p] / kc
+        pooled = ((st[:, p:] - st[:, :p] * mt) / (kt - 1)
+                  + (sc[:, p:] - sc[:, :p] * mc) / (kc - 1)) / 2.0
+        if (pooled <= floor).any():
+            return _max_asmd_rows(self.x, w)
+        score = (np.abs(mt - mc) / np.sqrt(pooled)).max(axis=1)
+        near = np.abs(score - self.threshold) <= self.band
+        if near.any():
+            score[near] = _max_asmd_rows(self.x, w[near])
+        return score
+
+
 def asmd(x: Sequence[float] | np.ndarray, w: AssignmentVector) -> float:
     """Absolute standardized mean difference of ``x`` between the two groups.
 
@@ -599,13 +655,22 @@ def build_rerandomized(
     threshold: float,
     *,
     criterion: str | BalanceCriterion = "max-asmd",
-    retry_budget: int = 200_000,
+    retry_budget: int = 5_000_000,
 ) -> Design:
     """Keep only assignments whose balance criterion is below ``threshold``.
 
     Enumerable bases are filtered exactly (kept weights, over their new total);
     sampler-backed bases become accept-reject samplers. A ``criterion`` callable gets the
     (n, p) covariates and one :class:`AssignmentVector` per candidate row, in row order.
+
+    ``"max-asmd"`` scores each candidate batch with a screen: on the first batch the
+    covariates are centered once, and each row's group means and sample variances come
+    from ``t @ [xc, xc**2]``, the control sums being the column totals minus the treated
+    sums. The screen agrees with :func:`max_asmd` to rounding, and :func:`max_asmd`'s
+    exact kernel settles every near tie: it rescores each row whose screened score lies
+    within 1e-9 of the threshold (relative; absolute below 1), and scores whole any batch
+    with a group under 2 units or a pooled variance at rounding level. So every accept
+    decision, and every refusal with its row, is the one :func:`max_asmd` gives.
 
     The accept-reject sampler draws base rows in batches: m rows first, then as many as
     the acceptance rate so far expects to need (twice the last batch while none was
@@ -617,7 +682,7 @@ def build_rerandomized(
     """
     x = _covariates(covariates, base.n)
     if criterion == "max-asmd":
-        score = partial(_max_asmd_rows, x)
+        score = _MaxAsmdScreen(x, threshold)
     elif callable(criterion):
         def score(rows: np.ndarray) -> np.ndarray:
             vectors = map(AssignmentVector.from_bits, rows.tolist())

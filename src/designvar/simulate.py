@@ -43,7 +43,14 @@ from .decomposition import (
     estimate_decomposition,
     v_am,
 )
-from .designs import Design, ExplicitDesign, SampledDesign, build_crd, build_rerandomized
+from .designs import (
+    Design,
+    ExplicitDesign,
+    SampledDesign,
+    _pack,
+    build_crd,
+    build_rerandomized,
+)
 from .estimators import _neyman_values, neyman_variance
 from .imputation import (
     GammaSpec,
@@ -75,7 +82,6 @@ STUDY_A_TREATED = 6
 STUDY_B_N = 50
 STUDY_B_TREATED = 25
 BALANCE_THRESHOLD = 0.2
-STUDY_B_RETRY_BUDGET = 5_000_000  # accept-reject candidates for study B's draws
 DEFAULT_REPLICATIONS = 100
 DEFAULT_INNER_DRAWS = 20_000
 DEFAULT_OUTER_EVALUATIONS = 200
@@ -583,7 +589,12 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     propensity at exactly one half.
     """
     rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
-    rows, counts = np.unique(rows, axis=0, return_counts=True)
+    packed = _pack(rows)
+    # one void key per packed row: sorting the keys sorts the rows in bit-string order
+    keys, counts = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_counts=True
+    )
+    rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=rows.shape[1])
     return ExplicitDesign(
         rows, counts, kind="empirical",
         meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
@@ -613,7 +624,7 @@ def run_study_b(
         raise ValidationError("study B needs at least two outer evaluations")
     x = gen_covariates_hainmueller(STUDY_B_N, seed)
     base = build_crd(STUDY_B_N, STUDY_B_TREATED)
-    d = build_rerandomized(base, x, BALANCE_THRESHOLD, retry_budget=STUDY_B_RETRY_BUDGET)
+    d = build_rerandomized(base, x, BALANCE_THRESHOLD)
     assert isinstance(d, SampledDesign)
     draw_rng = np.random.default_rng((seed, _DESIGN_STREAM))
     draws = d.sample_matrix(n_inner_draws, draw_rng)

@@ -27,7 +27,7 @@ from designvar import (
     validate_q,
 )
 from designvar.core import PROB_TOL
-from designvar.designs import SampledDesign, _max_asmd_rows
+from designvar.designs import ExplicitDesign, SampledDesign, _max_asmd_rows, _MaxAsmdScreen
 from designvar.estimators import check_propensities
 
 
@@ -487,6 +487,77 @@ class TestBalanceKernel:
                     if _reference_max_asmd(x, row) < 0.2:
                         accepted.append(row)
             assert got.tobytes() == np.array(accepted, dtype=np.int8).tobytes(), m
+
+
+class TestBalanceScreen:
+    """The max-ASMD screen decides every row, and refuses every row, as the exact kernel."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_decisions_equal_the_exact_kernel(self, seed):
+        x = gen_covariates_hainmueller(50, seed)
+        w = build_crd(50, 25).sample_matrix(20_480, np.random.default_rng(seed))
+        exact = _max_asmd_rows(x, w)
+        got = _MaxAsmdScreen(x, 0.2)(w)
+        assert np.array_equal(got < 0.2, exact < 0.2)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e8])
+    def test_decisions_hold_on_a_covariate_far_from_zero(self, offset):
+        # the exact kernel's uncentered means round at the offset's scale: at 1e4
+        # the screen still scores, at 1e8 its floor leaves whole batches to the kernel
+        x = gen_covariates_hainmueller(50, 0)
+        x[:, 0] += offset
+        w = build_crd(50, 25).sample_matrix(8192, np.random.default_rng(1))
+        exact = _max_asmd_rows(x, w)
+        assert np.array_equal(_MaxAsmdScreen(x, 0.2)(w) < 0.2, exact < 0.2)
+
+    def test_threshold_at_a_row_score_decides_as_the_exact_kernel(self):
+        x = gen_covariates_hainmueller(50, 0)
+        w = build_crd(50, 25).sample_matrix(2048, np.random.default_rng(0))
+        exact = _max_asmd_rows(x, w)
+        raw = _MaxAsmdScreen(x, -1.0)(w)  # no score lies near -1: no row is rescored
+        r = int(np.argmax(raw != exact))
+        assert raw[r] != exact[r]  # a row whose screened score rounds differently
+        for threshold in (np.nextafter(exact[r], -np.inf), exact[r], np.nextafter(exact[r], np.inf)):
+            got = _MaxAsmdScreen(x, threshold)(w)
+            assert np.array_equal(got < threshold, exact < threshold), threshold
+
+    @pytest.mark.parametrize(
+        "case, row",
+        [("one-unit-group", 3), ("constant-within-groups", 3), ("constant-column", 0)],
+    )
+    def test_degenerate_rows_refuse_as_the_exact_kernel(self, case, row):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(12, 2))
+        w = build_crd(12, 6).sample_matrix(8, rng)
+        if case == "one-unit-group":
+            w[3] = 0
+            w[3, 5] = 1
+        elif case == "constant-within-groups":
+            x = np.column_stack([x, w[3]])  # 1 on row 3's treated units, 0 on its controls
+        else:
+            x = np.column_stack([x, np.full(12, 2.5)])
+        with pytest.raises(ValidationError) as want:
+            _max_asmd_rows(x, w)
+        with pytest.raises(ValidationError) as got:
+            _MaxAsmdScreen(x, 0.2)(w)
+        assert want.value.row == row
+        assert (str(got.value), got.value.row) == (str(want.value), want.value.row)
+
+    def test_explicit_filter_equals_exact_kernel_filter(self):
+        base = build_crd(12, 6)
+        x = np.random.default_rng(6).normal(size=(12, 3))
+        rows = np.unpackbits(base._packed, axis=1, count=12)
+        exact = _max_asmd_rows(x, rows)
+        raw = _MaxAsmdScreen(x, -1.0)(rows)
+        r = int(np.argmax(raw != exact))
+        thresholds = [float(np.median(exact)), exact[r], np.nextafter(exact[r], np.inf)]
+        for threshold in thresholds:
+            keep = exact < threshold
+            d = build_rerandomized(base, x, threshold)
+            want = ExplicitDesign(rows[keep], base._weights[keep])
+            assert d._packed.tobytes() == want._packed.tobytes(), threshold
+            assert d.probs.tobytes() == want.probs.tobytes(), threshold
 
 
 def _spy_base_draws(monkeypatch) -> list[int]:

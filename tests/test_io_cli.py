@@ -13,6 +13,7 @@ from designvar import (
     build_design,
     build_rerandomized,
     full_substitute_map,
+    gen_covariates_hainmueller,
     load_design,
     load_matrix,
     load_observed,
@@ -305,6 +306,29 @@ class TestCliAnalyze:
         mc = json.loads(capsys.readouterr().out)
         assert mc["exact"] is False
         assert abs(mc["value"] - exact["value"]) <= 3.0 * mc["mc_se"]
+
+    def test_mc_imputation_on_the_study_b_design_file(self, tmp_path, capsys):
+        # 20,000 accepted draws at an acceptance rate near 4 % take about 480,000
+        # candidates: more than a 200,000-candidate accept-reject budget allows
+        design = tmp_path / "study-b.json"
+        design.write_text(json.dumps({
+            "kind": "rerandomized",
+            "base": {"kind": "crd", "n": 50, "n_treated": 25},
+            "covariates": gen_covariates_hainmueller(50, 0).tolist(),
+            "threshold": 0.2,
+        }))
+        obs = tmp_path / "obs-50.csv"
+        obs.write_text("unit_id,w,y_obs\n" + "".join(
+            f"{i + 1},{i % 2},{(i * i) % 13 + 0.5}\n" for i in range(50)
+        ))
+        code = main([
+            "analyze", "--design", str(design), "--data", str(obs), "--mc",
+            "--mc-draws", "20000", "--estimator", "imputation", "--gamma", "tau-hat",
+            "--seed", "0", "--json",
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exact"] is False and out["value"] > 0
 
     def test_assumption_failure_exits_3(self, crossed_pairs_file, tmp_path, capsys):
         obs = tmp_path / "obs3.csv"

@@ -159,6 +159,18 @@ def test_empirical_design_matches_per_row_construction(symmetrize):
     _assert_matches(d, _reference(10, masks, [counts[m] for m in masks]))
 
 
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("n_draws", [8, 300])
+def test_empirical_design_equals_row_unique_reference(n_draws, symmetrize):
+    # the support and weights from packed keys equal np.unique over whole rows
+    draws = build_crd(10, 5, cap=0).sample_matrix(n_draws, np.random.default_rng(n_draws))
+    rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
+    rows, counts = np.unique(rows, axis=0, return_counts=True)
+    d = _empirical_design(draws, symmetrize=symmetrize)
+    assert d._packed.tobytes() == np.packbits(rows, axis=1).tobytes()
+    assert d._weights.tobytes() == counts.astype(float).tobytes()
+
 def _exact_cases():
     x = np.random.default_rng(5).normal(size=(10, 2))
     draws = (np.random.default_rng(11).random((300, 8)) < 0.5).astype(np.int8)
