@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,7 +34,14 @@ from .core import (
     _mask_key,
     _row_failure,
 )
-from .designs import Design, ExplicitDesign
+from .designs import (
+    _BYTE_VALUES,
+    _POPCOUNT,
+    Design,
+    ExplicitDesign,
+    _byte_tables,
+    _lookup,
+)
 
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
@@ -197,10 +204,16 @@ def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
     anchors whose substitute set contains support[r].
     """
     rows = np.asarray(rows)
-    u = d.matrix
+    columns = d._packed_columns
     k, same_size = _substitute_rule(d, rows[:, None], slice(None), mode)
-    # overlaps of 0/1 rows are small integers, exact in floating point
-    return (u[rows] @ u.T == k) & same_size
+    # overlaps as exact counts: per row and byte, a 256-entry table of the set
+    # bits each byte value shares with the row's byte, read at every support row
+    tables = _POPCOUNT[_BYTE_VALUES & d._packed[rows][:, :, None]]
+    tables = tables.astype(np.min_scalar_type(d.n), copy=False)
+    overlap = tables[:, 0].take(columns[0], axis=1)
+    for b in range(1, len(columns)):
+        overlap += tables[:, b].take(columns[b], axis=1)
+    return (overlap == k.astype(overlap.dtype)) & same_size
 
 
 def _row_blocks(d: ExplicitDesign) -> Iterator[np.ndarray]:
@@ -415,30 +428,6 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     return sizes, pairs
 
 
-_BYTE_VALUES = np.arange(256, dtype=np.uint8)
-#: (8, 256): entry [j, v] is bit j of byte v in ``np.packbits`` order (high bit first)
-_BYTE_BITS = np.unpackbits(_BYTE_VALUES[:, None], axis=1).T.astype(float)
-_POPCOUNT = _BYTE_BITS.sum(axis=0).astype(np.uint8)
-
-
-def _byte_tables(values: np.ndarray, width: int) -> np.ndarray:
-    """(width, 256) table whose entry [b, v] sums ``values[8b + j]`` over the
-    set bits j of byte v, at most 8 values; units past the end count 0."""
-    v = np.zeros(8 * width)
-    v[:len(values)] = values
-    return v.reshape(width, 8) @ _BYTE_BITS
-
-
-def _lookup(tables: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Sum over bytes b of ``tables[b][columns[b]]``, added in byte order, for
-    (width, k) packed rows by column: each row's sum of the per-unit values
-    of its set bits."""
-    out = tables[0].take(columns[0])
-    for b in range(1, len(columns)):
-        out += tables[b].take(columns[b])
-    return out
-
-
 def _relation(d: ExplicitDesign, mode: str) -> tuple[int, np.ndarray | None]:
     """Facts of the substitute relation decided once per design and mode,
     next to the cached counts: the support row with the fewest substitutes
@@ -481,55 +470,71 @@ def _substitute_values(
     arithmetic: a user map and the relation give the same bits, and a row's
     value does not depend on its batch.
     """
-    if not isinstance(d, ExplicitDesign):
-        raise AssumptionError(
-            f"substitute estimators need an enumerable design, got {d.kind} sampler"
-        )
-    if w.shape[1] != d.n:
-        raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
-    rows = d.rows_of(w)
-    if np.any(rows < 0):
-        r = int(np.argmax(rows < 0))
-        w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
-        raise _row_failure(
-            ValidationError(f"realized assignment {w_r} is not in the design support"), r
-        )
-    mode = substitution_mode(d)
-    if not mse and mode != EQUAL_SIZE:
-        raise AssumptionError(
-            "the contrast variance estimator needs equal group sizes with N "
-            f"divisible by 4; this design supports only {mode} substitution "
-            "(see mse_sub_epsem)"
-        )
-    s = d.support_size
-    if g is None:
-        empty, weight = _relation(d, mode)
-        if empty >= 0:
-            _check_count(d.vector(empty), 0)
-    else:
-        sizes, pairs = _normalize_g(d, g, mode)
-        weight = d.probs / sizes
-        lo = np.searchsorted(pairs, rows * s).tolist()
-        hi = np.searchsorted(pairs, rows * s + s).tolist()
-    columns = d._packed_columns
-    sums = np.empty(len(rows))
-    counts = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows.tolist()):
+    return _substitute_pass(d, g, mse)(w, y)
+
+
+def _substitute_pass(
+    d: Design, g: Mapping | None, mse: bool
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
+    """:func:`_substitute_values` for the row blocks of one pass: the returned
+    function scores one (w, y) block, and a user map ``g`` is validated once,
+    by the first block that reaches it."""
+    user_map: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def values(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
+        if not isinstance(d, ExplicitDesign):
+            raise AssumptionError(
+                f"substitute estimators need an enumerable design, got {d.kind} sampler"
+            )
+        if w.shape[1] != d.n:
+            raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
+        rows = d.rows_of(w)
+        if np.any(rows < 0):
+            r = int(np.argmax(rows < 0))
+            w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
+            raise _row_failure(
+                ValidationError(f"realized assignment {w_r} is not in the design support"), r
+            )
+        mode = substitution_mode(d)
+        if not mse and mode != EQUAL_SIZE:
+            raise AssumptionError(
+                "the contrast variance estimator needs equal group sizes with N "
+                f"divisible by 4; this design supports only {mode} substitution "
+                "(see mse_sub_epsem)"
+            )
+        s = d.support_size
         if g is None:
-            a = _relation_anchors(d, mode, row)
+            empty, weight = _relation(d, mode)
+            if empty >= 0:
+                _check_count(d.vector(empty), 0)
         else:
-            a = pairs[lo[i]:hi[i]] - row * s
-        treated_sum = _lookup(_byte_tables(y[i], len(columns)), columns.take(a, axis=1))
-        total = y[i].sum()
-        if mse:  # every anchor has the group size of the row
-            m = int(d.group_sizes[row])
-            c = treated_sum / m - (total - treated_sum) / (d.n - m)
-        else:
-            c = 2.0 * treated_sum - total
-        # every term is >= 0, so the sum does not cancel
-        sums[i] = (weight[a] * c**2).sum() / d.probs[row]
-        counts[i] = len(a)
-    return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
+            if not user_map:
+                user_map.append(_normalize_g(d, g, mode))
+            sizes, pairs = user_map[0]
+            weight = d.probs / sizes
+            lo = np.searchsorted(pairs, rows * s).tolist()
+            hi = np.searchsorted(pairs, rows * s + s).tolist()
+        columns = d._packed_columns
+        sums = np.empty(len(rows))
+        counts = np.empty(len(rows), dtype=np.int64)
+        for i, row in enumerate(rows.tolist()):
+            if g is None:
+                a = _relation_anchors(d, mode, row)
+            else:
+                a = pairs[lo[i]:hi[i]] - row * s
+            treated_sum = _lookup(_byte_tables(y[i], len(columns)), columns.take(a, axis=1))
+            total = y[i].sum()
+            if mse:  # every anchor has the group size of the row
+                m = int(d.group_sizes[row])
+                c = treated_sum / m - (total - treated_sum) / (d.n - m)
+            else:
+                c = 2.0 * treated_sum - total
+            # every term is >= 0, so the sum does not cancel
+            sums[i] = (weight[a] * c**2).sum() / d.probs[row]
+            counts[i] = len(a)
+        return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
+
+    return values
 
 
 def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEstimate:
@@ -641,7 +646,6 @@ def check_assumptions(d: Design) -> AssumptionReport:
 
     n = d.n
     pi = d.propensities
-    u = d.matrix
 
     positivity = bool(np.all((pi > 0.0) & (pi < 1.0)))
     if not positivity:
@@ -673,7 +677,9 @@ def check_assumptions(d: Design) -> AssumptionReport:
             f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
         )
 
-    unmatched = np.flatnonzero(d.rows_of(u == 0) < 0)
+    complements = ~d._packed
+    complements[:, -1] &= 0xFF << (-n % 8) & 0xFF  # keep the padding bits 0
+    unmatched = np.flatnonzero(d._find(complements) < 0)
     closed = not unmatched.size
     if not closed:
         w = d.vector(int(unmatched[0]))
@@ -691,7 +697,10 @@ def check_assumptions(d: Design) -> AssumptionReport:
         details["substitution"] = str(exc)
 
     if positivity:
-        weights = u @ (1.0 / pi) + (1.0 - u) @ (1.0 / (1.0 - pi))
+        # sum over treated units of 1/pi - 1/(1-pi), plus 1/(1-pi) over all units
+        columns = d._packed_columns
+        weights = _lookup(_byte_tables(1.0 / pi - 1.0 / (1.0 - pi), len(columns)), columns)
+        weights += (1.0 / (1.0 - pi)).sum()
         fixed_weight = bool(np.all(np.abs(weights - 2.0 * n) <= WEIGHT_TOL))
         if not fixed_weight:
             k = int(np.argmax(np.abs(weights - 2.0 * n) > WEIGHT_TOL))

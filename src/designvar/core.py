@@ -206,7 +206,8 @@ def reveal(po: PotentialOutcomes, w: AssignmentVector, *,
     """Observe a science table under assignment ``w``.
 
     Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment; the batch route,
-    ``oracles._kernel_values``, forms it for every support row at once.
+    ``oracles._kernel_values``, forms it for a whole row block of the support
+    at once.
     """
     if po.n != w.n:
         raise ValidationError(f"table has {po.n} units but assignment has {w.n}")

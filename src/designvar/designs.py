@@ -39,6 +39,30 @@ def _pack(u: np.ndarray) -> np.ndarray:
     return np.packbits(u, axis=1)
 
 
+_BYTE_VALUES = np.arange(256, dtype=np.uint8)
+#: (8, 256): entry [j, v] is bit j of byte v in ``np.packbits`` order (high bit first)
+_BYTE_BITS = np.unpackbits(_BYTE_VALUES[:, None], axis=1).T.astype(float)
+_POPCOUNT = _BYTE_BITS.sum(axis=0).astype(np.uint8)
+
+
+def _byte_tables(values: np.ndarray, width: int) -> np.ndarray:
+    """(width, 256) table whose entry [b, v] sums ``values[8b + j]`` over the
+    set bits j of byte v, at most 8 values; units past the end count 0."""
+    v = np.zeros(8 * width)
+    v[:len(values)] = values
+    return v.reshape(width, 8) @ _BYTE_BITS
+
+
+def _lookup(tables: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Sum over bytes b of ``tables[b][columns[b]]``, added in byte order, for
+    (width, k) packed rows by column: each row's sum of the per-unit values
+    of its set bits."""
+    out = tables[0].take(columns[0])
+    for b in range(1, len(columns)):
+        out += tables[b].take(columns[b])
+    return out
+
+
 def _contrast_rows(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """(k, n) contrast rows D_wi = w_i/pi_i - (1-w_i)/(1-pi_i) of k 0/1 rows w: the
     Horvitz-Thompson estimate at w is tau + D_w . c / N, c = (1-pi) Y(1) + pi Y(0)."""
@@ -165,7 +189,9 @@ class ExplicitDesign(Design):
 
     The support is kept once, as (support_size, ceil(n/8)) uint8 rows in
     ``np.packbits`` layout sorted by their bytes (lexicographic bit-string
-    order); support vectors and the float matrix are decoded from them.
+    order); support vectors are decoded from them, and every pass over the
+    support reads them in bounded row blocks (``_blocks``) or byte by byte,
+    so no (support_size, n) array is formed.
     Each row carries a positive weight, and its probability is the weight
     over the weights' total. Builders that know whole-number weights (ones,
     draw counts) pass them, which makes every probability query exact: one
@@ -264,13 +290,6 @@ class ExplicitDesign(Design):
         return w.n == self.n and self._find(_mask_key(w.n, w.mask))[0] >= 0
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """(support_size, n) float matrix of assignment indicators."""
-        m = np.unpackbits(self._packed, axis=1, count=self.n).astype(float)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def _packed_columns(self) -> np.ndarray:
         """The packed support by column, (ceil(n/8), support_size) uint8 and
         read-only: one contiguous row per byte position, built on first use."""
@@ -281,7 +300,7 @@ class ExplicitDesign(Design):
     @cached_property
     def group_sizes(self) -> np.ndarray:
         """(support_size,) treated-group size N_t(w) of each support vector."""
-        sizes = np.unpackbits(self._packed, axis=1).sum(axis=1, dtype=np.int64)
+        sizes = _POPCOUNT[self._packed].sum(axis=1, dtype=np.int64)
         sizes.setflags(write=False)
         return sizes
 
@@ -693,15 +712,19 @@ def build_rerandomized(
     meta = {"threshold": float(threshold), "base_kind": base.kind}
 
     if isinstance(base, ExplicitDesign):
-        rows = np.unpackbits(base._packed, axis=1, count=base.n)
         b = max(1, ROW_BLOCK // (base.n * x.shape[1]))  # rows per call: bounded gathers
-        keep = np.concatenate([score(rows[i:i + b]) for i in range(0, len(rows), b)]) < threshold
+        kept, keep = [], []
+        for i in range(0, base.support_size, b):
+            rows = np.unpackbits(base._packed[i:i + b], axis=1, count=base.n)
+            keep.append(score(rows) < threshold)
+            kept.append(rows[keep[-1]])
+        keep = np.concatenate(keep)
         if not keep.any():
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"
             )
         return ExplicitDesign(
-            rows[keep], base._weights[keep], kind="rerandomized",
+            np.concatenate(kept), base._weights[keep], kind="rerandomized",
             meta={**meta, "base_support": base.support_size},
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -322,15 +322,28 @@ def _imputation_family(
     values are asked for, and an error raised for one row carries that
     row's index as ``exc.row``.
     """
-    if m is None:
-        d = _require_enumerable(d)
-    elif m < 2:
-        raise ValidationError(f"need at least 2 draws, got {m}")
-    r = None
-    for c in _imputed_c(d, specs, w, y):
-        if r is None:
-            r = d._psi_factor if m is None else _mc_draws(d, m, seed)[1]
-        yield _factor_values(r, c)
+    return _imputation_pass(d, specs, m, seed)(w, y)
+
+
+def _imputation_pass(
+    d: Design, specs: Sequence[GammaSpec], m: int | None, seed: int | None
+) -> Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]:
+    """:func:`_imputation_family` for the row blocks of one pass: the returned
+    function scores one (w, y) block, and every block of the pass meets the
+    same factor, made once, when the first spec's guesses have succeeded."""
+    factor: list[np.ndarray] = []
+
+    def family(w: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+        if m is None:
+            _require_enumerable(d)
+        elif m < 2:
+            raise ValidationError(f"need at least 2 draws, got {m}")
+        for c in _imputed_c(d, specs, w, y):
+            if not factor:
+                factor.append(d._psi_factor if m is None else _mc_draws(d, m, seed)[1])
+            yield _factor_values(factor[0], c)
+
+    return family
 
 
 def _imputed_c(
@@ -433,16 +446,18 @@ def imputation_bias_terms(
         raise ValidationError("design, table, and assignment sizes must agree")
     n = d.n
     pi = check_propensities(d.propensities, n)
-    u = d.matrix
     probs = d.probs
-    sizes = u.sum(axis=1)
     t = w.to_array().astype(float)
 
-    r_y0 = u @ (po.y0 / pi) - (1.0 - u) @ (po.y0 / (1.0 - pi))
-    k = u @ ((1.0 - pi) / pi) - (n - sizes)
-    r_w = u @ (t / pi) - (1.0 - u) @ (t / (1.0 - pi))
-    base = r_y0 + po.tau * k
-    gap = r_w - k
+    def terms(u: np.ndarray) -> np.ndarray:
+        """(base, gap) of each row of a support block."""
+        sizes = u.sum(axis=1)
+        r_y0 = u @ (po.y0 / pi) - (1.0 - u) @ (po.y0 / (1.0 - pi))
+        k = u @ ((1.0 - pi) / pi) - (n - sizes)
+        r_w = u @ (t / pi) - (1.0 - u) @ (t / (1.0 - pi))
+        return np.stack([r_y0 + po.tau * k, r_w - k])
+
+    base, gap = np.concatenate([terms(u) for u, _ in d._blocks()], axis=1)
 
     err = po.tau - beta
     a1 = err**2 / n**2 * math.fsum((probs * gap * gap).tolist())

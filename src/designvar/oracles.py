@@ -87,8 +87,8 @@ def ht_values(d: ExplicitDesign, po: PotentialOutcomes) -> np.ndarray:
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
     pi = check_propensities(d.propensities, d.n)
-    u = d.matrix
-    return (u @ (po.y1 / pi) - (1.0 - u) @ (po.y0 / (1.0 - pi))) / d.n
+    a, b = po.y1 / pi, po.y0 / (1.0 - pi)
+    return np.concatenate([(u @ a - (1.0 - u) @ b) / d.n for u, _ in d._blocks()])
 
 
 def true_variance(d: Design, po: PotentialOutcomes) -> float:
@@ -131,22 +131,31 @@ def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, floa
     return _weighted_moments(d, _support_values(d, po, est))
 
 
-def _kernel_values(
-    d: ExplicitDesign, po: PotentialOutcomes, kernel: Callable
-) -> list[np.ndarray]:
+def _kernel_values(d: ExplicitDesign, po: PotentialOutcomes, kernel) -> list[np.ndarray]:
     """A batch kernel's value arrays (one per estimator it scores) on the
     tables revealed, once, at every support row; a refusal names the support
-    vector of its row (``exc.row``)."""
+    vector of its row (``exc.row``).
+
+    ``kernel`` is a ``simulate._batch_kernel``. One pass of it scores the
+    support's row blocks in order: they share the pass's state (a Monte Carlo
+    factor, a validated substitute map), and each row's values do not depend
+    on its block, so the arrays are those of one call on the whole support.
+    The first block with a refusal raises it.
+    """
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    u = d.matrix
-    y = np.where(u == 1, po.y1, po.y0)
+    score = kernel.start()
+    offset, parts = 0, []
     try:
-        return kernel(u, y)
+        for u, _ in d._blocks():
+            parts.append(score(u, np.where(u == 1, po.y1, po.y0)))
+            offset += len(u)
     except (AssumptionError, ValidationError) as exc:
-        w = d.vector(getattr(exc, "row", 0))
+        exc.row = offset + getattr(exc, "row", 0)
+        w = d.vector(exc.row)
         exc.args = (f"{exc} (estimator failed at support vector {w})",)
         raise
+    return [np.concatenate(values) for values in zip(*parts)]
 
 
 def estimator_expectation(

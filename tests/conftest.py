@@ -41,6 +41,12 @@ def random_table(rng: np.random.Generator, n: int, homogeneous: bool = False) ->
     return PotentialOutcomes(y0=y0, y1=y1)
 
 
+def support_matrix(d) -> np.ndarray:
+    """An explicit design's support as an (S, n) 0/1 float array in support
+    order, unpacked from its packed rows: a reference for the tests."""
+    return np.unpackbits(d._packed, axis=1, count=d.n).astype(float)
+
+
 def pytest_runtest_logreport(report):
     nodeid = report.nodeid
     if "test_acceptance.py" not in nodeid or "test_criterion" not in nodeid:

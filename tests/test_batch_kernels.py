@@ -22,7 +22,7 @@ from designvar.core import EST_RTOL, PROB_TOL
 from designvar.decomposition import _decomposition_values, _v_am_values
 from designvar.estimators import _neyman_values
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 DESIGNS = {
     "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
@@ -101,7 +101,7 @@ def _anchors(d, g, r_obs):
 
 def ref_v_sub(d, g, r_obs, y):
     anchors, counts = _anchors(d, g, r_obs)
-    contrasts = 2.0 * (d.matrix @ y) - float(y.sum())
+    contrasts = 2.0 * (support_matrix(d) @ y) - float(y.sum())
     terms = d.probs[anchors] / float(d.probs[r_obs]) * contrasts[anchors] ** 2 / counts
     return 4.0 / d.n**2 * math.fsum(terms.tolist())
 
@@ -109,7 +109,7 @@ def ref_v_sub(d, g, r_obs, y):
 def ref_mse_sub(d, g, r_obs, y):
     anchors, counts = _anchors(d, g, r_obs)
     sizes = d.group_sizes
-    treated_sum = d.matrix @ y
+    treated_sum = support_matrix(d) @ y
     total = float(y.sum())
     contrasts = treated_sum / sizes - (total - treated_sum) / (d.n - sizes)
     terms = d.probs[anchors] / float(d.probs[r_obs]) * contrasts[anchors] ** 2 / counts
@@ -192,7 +192,7 @@ def test_batch_row_equals_scalar_formula(kernel, design):
     d = DESIGNS[design]()
     batch, ref, _ = KERNELS[kernel]
     po = random_table(np.random.default_rng(11), d.n)
-    u = d.matrix
+    u = support_matrix(d)
     y = np.where(u == 1, po.y1, po.y0)
     got = batch(d, u, y)
     assert got.shape == (d.support_size,)
@@ -208,7 +208,7 @@ def test_batch_row_equals_scalar_formula(kernel, design):
 def test_scalar_estimators_are_one_row_calls(design):
     d = DESIGNS[design]()
     po = random_table(np.random.default_rng(12), d.n)
-    u = d.matrix
+    u = support_matrix(d)
     y = np.where(u == 1, po.y1, po.y0)
     pairs = {
         "v_am": (_v_am_values(d, u, y)[0], lambda obs: dv.v_am(d, obs)),
@@ -240,7 +240,7 @@ def test_user_substitute_map_is_validated_once_per_batch(monkeypatch):
         contrast, "_normalize_g", lambda *args: calls.append(1) or normalize(*args)
     )
     po = random_table(np.random.default_rng(13), d.n)
-    u = d.matrix
+    u = support_matrix(d)
     y = np.where(u == 1, po.y1, po.y0)
     assert np.array_equal(_v_sub_values(d, u, y, g), _v_sub_values(d, u, y))
     assert np.array_equal(_mse_sub_values(d, u, y, g), _mse_sub_values(d, u, y))
@@ -273,9 +273,9 @@ def test_kernel_error_names_first_failing_row(call, row):
 
 def test_substitute_kernel_names_the_first_row_off_the_support():
     d = build_crd(4, 2)
-    u = np.vstack([d.matrix[:2], np.ones((1, 4)), np.zeros((1, 4))])
+    u = np.vstack([support_matrix(d)[:2], np.ones((1, 4)), np.zeros((1, 4))])
     with pytest.raises(dv.ValidationError, match="realized assignment 1111 is not") as exc:
         _v_sub_values(d, u, np.ones((4, 4)))
     assert exc.value.row == 2
     with pytest.raises(dv.ValidationError, match="observed data has 3 units, design has 4"):
-        _v_sub_values(d, d.matrix[:, :3], d.matrix[:, :3])
+        _v_sub_values(d, support_matrix(d)[:, :3], support_matrix(d)[:, :3])

@@ -36,7 +36,7 @@ from designvar.contrast import substitute_counts
 from designvar.core import EST_RTOL, ROW_BLOCK, _row_failure
 from designvar.designs import ExplicitDesign
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 
 def _av(bits: str) -> AssignmentVector:
@@ -453,7 +453,7 @@ def _no_scan(*args, **kwargs):
 
 def _layers(n, *sizes):
     """The 0/1 rows of every size-m assignment of n units, for each m in sizes."""
-    return [row for m in sizes for row in build_crd(n, m).matrix.astype(int).tolist()]
+    return [row for m in sizes for row in support_matrix(build_crd(n, m)).astype(int).tolist()]
 
 
 class TestClosedFormCounts:
@@ -557,7 +557,7 @@ def _scan_values(d, w, y, g, mse):
     for start in range(0, len(rows), step):
         block, yb = rows[start:start + step], y[start:start + step]
         hits = hits_of(block)
-        treated_sum = np.matmul(d.matrix, yb[..., None])[..., 0]
+        treated_sum = np.matmul(support_matrix(d), yb[..., None])[..., 0]
         total = yb.sum(axis=1)[:, None]
         if mse:
             c = treated_sum / d.group_sizes - (total - treated_sum) / (d.n - d.group_sizes)
@@ -576,7 +576,7 @@ def _scan_values(d, w, y, g, mse):
 def _complement_weighted_crd_8_4():
     """CRD(8,4)'s rows with whole-number weights, not all equal, that give a
     row and its complement the same weight: every propensity stays 1/2."""
-    rows = build_crd(8, 4).matrix.astype(int)
+    rows = support_matrix(build_crd(8, 4)).astype(int)
     r = np.arange(len(rows))  # rows are sorted, so row r's complement is row S-1-r
     return ExplicitDesign(rows, 1.0 + np.minimum(r, len(rows) - 1 - r) % 5)
 
@@ -606,7 +606,7 @@ class TestPackedSupportPass:
         picked = np.arange(d.support_size) if sample is None else np.sort(
             rng.choice(d.support_size, size=sample, replace=False))
         po = random_table(rng, d.n)
-        u = d.matrix[picked]
+        u = support_matrix(d)[picked]
         y = np.where(u == 1, po.y1, po.y0)
         # a user map lists every member of every set: 63M vectors on CRD(16,8)
         g = full_substitute_map(d) if d.support_size <= 1000 else None
@@ -642,7 +642,7 @@ class TestPackedSupportPass:
         # 256 treated units, a row shares 512 with itself
         d = build_explicit([c * 256 for c in ("1100", "0011", "1001", "0110")], [0.25] * 4)
         y = np.random.default_rng(14).uniform(0.0, 10.0, (4, d.n))
-        u = d.matrix
+        u = support_matrix(d)
         for mse in (False, True):
             want, want_counts = _scan_values(d, u, y, None, mse)
             got, _, counts = contrast._substitute_values(d, u, y, None, mse)
@@ -671,11 +671,14 @@ class TestPackedSupportPass:
             assert str(got.value) == str(want.value)
             assert getattr(got.value, "row", None) == getattr(want.value, "row", None)
 
-    def test_no_float_support_matrix(self, monkeypatch):
+    def test_no_float_support_matrix(self):
         d = build_crd(8, 4)
         po = random_table(np.random.default_rng(13), 8)
-        u = d.matrix
+        u = support_matrix(d)
         y = np.where(u == 1, po.y1, po.y0)
-        monkeypatch.setattr(contrast.ExplicitDesign, "matrix", property(_no_scan))
         values, _, _ = contrast._substitute_values(d, u, y, None, False)
         assert values.shape == (70,)
+        assert not hasattr(d, "matrix")
+        # nothing the pass kept on the design has a row per support vector and a column per unit
+        kept = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+        assert kept and not any(v.shape == (70, 8) for v in kept)

@@ -36,7 +36,7 @@ from designvar.core import PROB_TOL
 from designvar.decomposition import _quadratic_values, _v_am_matrix, _v_am_values
 from designvar.simulate import BALANCE_THRESHOLD, _empirical_design
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 CROSS_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 #: rank-one Q for the crossed-pairs design; diag 1/16, row sums 0, PSD
@@ -314,7 +314,7 @@ class TestVAmMatrixCache:
         rng = np.random.default_rng(sorted(_CACHE_DESIGNS).index(name))
         iu, ju = np.triu_indices(d.n, k=1)
         dead = sum(int((p[iu, ju] <= PROB_TOL).sum()) for p in d.pairwise_cells())
-        u = d.matrix
+        u = support_matrix(d)
         for _ in range(2):
             po = random_table(rng, d.n)
             y = np.where(u == 1, po.y1, po.y0)
@@ -412,7 +412,7 @@ class TestDecompositionSlot:
         check_assumptions(d)
         assert self.SLOT not in vars(d)
         po = random_table(np.random.default_rng(sorted(_SLOT_DESIGNS).index(name)), d.n)
-        u = d.matrix
+        u = support_matrix(d)
         y = np.where(u == 1, po.y1, po.y0)
         fresh = _fresh_values(d, q, u, y)
         for _ in range(2):

@@ -134,8 +134,9 @@ class TestBuildExplicit:
         vectors = [AssignmentVector(n, m) for m in masks]
         d = build_explicit(vectors, [1.0 / len(vectors)] * len(vectors))
         expected = np.array([w.bits for w in d.support], dtype=float)
-        assert d.matrix.dtype == expected.dtype
-        assert np.array_equal(d.matrix, expected)
+        blocks = [u for u, _ in d._blocks()]
+        assert all(u.dtype == expected.dtype for u in blocks)
+        assert np.array_equal(np.concatenate(blocks), expected)
 
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(ValidationError):

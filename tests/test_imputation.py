@@ -43,7 +43,7 @@ from designvar import (
 from designvar.core import EST_RTOL, PROB_TOL
 from designvar.imputation import _gamma_rows
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 
 def _obs(bits: str, y) -> ObservedData:
@@ -429,7 +429,7 @@ class TestBiasTrend:
             d = build_crd(n, n // 2)
             y0 = rng.uniform(0.0, 10.0, n)
             po = PotentialOutcomes(y0=y0, y1=y0 + 2.0)
-            u = d.matrix
+            u = support_matrix(d)
             values = imputation_values(d, spec, u, np.where(u == 1, po.y1, po.y0))
             expected = float(np.asarray(d.probs) @ values)
             var = true_variance(d, po)
@@ -525,7 +525,7 @@ class TestImputationBatch:
         rng = np.random.default_rng(sorted(_BATCH_DESIGNS).index(name))
         po = random_table(rng, d.n)
         if isinstance(d, ExplicitDesign):
-            u = np.asarray(d.matrix)
+            u = np.asarray(support_matrix(d))
         else:
             u = d.sample_matrix(5, rng).astype(float)
         specs = [
@@ -568,7 +568,7 @@ class TestImputationBatch:
 
     def test_rejects_bad_shapes_and_entries(self, crossed_pairs):
         spec = GammaSpec.parse("tau-hat")
-        u = np.asarray(crossed_pairs.matrix)
+        u = np.asarray(support_matrix(crossed_pairs))
         with pytest.raises(ValidationError):
             imputation_values(crossed_pairs, spec, u[:, :3], u[:, :3])
         with pytest.raises(ValidationError):
@@ -589,7 +589,7 @@ class TestImputationBatch:
     def test_theta_loo_memory_is_bounded_on_crd_16_8(self):
         # 12,870 rows x 16 x 16 conditional probabilities would take 26 MB at once
         d = build_crd(16, 8)
-        u = d.matrix
+        u = support_matrix(d)
         y = np.where(u == 1, 1.0 + np.arange(16.0), -np.arange(16.0))
         d.conditional_tables
         tracemalloc.start()
@@ -664,7 +664,7 @@ class TestLeaveOneOutRefusals:
         crossed_pairs.pairwise_cells()
         check_assumptions(crossed_pairs)
         assert "_loo_operators" not in vars(crossed_pairs)
-        u = crossed_pairs.matrix
+        u = support_matrix(crossed_pairs)
         _gamma_rows(GammaSpec.parse("tau-loo"), crossed_pairs, u, u)
         inv, dead = vars(crossed_pairs)["_loo_operators"]
         assert inv.shape == dead.shape == (2, 2, 4, 4)

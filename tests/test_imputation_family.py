@@ -49,7 +49,7 @@ from designvar.simulate import (
     gen_covariates_hainmueller,
 )
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 DESIGNS = {
     "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
@@ -75,7 +75,7 @@ def _specs(n: int) -> list[GammaSpec]:
 
 def _revealed(d, seed: int = 3):
     po = random_table(np.random.default_rng(seed), d.n)
-    u = d.matrix
+    u = support_matrix(d)
     return u, np.where(u == 1, po.y1, po.y0)
 
 
@@ -115,7 +115,7 @@ class TestFamilyKernel:
 
     def test_an_infinite_guess_carries_the_one_spec_row(self):
         d = build_crd(4, 2)
-        u = d.matrix
+        u = support_matrix(d)
         y = np.ones(u.shape)
         y[4] = 1e308                      # tau-hat overflows on row 4 only
         specs = [GammaSpec.fixed(0.0), GammaSpec.parse("tau-hat")]
@@ -128,7 +128,7 @@ class TestFamilyKernel:
 
     def test_inputs_are_checked_before_the_first_value(self):
         d = build_crd(4, 2)
-        u = d.matrix
+        u = support_matrix(d)
         family = _imputation_family(d, [GammaSpec.fixed(0.0)], 2.0 * u, u)
         with pytest.raises(ValidationError, match="0 or 1"):
             next(family)
@@ -272,7 +272,7 @@ class TestMonteCarloBatch:
 
     def test_failing_row_is_named(self):
         d = build_crd(4, 1)
-        u = d.matrix
+        u = support_matrix(d)
         with pytest.raises(AssumptionError) as exc:
             next(_imputation_family(d, [GammaSpec.parse("tau-loo")], u, np.ones(u.shape), 50, 0))
         assert exc.value.row == 0

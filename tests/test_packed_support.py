@@ -80,9 +80,11 @@ def _hex(a) -> list[str]:
 def _assert_matches(d: ExplicitDesign, ref: dict) -> None:
     assert [w.mask for w, _ in d.enumerate_support()] == ref["masks"]
     assert [w.mask for w in d.support] == ref["masks"]
-    for name in ("probs", "matrix", "propensities"):
+    for name in ("probs", "propensities"):
         assert _hex(getattr(d, name)) == _hex(ref[name]), name
-    assert d.matrix.dtype == np.float64 and d.matrix.flags.c_contiguous
+    blocks = [u for u, _ in d._blocks()]
+    assert all(u.dtype == np.float64 and u.flags.c_contiguous for u in blocks)
+    assert _hex(np.concatenate(blocks)) == _hex(ref["matrix"])
     for k, (got, want) in enumerate(zip(d.pairwise_cells(), ref["cells"])):
         assert _hex(got) == _hex(want), f"cell {k}"
     assert d.group_sizes.tolist() == ref["matrix"].sum(axis=1).astype(int).tolist()

@@ -31,7 +31,7 @@ from designvar.core import EST_RTOL
 from designvar.decomposition import _v_am_values
 from designvar.simulate import _empirical_design, resolve_estimator
 
-from conftest import random_table
+from conftest import random_table, support_matrix
 
 
 class TestHainmuellerCovariates:
@@ -335,7 +335,7 @@ class TestPsiBatch:
         rng = np.random.default_rng(7)
         rows = np.vstack([rng.uniform(0.0, 10.0, size=(5, d.n)), np.ones(d.n)])
         batch = psi(d, rows)
-        u, pi = d.matrix, d.propensities
+        u, pi = support_matrix(d), d.propensities
         contrast = u / pi - (1.0 - u) / (1.0 - pi)  # D_wi, written out from its formula
         assert (batch >= 0.0).all()
         for k in range(rows.shape[0]):
@@ -353,7 +353,7 @@ class TestPsiBatch:
         from designvar import GammaSpec, imputation_values, reveal, v_imputation
 
         po = random_table(np.random.default_rng(5), 4)
-        u = crossed_pairs.matrix
+        u = support_matrix(crossed_pairs)
         spec = GammaSpec.parse("theta-loo")
         values = imputation_values(crossed_pairs, spec, u, np.where(u == 1, po.y1, po.y0))
         for (w, _), got in zip(crossed_pairs.enumerate_support(), values):
@@ -385,7 +385,7 @@ class TestEmpiricalDesign:
         rng = np.random.default_rng(9)
         po = random_table(rng, 50)
         designs = [_empirical_design(draws), _empirical_design(shuffled)]
-        w = designs[0].matrix[rng.choice(designs[0].support_size, size=40)]
+        w = support_matrix(designs[0])[rng.choice(designs[0].support_size, size=40)]
         y = np.where(w == 1, po.y1, po.y0)
         (a, bounded_a), (b, bounded_b) = (_v_am_values(d, w, y) for d in designs)
         assert a.tobytes() == b.tobytes()
