@@ -14,7 +14,6 @@ here too: substitution is one of the assumptions it reports on.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping
 
@@ -34,21 +33,10 @@ from .core import (
     _mask_key,
     _row_failure,
 )
-from .designs import (
-    _BYTE_VALUES,
-    _POPCOUNT,
-    Design,
-    ExplicitDesign,
-    _byte_tables,
-    _lookup,
-)
+from .designs import Design, ExplicitDesign
 
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
-
-_COUNTS_CACHE: "weakref.WeakKeyDictionary[Design, dict]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _as_assignment(x, n: int) -> AssignmentVector:
@@ -95,26 +83,25 @@ def substitution_mode(d: Design) -> str:
     N_t(w)^2 / N is a whole number for every group size in the support.
     Anything else cannot define substitutes and raises. Cached per design.
     """
-    per_design = _COUNTS_CACHE.setdefault(d, {})
-    if "mode" not in per_design:
-        try:
-            per_design["mode"] = _substitution_mode(d)
-        except AssumptionError as exc:
-            per_design["mode"] = str(exc)  # its traceback would hold d and pin the entry
-    if per_design["mode"] not in (EQUAL_SIZE, EPSEM):
-        raise AssumptionError(per_design["mode"])
-    return per_design["mode"]
+    mode = d._memo("_substitution_mode", lambda: _substitution_mode(d))
+    if mode not in (EQUAL_SIZE, EPSEM):
+        raise AssumptionError(mode)
+    return mode
 
 
 def _substitution_mode(d: Design) -> str:
-    _constant_propensity(d)
-    n = d.n
-    sizes = sorted(_group_sizes(d))
-    if sizes == [n // 2] and n % 4 == 0:
-        return EQUAL_SIZE
-    for nt in sizes:
-        _overlap_count(n, nt, EPSEM)  # raises unless N_t^2 / N is whole
-    return EPSEM
+    """The mode, or the message of its refusal: a kept exception's traceback
+    would hold the design."""
+    try:
+        _constant_propensity(d)
+        sizes = sorted(_group_sizes(d))
+        if sizes == [d.n // 2] and d.n % 4 == 0:
+            return EQUAL_SIZE
+        for nt in sizes:
+            _overlap_count(d.n, nt, EPSEM)  # raises unless N_t^2 / N is whole
+        return EPSEM
+    except AssumptionError as exc:
+        return str(exc)
 
 
 def _overlap_count(n: int, n_treated: int, mode: str) -> int:
@@ -204,15 +191,8 @@ def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
     anchors whose substitute set contains support[r].
     """
     rows = np.asarray(rows)
-    columns = d._packed_columns
     k, same_size = _substitute_rule(d, rows[:, None], slice(None), mode)
-    # overlaps as exact counts: per row and byte, a 256-entry table of the set
-    # bits each byte value shares with the row's byte, read at every support row
-    tables = _POPCOUNT[_BYTE_VALUES & d._packed[rows][:, :, None]]
-    tables = tables.astype(np.min_scalar_type(d.n), copy=False)
-    overlap = tables[:, 0].take(columns[0], axis=1)
-    for b in range(1, len(columns)):
-        overlap += tables[:, b].take(columns[b], axis=1)
+    overlap = d._overlaps(rows)
     return (overlap == k.astype(overlap.dtype)) & same_size
 
 
@@ -283,15 +263,9 @@ def _closed_form_counts(d: ExplicitDesign, mode: str) -> np.ndarray | None:
             k = _overlap_count(n, m, mode)
             per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
         return per_size[sizes]
-    pairs = d.pairs or ()
-    units = sorted(u for ab in pairs for u in ab)
-    if (pairs and units == list(range(n)) and all(len(ab) == 2 for ab in pairs)
-            and d.support_size == 1 << len(pairs)):
-
-        def treats(i: int) -> np.ndarray:
-            return (d._packed[:, i // 8] & (0x80 >> i % 8)) != 0
-
-        if all(np.all(treats(a) != treats(b)) for a, b in pairs):
+    pairs = d.pairs or ()  # labels that partition the units: the constructor checks them
+    if pairs and all(len(ab) == 2 for ab in pairs) and d.support_size == 1 << len(pairs):
+        if all(np.all(d._treats(a) != d._treats(b)) for a, b in pairs):
             j = len(pairs)
             return np.full(d.support_size, math.comb(j, _overlap_count(n, j, mode)))
     return None
@@ -312,16 +286,16 @@ def substitute_counts(d: Design, mode: str | None = None) -> np.ndarray:
     d = _require_explicit(d, "count")
     if mode is None:
         mode = substitution_mode(d)
-    per_design = _COUNTS_CACHE.setdefault(d, {})
-    if mode not in per_design:
+
+    def count() -> np.ndarray:
         counts = _closed_form_counts(d, mode)
         if counts is None:
-            counts = np.concatenate(
-                [_substitute_rows(d, rows, mode).sum(axis=1) for rows in _row_blocks(d)]
-            )
+            counts = np.concatenate([_substitute_rows(d, rows, mode).sum(axis=1)
+                                     for rows in _row_blocks(d)])
         counts.setflags(write=False)
-        per_design[mode] = counts
-    return per_design[mode]
+        return counts
+
+    return d._memo(f"_substitute_counts[{mode}]", count)
 
 
 def full_substitute_map(
@@ -373,7 +347,7 @@ def _rows_of_items(d: ExplicitDesign, items: list) -> np.ndarray:
 
     text = {x: key_of(d.n, x) for x in {x for x in items if isinstance(x, str)}}
     keys = [text[x] if isinstance(x, str) else key_of(d.n, x) for x in items]
-    rows = d._find(b"".join(k or bytes((d.n + 7) // 8) for k in keys))
+    rows = d._find(b"".join(k or _mask_key(d.n, 0) for k in keys))
     rows[[k is None for k in keys]] = -1
     return rows
 
@@ -402,8 +376,7 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     a = anchors[owner]
     ok = (a >= 0) & (members >= 0)
     k, same_size = _substitute_rule(d, a[ok], members[ok], mode)
-    overlap = np.unpackbits(d._packed[a[ok]] & d._packed[members[ok]], axis=1).sum(axis=1)
-    ok[ok] = (overlap == k) & same_size
+    ok[ok] = (d._pair_overlaps(a[ok], members[ok]) == k) & same_size
     faulty = (anchors < 0) | np.equal(counts, 0)
     faulty |= np.bincount(owner[~ok], minlength=len(keys)) > 0
     if faulty.any():
@@ -433,24 +406,12 @@ def _relation(d: ExplicitDesign, mode: str) -> tuple[int, np.ndarray | None]:
     next to the cached counts: the support row with the fewest substitutes
     if it has none (else -1), and otherwise each anchor's weight
     p_w / |G*(w)|."""
-    per_design = _COUNTS_CACHE.setdefault(d, {})
-    if (mode, "relation") not in per_design:
+    def relation() -> tuple[int, np.ndarray | None]:
         counts = substitute_counts(d, mode)
         r = int(np.argmin(counts))
-        per_design[mode, "relation"] = (-1, d.probs / counts) if counts[r] else (r, None)
-    return per_design[mode, "relation"]
+        return (-1, d.probs / counts) if counts[r] else (r, None)
 
-
-def _relation_anchors(d: ExplicitDesign, mode: str, row: int) -> np.ndarray:
-    """The support rows, ascending, whose substitute set holds support row
-    ``row``. The relation is symmetric, so they are the rows of its size that
-    share k of its treated units: one pass over the packed support, with a
-    256-entry table per byte of the overlap with the row."""
-    columns = d._packed_columns
-    m = int(d.group_sizes[row])
-    tables = _POPCOUNT[_BYTE_VALUES & columns[:, row, None]]
-    overlap = _lookup(tables.astype(np.min_scalar_type(d.n), copy=False), columns)
-    return np.flatnonzero((overlap == _overlap_count(d.n, m, mode)) & (d.group_sizes == m))
+    return d._memo(f"_substitute_relation[{mode}]", relation)
 
 
 def _substitute_values(
@@ -514,15 +475,14 @@ def _substitute_pass(
             weight = d.probs / sizes
             lo = np.searchsorted(pairs, rows * s).tolist()
             hi = np.searchsorted(pairs, rows * s + s).tolist()
-        columns = d._packed_columns
         sums = np.empty(len(rows))
         counts = np.empty(len(rows), dtype=np.int64)
         for i, row in enumerate(rows.tolist()):
-            if g is None:
-                a = _relation_anchors(d, mode, row)
+            if g is None:  # the relation is symmetric: W's substitutes are its anchors
+                a = np.flatnonzero(_substitute_rows(d, [row], mode)[0])
             else:
                 a = pairs[lo[i]:hi[i]] - row * s
-            treated_sum = _lookup(_byte_tables(y[i], len(columns)), columns.take(a, axis=1))
+            treated_sum = d._row_sums(y[i], a)
             total = y[i].sum()
             if mse:  # every anchor has the group size of the row
                 m = int(d.group_sizes[row])
@@ -677,9 +637,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
             f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
         )
 
-    complements = ~d._packed
-    complements[:, -1] &= 0xFF << (-n % 8) & 0xFF  # keep the padding bits 0
-    unmatched = np.flatnonzero(d._find(complements) < 0)
+    unmatched = np.flatnonzero(d._complement_rows() < 0)
     closed = not unmatched.size
     if not closed:
         w = d.vector(int(unmatched[0]))
@@ -698,8 +656,7 @@ def check_assumptions(d: Design) -> AssumptionReport:
 
     if positivity:
         # sum over treated units of 1/pi - 1/(1-pi), plus 1/(1-pi) over all units
-        columns = d._packed_columns
-        weights = _lookup(_byte_tables(1.0 / pi - 1.0 / (1.0 - pi), len(columns)), columns)
+        weights = d._row_sums(1.0 / pi - 1.0 / (1.0 - pi))
         weights += (1.0 / (1.0 - pi)).sum()
         fixed_weight = bool(np.all(np.abs(weights - 2.0 * n) <= WEIGHT_TOL))
         if not fixed_weight:

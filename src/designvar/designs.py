@@ -21,6 +21,7 @@ from .core import (
     AssignmentVector,
     AssumptionError,
     ValidationError,
+    _check_pairs,
     _mask_key,
     _row_failure,
 )
@@ -45,21 +46,13 @@ _BYTE_BITS = np.unpackbits(_BYTE_VALUES[:, None], axis=1).T.astype(float)
 _POPCOUNT = _BYTE_BITS.sum(axis=0).astype(np.uint8)
 
 
-def _byte_tables(values: np.ndarray, width: int) -> np.ndarray:
-    """(width, 256) table whose entry [b, v] sums ``values[8b + j]`` over the
-    set bits j of byte v, at most 8 values; units past the end count 0."""
-    v = np.zeros(8 * width)
-    v[:len(values)] = values
-    return v.reshape(width, 8) @ _BYTE_BITS
-
-
 def _lookup(tables: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Sum over bytes b of ``tables[b][columns[b]]``, added in byte order, for
-    (width, k) packed rows by column: each row's sum of the per-unit values
-    of its set bits."""
-    out = tables[0].take(columns[0])
+    """Sum over bytes b of ``tables[..., b, :]`` read at ``columns[b]``, added in byte
+    order: for (width, k) packed rows by column and a 256-entry table per byte of a
+    per-unit quantity, each row's total over its set bits."""
+    out = tables[..., 0, :].take(columns[0], axis=-1)
     for b in range(1, len(columns)):
-        out += tables[b].take(columns[b])
+        out += tables[..., b, :].take(columns[b], axis=-1)
     return out
 
 
@@ -189,9 +182,10 @@ class ExplicitDesign(Design):
 
     The support is kept once, as (support_size, ceil(n/8)) uint8 rows in
     ``np.packbits`` layout sorted by their bytes (lexicographic bit-string
-    order); support vectors are decoded from them, and every pass over the
-    support reads them in bounded row blocks (``_blocks``) or byte by byte,
-    so no (support_size, n) array is formed.
+    order). Only this module packs, unpacks or reads them: builders hand it
+    packed rows (``_from_packed``), and other modules read the support through
+    private helpers. Every pass reads the packed rows in bounded row blocks
+    (``_blocks``) or byte by byte, so no (support_size, n) array is formed.
     Each row carries a positive weight, and its probability is the weight
     over the weights' total. Builders that know whole-number weights (ones,
     draw counts) pass them, which makes every probability query exact: one
@@ -216,9 +210,35 @@ class ExplicitDesign(Design):
             if len(ns) != 1:
                 raise ValidationError(f"support vectors have mixed lengths: {sorted(ns)}")
         u = np.asarray(rows)
-        if u.ndim != 2 or u.shape[1] == 0:
+        if u.ndim != 2:
+            raise ValidationError(f"support rows must be 2-D, got shape {u.shape}")
+        if u.shape[1] == 0:
             raise ValidationError("assignment length must be positive, got 0")
-        packed = _pack(u)
+        self._init_packed(_pack(u), u.shape[1], weights, kind, pairs, meta)
+
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray, n: int, weights: Sequence[float] | np.ndarray,
+                     **kwargs: Any) -> ExplicitDesign:
+        """The design over (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout, padding
+        bits 0, in any order: the constructor without its 0/1 rows."""
+        d = cls.__new__(cls)
+        d._init_packed(packed, n, weights, **kwargs)
+        return d
+
+    @classmethod
+    def _from_draws(cls, rows: np.ndarray, **kwargs: Any) -> ExplicitDesign:
+        """The design over the distinct rows of (m, n) 0/1 draws, weighted by their counts."""
+        packed = _pack(rows)  # sorting one void key per row sorts the rows
+        keys, counts = np.unique(packed.view((np.void, packed.shape[1])), return_counts=True)
+        return cls._from_packed(keys.view(np.uint8).reshape(-1, packed.shape[1]), rows.shape[1],
+                                counts, **kwargs)
+
+    def _init_packed(self, packed: np.ndarray, n: int, weights: Sequence[float] | np.ndarray,
+                     kind: str = "explicit", pairs: tuple[tuple[int, int], ...] | None = None,
+                     meta: dict[str, Any] | None = None) -> None:
+        """Sort the rows, refuse duplicates, check weights and pair labels, set every field."""
+        if len(packed) == 0:
+            raise ValidationError("design support is empty")
         order = np.lexsort(packed.T[::-1])
         self._packed = packed = packed[order]
         packed.setflags(write=False)
@@ -227,12 +247,14 @@ class ExplicitDesign(Design):
         if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("support vectors must be distinct")
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(u),):
-            raise ValidationError(f"{len(u)} support vectors but {w.size} probabilities")
+        if w.shape != (len(packed),):
+            raise ValidationError(f"{len(packed)} support vectors but {w.size} probabilities")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValidationError("probabilities must be finite and strictly positive")
+        if pairs is not None:
+            _check_pairs(pairs, n)
 
-        self.n = u.shape[1]
+        self.n = n
         self.kind = kind
         self._weights = w[order]
         self._weights.setflags(write=False)
@@ -304,6 +326,36 @@ class ExplicitDesign(Design):
         sizes.setflags(write=False)
         return sizes
 
+    def _treats(self, i: int) -> np.ndarray:
+        """(support_size,) bool: whether each support row treats unit ``i``."""
+        return (self._packed[:, i // 8] & (0x80 >> i % 8)) != 0
+
+    def _overlaps(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), support_size) exact counts, in the smallest unsigned dtype that
+        holds n, of the treated units support row ``rows[i]`` shares with each support
+        row: per row and byte, a table of the bits each byte value shares with it."""
+        tables = _POPCOUNT[_BYTE_VALUES & self._packed[rows][:, :, None]]
+        return _lookup(tables.astype(np.min_scalar_type(self.n), copy=False),
+                       self._packed_columns)
+
+    def _pair_overlaps(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact count of the treated units support rows ``a[i]`` and ``b[i]`` share."""
+        return _POPCOUNT[self._packed[a] & self._packed[b]].sum(axis=1, dtype=np.int64)
+
+    def _row_sums(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Each support row's sum of ``values`` (one per unit) over its treated
+        units, added in byte order; at support rows ``rows`` only when given."""
+        columns = self._packed_columns if rows is None else self._packed_columns.take(rows, axis=1)
+        v = np.zeros(8 * len(columns))
+        v[:len(values)] = values  # units past the end count 0
+        return _lookup(v.reshape(len(columns), 8) @ _BYTE_BITS, columns)
+
+    def _complement_rows(self) -> np.ndarray:
+        """Support row of each row's complement (arms swapped); -1 if not in the support."""
+        complements = ~self._packed
+        complements[:, -1] &= 0xFF << (-self.n % 8) & 0xFF  # keep the padding bits 0
+        return self._find(complements)
+
     # -- probability queries -------------------------------------------------
     def _blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The support as (rows, n) 0/1 float blocks of about ROW_BLOCK entries,
@@ -350,11 +402,9 @@ class ExplicitDesign(Design):
         """
         pi = check_propensities(self.propensities, self.n)
         r = np.empty((0, self.n))
-        step = max(1, ROW_BLOCK // self.n)
-        for start in range(0, self.support_size, step):
-            bits = np.unpackbits(self._packed[start:start + step], axis=1, count=self.n)
-            block = _contrast_rows(bits, pi)
-            block *= np.sqrt(self._weights[start:start + step] / self._total)[:, None]
+        for block, w in self._blocks():
+            block = _contrast_rows(block, pi)  # drops the 0/1 block before the stack
+            block *= np.sqrt(w / self._total)[:, None]
             r = np.linalg.qr(np.vstack([r, block]), mode="r")
         r.setflags(write=False)
         return r
@@ -558,12 +608,17 @@ def build_matched_pair(
         raise AssumptionError(
             f"support too large: 2^{len(pairs)} = {count} exceeds cap {cap}"
         )
-    # bit J-1-j of the row number picks the treated unit of pair j
-    rows = np.empty((count, n), dtype=np.uint8)
-    for j, (a, b) in enumerate(pairs):
-        bit = (np.arange(count) >> (len(pairs) - 1 - j)) & 1
-        rows[:, a], rows[:, b] = 1 - bit, bit
-    return ExplicitDesign(rows, np.ones(count), kind="matched_pair", pairs=pairs)
+    # bit J-1-j of the row number picks the treated unit of pair j: from the last
+    # pair back, the rows so far are copied once and each half sets its unit's bit
+    packed = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
+    size = 1
+    for a, b in reversed(pairs):
+        packed[size:2 * size] = packed[:size]
+        packed[:size, a // 8] |= 0x80 >> a % 8
+        packed[size:2 * size, b // 8] |= 0x80 >> b % 8
+        size *= 2
+    return ExplicitDesign._from_packed(packed, n, np.ones(count), kind="matched_pair",
+                                       pairs=pairs)
 
 
 def _covariates(covariates: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
@@ -713,18 +768,14 @@ def build_rerandomized(
 
     if isinstance(base, ExplicitDesign):
         b = max(1, ROW_BLOCK // (base.n * x.shape[1]))  # rows per call: bounded gathers
-        kept, keep = [], []
-        for i in range(0, base.support_size, b):
-            rows = np.unpackbits(base._packed[i:i + b], axis=1, count=base.n)
-            keep.append(score(rows) < threshold)
-            kept.append(rows[keep[-1]])
-        keep = np.concatenate(keep)
+        keep = np.concatenate([score(np.unpackbits(base._packed[i:i + b], axis=1, count=base.n))
+                               < threshold for i in range(0, base.support_size, b)])
         if not keep.any():
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"
             )
-        return ExplicitDesign(
-            np.concatenate(kept), base._weights[keep], kind="rerandomized",
+        return ExplicitDesign._from_packed(
+            base._packed[keep], base.n, base._weights[keep], kind="rerandomized",
             meta={**meta, "base_support": base.support_size},
         )
 

@@ -47,7 +47,6 @@ from .designs import (
     Design,
     ExplicitDesign,
     SampledDesign,
-    _pack,
     build_crd,
     build_rerandomized,
 )
@@ -609,15 +608,8 @@ def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> Explicit
     propensity at exactly one half.
     """
     rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
-    packed = _pack(rows)
-    # one void key per packed row: sorting the keys sorts the rows in bit-string order
-    keys, counts = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_counts=True
-    )
-    rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=rows.shape[1])
-    return ExplicitDesign(
-        rows, counts, kind="empirical",
-        meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
+    return ExplicitDesign._from_draws(
+        rows, kind="empirical", meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
     )
 
 

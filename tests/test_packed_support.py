@@ -9,13 +9,16 @@ ratio of an integer weight sum to the total weight, rounded once.
 
 from __future__ import annotations
 
+import ast
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from designvar import (
     max_asmd,
     psi,
 )
-from designvar import contrast
+from designvar import contrast, simulate
 from designvar.simulate import _empirical_design
 
 from conftest import random_table
@@ -322,6 +325,8 @@ class TestConstructor:
         (np.array([[1, 0, 1], [1, 0, 1]]), "distinct"),
         (np.zeros((0, 3)), "empty"),
         ([[1, 0], [0, 1, 1]], "mixed lengths"),
+        (np.array([1, 0, 1]), r"2-D, got shape \(3,\)"),
+        (np.zeros((2, 3, 1), dtype=np.uint8), r"2-D, got shape \(2, 3, 1\)"),
     ])
     def test_bad_rows_rejected(self, rows, match):
         with pytest.raises(ValidationError, match=match):
@@ -330,6 +335,96 @@ class TestConstructor:
     def test_probability_count_checked(self):
         with pytest.raises(ValidationError, match="3 support vectors but 2 probabilities"):
             ExplicitDesign(np.eye(3, dtype=np.uint8), [0.5, 0.5])
+
+    def test_pair_labels_checked(self):
+        # labels that do not partition units 0..n-1 are refused when the design is built
+        with pytest.raises(ValidationError, match="pair labels must partition units 0..n-1"):
+            build_explicit(["10", "01"], [0.5, 0.5], pairs=((0, 3),))
+
+
+@pytest.fixture(params=[None, 40], ids=["default-block", "block-40"])
+def row_block(request, monkeypatch):
+    if request.param is not None:  # 40 entries: the rerandomized filter scores many blocks
+        monkeypatch.setattr(dv.designs, "ROW_BLOCK", request.param)
+
+
+def _product_rows(n: int, pairs) -> np.ndarray:
+    """One 0/1 row per choice of a treated unit in each pair."""
+    rows = np.zeros((1 << len(pairs), n), dtype=np.int64)
+    for r, treated in enumerate(itertools.product(*pairs)):
+        rows[r, list(treated)] = 1
+    return rows
+
+
+def _builder_cases():
+    x = np.random.default_rng(5).normal(size=(10, 2))
+    draws = build_crd(10, 5, cap=0).sample_matrix(300, np.random.default_rng(4))
+    crd_rows = np.array([[int(i in c) for i in range(9)]
+                         for c in itertools.combinations(range(9), 4)])
+
+    def rerandomized_rows():
+        rows = np.array([w.bits for w in build_crd(10, 5).support if max_asmd(x, w) < 0.3])
+        return rows, np.ones(len(rows))
+
+    def empirical_rows(symmetrize):
+        rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
+        return np.unique(rows, axis=0, return_counts=True)
+
+    return {
+        "crd-9-4": (lambda: build_crd(9, 4), lambda: (crd_rows, np.ones(len(crd_rows)))),
+        "pairs-out-of-order": (
+            lambda: build_matched_pair([(5, 0), (1, 4), (3, 2)]),
+            lambda: (_product_rows(6, [(5, 0), (1, 4), (3, 2)]), np.ones(8)),
+        ),
+        "pairs-10-units": (
+            lambda: build_matched_pair([(9, 0), (1, 8), (7, 2), (3, 6), (4, 5)]),
+            lambda: (_product_rows(10, [(9, 0), (1, 8), (7, 2), (3, 6), (4, 5)]), np.ones(32)),
+        ),
+        "rerandomized-crd-10-5": (
+            lambda: build_rerandomized(build_crd(10, 5), x, 0.3),
+            rerandomized_rows,
+        ),
+        "empirical-symmetrized": (lambda: _empirical_design(draws), lambda: empirical_rows(True)),
+        "empirical": (
+            lambda: _empirical_design(draws, symmetrize=False), lambda: empirical_rows(False),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_builder_cases()))
+def test_builders_hand_the_constructor_its_packed_rows(case, row_block):
+    # each builder's packed rows give the bytes of the public constructor on 0/1 rows
+    build, reference = _builder_cases()[case]
+    d = build()
+    rows, weights = reference()
+    ref = ExplicitDesign(rows, weights)
+    assert d.n == ref.n and d._packed.shape == ref._packed.shape
+    for name in ("_packed", "_weights", "probs"):
+        assert getattr(d, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_matched_pair_build_memory_is_bounded():
+    # 18 pairs, 262,144 rows of 5 packed bytes: an (S, n) uint8 row array alone takes 9 MiB
+    tracemalloc.start()
+    try:
+        build_matched_pair([(2 * j, 2 * j + 1) for j in range(18)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_only_designs_reads_the_packed_format():
+    # contrast and simulate read a support through ExplicitDesign's helpers
+    names = (r"\b(_packed|_packed_columns|_POPCOUNT|_BYTE_VALUES|_byte_tables|_lookup"
+             r"|packbits|unpackbits|_pack)\b")
+    for module in (contrast, simulate):
+        source = Path(module.__file__).read_text()
+        assert re.findall(names, source) == [], module.__name__
+    imported = {alias.name for node in ast.walk(ast.parse(Path(contrast.__file__).read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "designs"
+                for alias in node.names}
+    assert imported == {"Design", "ExplicitDesign"}
 
 
 def test_hot_paths_leave_the_support_undecoded():
