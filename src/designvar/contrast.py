@@ -415,31 +415,24 @@ def _relation(d: ExplicitDesign, mode: str) -> tuple[int, np.ndarray | None]:
 
 
 def _substitute_values(
-    d: Design, w, y, g: Mapping | None, mse: bool
-) -> tuple[np.ndarray, str, np.ndarray]:
-    """v_sub, or with ``mse`` mse_sub_epsem, on k realized tables: the
-    values, the substitution mode and each table's number of anchors.
+    d: Design, g: Mapping | None, mse: bool
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
+    """The kernel of v_sub, or with ``mse`` mse_sub_epsem: from k realized
+    tables (w, y) it returns the values, the substitution mode and each
+    table's number of anchors.
 
     Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
     substitute set holds its assignment W, c_w being l(w)'y (v_sub, scaled by
     4/N^2) or the group-size contrast (mse_sub_epsem). Anchors come from the
     substitute relation, one pass over the packed support per table, or from
-    a user map ``g``, validated once per call, as the range of its sorted
-    (member, anchor) pairs whose member is W. Either way each anchor's
-    treated sum comes from per-byte 256-entry tables of the table's y, and
-    the contrasts and terms are formed on the anchors alone, with the same
-    arithmetic: a user map and the relation give the same bits, and a row's
-    value does not depend on its batch.
+    a user map ``g`` as the range of its sorted (member, anchor) pairs whose
+    member is W. The kernel validates ``g`` once in its life, in the first
+    call that reaches it. Either way each anchor's treated sum comes from
+    per-byte 256-entry tables of the table's y, and the contrasts and terms
+    are formed on the anchors alone, with the same arithmetic: a user map and
+    the relation give the same bits, and a row's value does not depend on
+    its batch.
     """
-    return _substitute_pass(d, g, mse)(w, y)
-
-
-def _substitute_pass(
-    d: Design, g: Mapping | None, mse: bool
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
-    """:func:`_substitute_values` for the row blocks of one pass: the returned
-    function scores one (w, y) block, and a user map ``g`` is validated once,
-    by the first block that reaches it."""
     user_map: list[tuple[np.ndarray, np.ndarray]] = []
 
     def values(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
@@ -511,7 +504,7 @@ def _substitute_estimate(
     d: Design, obs: ObservedData, g: Mapping | None, mse: bool
 ) -> VarianceEstimate:
     """v_sub, or with ``mse`` mse_sub_epsem: one row of ``_substitute_values``."""
-    values, mode, counts = _substitute_values(d, obs.w.to_array()[None], obs.y_obs[None], g, mse)
+    values, mode, counts = _substitute_values(d, g, mse)(obs.w.to_array()[None], obs.y_obs[None])
     return VarianceEstimate(
         value=float(values[0]),
         estimator="substitute_mse" if mse else "substitute_contrast",
@@ -541,15 +534,30 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 / (n * (n - 2)) * (dev * dev).sum(axis=1)
 
 
-def v_pair(obs: ObservedData) -> VarianceEstimate:
-    """Classic matched-pair variance estimate from within-pair differences.
-    One row of the batch kernel ``_v_pair_values``."""
-    value = _v_pair_values(obs.pair_labels, obs.w.to_array()[None], obs.y_obs[None])
+def _v_pair_scalar(pairs, obs: ObservedData) -> VarianceEstimate:
+    """v_pair scored with a design's ``pairs``; observed pair labels, if
+    given, must pair the units the same way (``pairs`` None: the observed
+    labels). One row of the batch kernel ``_v_pair_values``."""
+    if pairs is None:
+        pairs = obs.pair_labels
+    elif obs.n != 2 * len(pairs):
+        raise ValidationError(f"observed data has {obs.n} units, design has {2 * len(pairs)}")
+    elif obs.pair_labels is not None and (
+        {frozenset(p) for p in obs.pair_labels} != {frozenset(p) for p in pairs}
+    ):
+        raise ValidationError("observed pair labels differ from the design's pairs")
+    value = _v_pair_values(pairs, obs.w.to_array()[None], obs.y_obs[None])
     return VarianceEstimate(
         value=float(value[0]),
         estimator="matched_pair",
-        params={"n_pairs": len(obs.pair_labels)},
+        params={"n_pairs": len(pairs)},
     )
+
+
+def v_pair(obs: ObservedData) -> VarianceEstimate:
+    """Classic matched-pair variance estimate from within-pair differences,
+    units paired by the observed labels."""
+    return _v_pair_scalar(None, obs)
 
 
 def mse_sub_epsem(

@@ -306,31 +306,22 @@ def _mc_draws(d: Design, m: int, seed: int | None) -> tuple[np.ndarray, np.ndarr
 
 
 def _imputation_family(
-    d: Design, specs: Sequence[GammaSpec], w: np.ndarray, y: np.ndarray,
-    m: int | None = None, seed: int | None = None,
-) -> Iterator[np.ndarray]:
-    """psi(c_hat) of every spec for k realized tables: exact by support
-    enumeration or, given ``m``, over m design draws at ``seed``.
+    d: Design, specs: Sequence[GammaSpec], m: int | None = None, seed: int | None = None
+) -> Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]:
+    """The kernel of psi(c_hat) for every spec: exact by support enumeration
+    or, given ``m``, over m design draws at ``seed``.
 
-    ``w`` is a (k, n) 0/1 array of assignments and ``y`` the matching (k, n)
-    observed outcomes. The inputs and propensities are checked once, the
-    effect guesses come from :func:`_gammas` (one leave-one-out pass for
-    tau-loo and theta-loo), and each spec's c rows meet one factor: the
-    support's (exact psi) or the draws', drawn once when the first spec's
-    guesses have succeeded. Yields one (k,) array per spec, in spec order,
-    so stacking gives (len(specs), k); a spec's error surfaces when its
-    values are asked for, and an error raised for one row carries that
+    The returned function scores k realized tables: ``w`` a (k, n) 0/1 array
+    of assignments and ``y`` the matching (k, n) observed outcomes. The
+    inputs and propensities are checked once a call, the effect guesses come
+    from :func:`_gammas` (one leave-one-out pass for tau-loo and theta-loo),
+    and each spec's c rows meet one factor: the support's (exact psi) or the
+    draws', drawn once in the kernel's life, when the first spec's guesses
+    have first succeeded. A call yields one (k,) array per spec, in spec
+    order, so stacking gives (len(specs), k); a spec's error surfaces when
+    its values are asked for, and an error raised for one row carries that
     row's index as ``exc.row``.
     """
-    return _imputation_pass(d, specs, m, seed)(w, y)
-
-
-def _imputation_pass(
-    d: Design, specs: Sequence[GammaSpec], m: int | None, seed: int | None
-) -> Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]:
-    """:func:`_imputation_family` for the row blocks of one pass: the returned
-    function scores one (w, y) block, and every block of the pass meets the
-    same factor, made once, when the first spec's guesses have succeeded."""
     factor: list[np.ndarray] = []
 
     def family(w: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
@@ -376,7 +367,7 @@ def imputation_values(d: Design, spec: GammaSpec, w: np.ndarray, y: np.ndarray) 
     :func:`_imputation_family`. Entry r is v_imputation's value on row r, to
     the bit; an error raised for one row carries that row's index as
     ``exc.row``."""
-    return next(_imputation_family(d, (spec,), w, y))
+    return next(_imputation_family(d, (spec,))(w, y))
 
 
 def v_imputation(d: Design, obs: ObservedData, spec: GammaSpec) -> VarianceEstimate:

@@ -133,27 +133,26 @@ def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, floa
 
 def _kernel_values(d: ExplicitDesign, po: PotentialOutcomes, kernel) -> list[np.ndarray]:
     """A batch kernel's value arrays (one per estimator it scores) on the
-    tables revealed, once, at every support row; a refusal names the support
-    vector of its row (``exc.row``).
+    tables revealed, once, at every support row.
 
-    ``kernel`` is a ``simulate._batch_kernel``. One pass of it scores the
-    support's row blocks in order: they share the pass's state (a Monte Carlo
-    factor, a validated substitute map), and each row's values do not depend
-    on its block, so the arrays are those of one call on the whole support.
-    The first block with a refusal raises it.
+    ``kernel`` is a ``simulate._batch_kernel``, called once per row block of
+    the support, in order. Its state (a Monte Carlo factor, a validated
+    substitute map) is made once in its life, and each row's values do not
+    depend on its block, so the arrays are those of one call on the whole
+    support. The first block with a refusal raises it; a refusal of one row
+    (``exc.row``) names that row's support vector.
     """
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    score = kernel.start()
     offset, parts = 0, []
     try:
         for u, _ in d._blocks():
-            parts.append(score(u, np.where(u == 1, po.y1, po.y0)))
+            parts.append(kernel(u, np.where(u == 1, po.y1, po.y0)))
             offset += len(u)
     except (AssumptionError, ValidationError) as exc:
-        exc.row = offset + getattr(exc, "row", 0)
-        w = d.vector(exc.row)
-        exc.args = (f"{exc} (estimator failed at support vector {w})",)
+        if hasattr(exc, "row"):
+            exc.row += offset
+            exc.args = (f"{exc} (estimator failed at support vector {d.vector(exc.row)})",)
         raise
     return [np.concatenate(values) for values in zip(*parts)]
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contrast import _substitute_pass, _v_pair_values, mse_sub_epsem, v_pair, v_sub
+from .contrast import _substitute_values, _v_pair_scalar, _v_pair_values, mse_sub_epsem, v_sub
 from .core import (
     PROB_TOL,
     AssumptionError,
@@ -53,7 +53,7 @@ from .designs import (
 from .estimators import _neyman_values, neyman_variance
 from .imputation import (
     GammaSpec,
-    _imputation_pass,
+    _imputation_family,
     v_imputation,
     v_imputation_mc,
 )
@@ -310,9 +310,8 @@ def _estimator_entry(
     seed: int = 0,
 ) -> tuple[Callable, Callable | GammaSpec]:
     """The registry entry of an estimator name (arguments as in
-    :func:`resolve_estimator`): its scalar callable, and the start of its
-    batch kernel (called once per pass, it returns the kernel of that pass:
-    the same values as an array, from (k, n) 0/1 assignments and outcomes)
+    :func:`resolve_estimator`): its scalar callable, and its batch kernel
+    (the same values as an array, from (k, n) 0/1 assignments and outcomes)
     or, for an imputation name, the GammaSpec that :func:`_batch_kernel`
     scores through the shared imputation family."""
     key = name.strip()
@@ -325,19 +324,17 @@ def _estimator_entry(
             raise ValidationError(f"need at least 2 draws, got {mc_draws}")
         return partial(v_imputation_mc, d, spec=spec, m=mc_draws, seed=seed), spec
     if key == "neyman":
-        return neyman_variance, lambda: _neyman_values
+        return neyman_variance, _neyman_values
     if key == "v_am":
-        return partial(v_am, d), lambda: lambda w, y: _v_am_values(d, w, y)[0]
+        return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
     if key in ("v_sub", "mse_sub"):
         mse = key == "mse_sub"
-
-        def start() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-            values = _substitute_pass(d, substitutes, mse)  # the map is validated once a pass
-            return lambda w, y: values(w, y)[0]
-
-        return partial(mse_sub_epsem if mse else v_sub, d, g=substitutes), start
+        values = _substitute_values(d, substitutes, mse)  # the map is validated once
+        scalar = partial(mse_sub_epsem if mse else v_sub, d, g=substitutes)
+        return scalar, lambda w, y: values(w, y)[0]
     if key == "v_pair":
-        return v_pair, lambda: partial(_v_pair_values, d.pairs)
+        pairs = getattr(d, "pairs", None)
+        return partial(_v_pair_scalar, pairs), partial(_v_pair_values, pairs)
     if key == "decomposition":
         if q is None:
             if d.kind != "crd":
@@ -346,45 +343,30 @@ def _estimator_entry(
                     "for designs without a default Q"
                 )
             q = default_q_crd(d.n)
-        kernel = partial(_decomposition_values, d, q)
-        return partial(estimate_decomposition, d, q=q), lambda: kernel
+        return partial(estimate_decomposition, d, q=q), partial(_decomposition_values, d, q)
     raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
 
 
-@dataclass(frozen=True)
-class _BatchKernel:
-    """A batch kernel: ``start()`` returns the kernel of one pass, which may
-    score several row blocks in turn; a call scores one batch as a pass."""
-
-    start: Callable[[], Callable[[np.ndarray, np.ndarray], list[np.ndarray]]]
-
-    def __call__(self, w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        return self.start()(w, y)
-
-
-def _batch_kernel(names: Sequence[str], d: Design, **options) -> _BatchKernel:
+def _batch_kernel(
+    names: Sequence[str], d: Design, **options
+) -> Callable[[np.ndarray, np.ndarray], list[np.ndarray]]:
     """One batch kernel for every name (options as in :func:`resolve_estimator`):
     from (k, n) 0/1 assignments and outcomes it returns one value array per
-    name, in name order. The imputation names share one pass of the
-    imputation family and, with ``mc_draws``, one set of design draws per
-    pass; each estimator runs, and can fail, at its place in ``names``, so
-    within a block the first listed estimator that fails raises. A pass
-    keeps its state across blocks: the imputation factor and a user
-    substitute map's validation are made once."""
+    name, in name order. The imputation names share one imputation family
+    and, with ``mc_draws``, one set of design draws; each estimator runs, and
+    can fail, at its place in ``names``, so within a block the first listed
+    estimator that fails raises. The kernel keeps its state for its whole
+    life: the imputation factor and a user substitute map's validation are
+    made once, however many blocks or passes it scores."""
     entries = [_estimator_entry(name, d, **options)[1] for name in names]
     specs = [k for k in entries if isinstance(k, GammaSpec)]
+    family = _imputation_family(d, specs, options.get("mc_draws"), options.get("seed", 0))
 
-    def start() -> Callable[[np.ndarray, np.ndarray], list[np.ndarray]]:
-        family = _imputation_pass(d, specs, options.get("mc_draws"), options.get("seed", 0))
-        kernels = [k if isinstance(k, GammaSpec) else k() for k in entries]
+    def kernel(w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        values = family(w, y)
+        return [next(values) if isinstance(k, GammaSpec) else k(w, y) for k in entries]
 
-        def kernel(w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-            values = family(w, y)
-            return [next(values) if isinstance(k, GammaSpec) else k(w, y) for k in kernels]
-
-        return kernel
-
-    return _BatchKernel(start)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,22 @@ class TestVPair:
                 float(v_sub(d, obs)), rel=1e-10
             )
 
+    def test_registry_scores_the_design_pairs(self):
+        from designvar.simulate import resolve_estimator
+
+        d = build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)])
+        po = random_table(np.random.default_rng(4), 8)
+        scalar = resolve_estimator("v_pair", d)
+        w = d.support[5]
+        want = scalar(reveal(po, w)).value
+        assert want == float(v_pair(reveal(po, w, pair_labels=d.pairs)))
+        # the same pairs, labelled in another order and orientation
+        assert scalar(reveal(po, w, pair_labels=((5, 1), (0, 4), (7, 3), (2, 6)))).value == want
+        with pytest.raises(ValidationError, match="differ from the design's pairs"):
+            scalar(reveal(po, w, pair_labels=((0, 1), (4, 5), (2, 6), (3, 7))))
+        with pytest.raises(ValidationError, match="observed data has 4 units, design has 8"):
+            scalar(ObservedData(_av("1010"), np.ones(4)))
+
     def test_missing_labels_rejected(self):
         obs = ObservedData(_av("1100"), np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(ValidationError, match="pair labels"):
@@ -619,11 +635,11 @@ class TestPackedSupportPass:
             assert np.ptp(d.probs) > 0 and np.all(d.propensities == 0.5)
         for mse in modes:
             want, want_counts = _scan_values(d, u, y, None, mse)
-            got, mode, counts = contrast._substitute_values(d, u, y, None, mse)
+            got, mode, counts = contrast._substitute_values(d, None, mse)(u, y)
             np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
             assert counts.tolist() == want_counts.tolist()
             if g is not None:
-                by_map, _, map_counts = contrast._substitute_values(d, u, y, g, mse)
+                by_map, _, map_counts = contrast._substitute_values(d, g, mse)(u, y)
                 assert by_map.tobytes() == got.tobytes()
                 assert map_counts.tolist() == counts.tolist()
                 scan_map, scan_map_counts = _scan_values(d, u, y, g, mse)
@@ -645,7 +661,7 @@ class TestPackedSupportPass:
         u = support_matrix(d)
         for mse in (False, True):
             want, want_counts = _scan_values(d, u, y, None, mse)
-            got, _, counts = contrast._substitute_values(d, u, y, None, mse)
+            got, _, counts = contrast._substitute_values(d, None, mse)(u, y)
             np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
             assert counts.tolist() == want_counts.tolist() == [2] * 4
 
@@ -667,7 +683,7 @@ class TestPackedSupportPass:
             with pytest.raises((AssumptionError, ValidationError)) as want:
                 _scan_values(d, w, y, None, mse)
             with pytest.raises(type(want.value)) as got:
-                contrast._substitute_values(d, w, y, None, mse)
+                contrast._substitute_values(d, None, mse)(w, y)
             assert str(got.value) == str(want.value)
             assert getattr(got.value, "row", None) == getattr(want.value, "row", None)
 
@@ -676,7 +692,7 @@ class TestPackedSupportPass:
         po = random_table(np.random.default_rng(13), 8)
         u = support_matrix(d)
         y = np.where(u == 1, po.y1, po.y0)
-        values, _, _ = contrast._substitute_values(d, u, y, None, False)
+        values, _, _ = contrast._substitute_values(d, None, False)(u, y)
         assert values.shape == (70,)
         assert not hasattr(d, "matrix")
         # nothing the pass kept on the design has a row per support vector and a column per unit

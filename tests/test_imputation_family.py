@@ -91,7 +91,7 @@ class TestFamilyKernel:
         d = DESIGNS[name]()
         u, y = _revealed(d)
         specs = _specs(d.n)
-        family = np.array(list(_imputation_family(d, specs, u, y)))
+        family = np.array(list(_imputation_family(d, specs)(u, y)))
         assert family.shape == (len(specs), len(u))
         for row, spec in zip(family, specs):
             assert np.array_equal(row, imputation_values(d, spec, u, y)), spec
@@ -105,7 +105,7 @@ class TestFamilyKernel:
         y = np.arange(12.0).reshape(3, 4)
         specs = [GammaSpec.fixed(1.0), GammaSpec.parse("tau-hat"),
                  GammaSpec.parse("tau-loo"), GammaSpec.parse("theta-loo")]
-        family = _imputation_family(d, specs, u, y)
+        family = _imputation_family(d, specs)(u, y)
         for spec in specs[:2]:
             assert np.array_equal(next(family), imputation_values(d, spec, u, y))
         got = _failure(lambda: next(family))
@@ -119,7 +119,7 @@ class TestFamilyKernel:
         y = np.ones(u.shape)
         y[4] = 1e308                      # tau-hat overflows on row 4 only
         specs = [GammaSpec.fixed(0.0), GammaSpec.parse("tau-hat")]
-        family = _imputation_family(d, specs, u, y)
+        family = _imputation_family(d, specs)(u, y)
         with np.errstate(over="ignore", invalid="ignore"):
             next(family)
             got = _failure(lambda: next(family))
@@ -129,7 +129,7 @@ class TestFamilyKernel:
     def test_inputs_are_checked_before_the_first_value(self):
         d = build_crd(4, 2)
         u = support_matrix(d)
-        family = _imputation_family(d, [GammaSpec.fixed(0.0)], 2.0 * u, u)
+        family = _imputation_family(d, [GammaSpec.fixed(0.0)])(2.0 * u, u)
         with pytest.raises(ValidationError, match="0 or 1"):
             next(family)
 
@@ -209,7 +209,7 @@ class TestMonteCarloBatch:
         u, y = _revealed(d, seed=8)
         spec = GammaSpec.parse("theta-loo")
         draws = _count_draws(monkeypatch, ExplicitDesign)
-        values = next(_imputation_family(d, [spec], u, y, m=400, seed=5))
+        values = next(_imputation_family(d, [spec], m=400, seed=5)(u, y))
         assert draws == [400]
         for r, bits in enumerate(u.astype(int).tolist()):
             obs = ObservedData(AssignmentVector.from_bits(bits), y[r])
@@ -233,7 +233,7 @@ class TestMonteCarloBatch:
         for call in (1, 2):
             got = _kernel_values(d, po, kernel)
             assert [v.shape for v in got] == [(d.support_size,)] * 3
-            assert draws == [300] * call
+            assert draws == [300]  # once in the kernel's life
             assert passes == [{"tau_loo", "theta_loo"}] * call
         for name, values in zip(names, got):
             alone = _kernel_values(d, po, _batch_kernel([name], d, mc_draws=300, seed=1))[0]
@@ -274,10 +274,10 @@ class TestMonteCarloBatch:
         d = build_crd(4, 1)
         u = support_matrix(d)
         with pytest.raises(AssumptionError) as exc:
-            next(_imputation_family(d, [GammaSpec.parse("tau-loo")], u, np.ones(u.shape), 50, 0))
+            next(_imputation_family(d, [GammaSpec.parse("tau-loo")], 50, 0)(u, np.ones(u.shape)))
         assert exc.value.row == 0
         with pytest.raises(ValidationError, match="at least 2 draws"):
-            next(_imputation_family(d, [GammaSpec.parse("tau-hat")], u, np.ones(u.shape), 1, 0))
+            next(_imputation_family(d, [GammaSpec.parse("tau-hat")], 1, 0)(u, np.ones(u.shape)))
 
 
 def _reference_block(values: list[float]) -> dict:

@@ -364,6 +364,41 @@ class TestCliAnalyze:
             "assumption violated: propensity of unit 2 is 0.0; inverse weighting needs 0 < pi < 1\n"
         )
 
+    @pytest.fixture
+    def three_pairs_file(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"kind": "matched_pair", "pairs": [[1, 2], [3, 4], [5, 6]]}))
+        return str(path)
+
+    @staticmethod
+    def _v_pair(design, tmp_path, pair_column):
+        obs = tmp_path / "pairs-obs.csv"
+        rows = zip(range(1, 7), (1, 0, 0, 1, 1, 0), (3, 2, 1, 3, 7, 1), pair_column or [None] * 6)
+        obs.write_text("unit_id,w,y_obs" + (",pair" if pair_column else "") + "\n" + "".join(
+            f"{i},{w},{y}" + (f",{p}" if p else "") + "\n" for i, w, y, p in rows
+        ))
+        return main(["analyze", "--design", design, "--data", str(obs), "--estimator", "v_pair",
+                     "--json"])
+
+    def test_v_pair_scores_the_design_pairs(self, three_pairs_file, tmp_path, capsys):
+        printed = []
+        # no pair column, then the design's pairs under other labels and in another order
+        for column in (None, ["z", "z", "a", "a", "m", "m"]):
+            assert self._v_pair(three_pairs_file, tmp_path, column) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        # within-pair differences 1, 2, 6: 4 / (6 * 4) * (4 + 1 + 9)
+        assert json.loads(printed[0])["value"] == pytest.approx(14 / 6)
+
+    def test_v_pair_refuses_pair_labels_that_differ_from_the_design(
+        self, three_pairs_file, tmp_path, capsys
+    ):
+        # (1,3), (2,4), (5,6) each hold one treated unit, against (1,2), (3,4), (5,6)
+        assert self._v_pair(three_pairs_file, tmp_path, ["a", "b", "a", "b", "c", "c"]) == 2
+        assert capsys.readouterr().err == (
+            "error: observed pair labels differ from the design's pairs\n"
+        )
+
     def test_validation_failure_exits_2(self, crd_file, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code = main(
@@ -453,6 +488,17 @@ class TestCliOracle:
                      "--estimator", "imputation:tau-hat", "--mc", "--mc-draws", "1"])
         assert code == 2
         assert capsys.readouterr().err == "error: need at least 2 draws, got 1\n"
+
+
+    def test_v_pair_on_a_design_without_pairs_names_no_support_vector(self, tmp_path, capsys):
+        design = tmp_path / "crd-8-4.json"
+        design.write_text(json.dumps({"kind": "crd", "n": 8, "n_treated": 4}))
+        table = tmp_path / "table.csv"
+        table.write_text("unit_id,y0,y1\n" + "".join(f"{i},{i},{2 * i}\n" for i in range(1, 9)))
+        code = main(["oracle", "--design", str(design), "--table", str(table),
+                     "--estimator", "v_pair"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: matched-pair variance needs pair labels\n"
 
 
 class TestCliSubstituteFile:

@@ -141,6 +141,42 @@ class TestKernelValues:
         assert errors[1][1] == d.index_of(AssignmentVector.from_string("11111110")) == 70
 
 
+class TestKernelLifetime:
+    """A batch kernel owns its state for its whole life: a second pass over
+    the support reuses what the first made and gives the same bits."""
+
+    def test_monte_carlo_draws_once_across_passes(self, small_blocks, monkeypatch):
+        d = build_crd(8, 4)
+        po = random_table(np.random.default_rng(16), 8)
+        made, loo = [], []
+        real, real_loo = designvar.imputation._mc_draws, designvar.imputation._loo_rows
+        monkeypatch.setattr(designvar.imputation, "_mc_draws",
+                            lambda *args: made.append(real(*args)) or made[-1])
+        monkeypatch.setattr(designvar.imputation, "_loo_rows",
+                            lambda *args: loo.append(1) or real_loo(*args))
+        kernel = _batch_kernel(["imputation:tau-loo", "imputation:theta-loo"], d,
+                               mc_draws=300, seed=1)
+        first, second = [_kernel_values(d, po, kernel) for _ in range(2)]
+        assert len(made) == 1
+        # the guesses depend on the table: one leave-one-out pass per block, shared
+        assert len(loo) == 2 * 14
+        _assert_bits_equal(first, second)
+
+    def test_a_user_map_is_validated_once_per_kernel(self, small_blocks, monkeypatch):
+        d = build_crd(8, 4)
+        g = full_substitute_map(d)
+        calls = []
+        normalize = contrast._normalize_g
+        monkeypatch.setattr(
+            contrast, "_normalize_g", lambda *args: calls.append(1) or normalize(*args)
+        )
+        po = random_table(np.random.default_rng(17), 8)
+        kernel = _batch_kernel(["v_sub", "mse_sub"], d, substitutes=g)
+        first, second = [_kernel_values(d, po, kernel) for _ in range(2)]
+        assert len(calls) == 2  # one per estimator, across both passes
+        _assert_bits_equal(first, second)
+
+
 class TestSupportSums:
     def test_ht_values_equal_the_one_block_values(self, monkeypatch):
         d = build_crd(8, 4)
