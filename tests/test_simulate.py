@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,12 +25,13 @@ from designvar import (
     psi,
     run_appendix_c,
     run_study,
+    run_study_b,
     study_a_design,
     study_models,
 )
 from designvar.core import EST_RTOL
 from designvar.decomposition import _v_am_values
-from designvar.simulate import _empirical_design, resolve_estimator
+from designvar.simulate import _empirical_design, _indented_json, resolve_estimator
 
 from conftest import random_table, support_matrix
 
@@ -400,6 +402,46 @@ class TestStudyADesign:
         assert math.isclose(sum(d.probs), 1.0, abs_tol=1e-12)
 
 
+def _reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emitted_files(out) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+_JSON_EDGE_PAYLOADS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+    "nested-empty": {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}},
+    "scalar": 1.5,
+    "string": "x",
+    "null": None,
+    "special-floats": {
+        "x": [float("nan"), float("inf"), -float("inf"), -0.0, 2**70, 1e300, -1e-300],
+        "y": {"nan": float("nan"), "neg-zero": -0.0, "big": 2**70, "tiny": -1e-300},
+    },
+    "bools-and-none": {
+        "b": True, "f": False, "n": None, "l": [True, None, False], "m": {"z": None}
+    },
+    "escapes": {
+        "é\"\\": "ü\"\\ \n",
+        "k\"ey": {"ñ\\": ["☃", "\\", "\"", "\t"]},
+        "plain": "naïve",
+    },
+    "lists-of-dicts-and-tuples": [
+        {"a": 1, "b": {"c": [1, 2, (3, 4)]}},
+        {"z": (), "y": ({"q": 0.5},)},
+        (1, 2, (3,)),
+    ],
+    "number-keys": {1: "a", 2.5: {"x": 1}, -3: {3: 1, 1.5: [0], float("inf"): None}},
+    "bool-keys": {True: {"k": 1}, False: [2]},
+    "none-key": {None: {"k": 2}},
+    "deep": {"a": [[1, [2, [3, {"b": [{}]}]]]]},
+}
+
+
 class TestEmitOutputs:
     def test_empty_result_writes_header_only_csv(self, tmp_path):
         res = SimResult(study="empty", records=(), summary={})
@@ -443,6 +485,85 @@ class TestEmitOutputs:
         emit_outputs(run_study(spec), out2)
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("study", ["appendix-c", "study-b", "crossed-pairs"])
+    def test_summary_json_matches_json_dumps(self, study, crossed_pairs, tmp_path):
+        if study == "appendix-c":
+            res = run_appendix_c(n_replications=2)
+        elif study == "study-b":
+            res = run_study_b(n_replications=1, n_inner_draws=8, n_outer=6)
+        else:
+            res = run_study(
+                ScenarioSpec(
+                    "emit-test",
+                    crossed_pairs,
+                    OutcomeModel.constant_random(),
+                    estimators=("v_am", "imputation:tau-hat"),
+                    n_replications=3,
+                    seed=2,
+                )
+            )
+        emit_outputs(res, tmp_path)
+        payload = {
+            "study": res.study,
+            "excluded_zero_variance": res.excluded_zero_variance,
+            "meta": res.meta,
+            "summary": res.summary,
+        }
+        expected = _reference_json(payload) + "\n"
+        assert (tmp_path / "summary.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("name", sorted(_JSON_EDGE_PAYLOADS))
+    def test_json_writer_matches_json_dumps_on_edge_cases(self, name):
+        payload = _JSON_EDGE_PAYLOADS[name]
+        assert _indented_json(payload) == _reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": np.int64(1)},
+            {"a": {"b": [1, np.int64(1)]}, "c": {"d": 1}},
+            {"a": 1, 2: 3},
+            {"a": {"b": 1}, 2: {"c": 1}},
+            {"a": [{"b": 1, 2: 3}]},
+            {(1, 2): {"a": 1}},
+        ],
+        ids=["int64-leaf", "int64-nested", "mixed-keys-leaf", "mixed-keys-nested",
+             "mixed-keys-in-list", "tuple-key"],
+    )
+    def test_json_writer_refuses_what_json_dumps_refuses(self, payload):
+        with pytest.raises(TypeError) as reference:
+            _reference_json(payload)
+        with pytest.raises(TypeError) as raised:
+            _indented_json(payload)
+        assert str(raised.value) == str(reference.value)
+
+    def test_rewrite_over_a_longer_run_leaves_no_stale_tail(self, tmp_path):
+        rewritten, fresh = tmp_path / "rewritten", tmp_path / "fresh"
+        emit_outputs(run_appendix_c(n_replications=5), rewritten)
+        longer_table = (rewritten / "results.csv").read_bytes()
+        short = run_appendix_c(n_replications=1)
+        emit_outputs(short, rewritten)
+        emit_outputs(short, fresh)
+        assert _emitted_files(rewritten) == _emitted_files(fresh)
+        # the first run's table was longer, so the rewrite had a tail to cut
+        assert len(longer_table) > len((fresh / "results.csv").read_bytes())
+
+    def test_new_files_get_the_mode_open_gives(self, crossed_pairs, tmp_path):
+        spec = ScenarioSpec(
+            "emit-test", crossed_pairs, OutcomeModel.constant_random(), n_replications=2, seed=0
+        )
+        res = run_study(spec)
+        previous = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            files = emit_outputs(res, tmp_path / "out")
+        finally:
+            os.umask(previous)
+        mode = (tmp_path / "reference").stat().st_mode
+        assert mode & 0o777 == 0o640
+        assert [f.stat().st_mode for f in files] == [mode] * len(files)
 
 
 class TestAppendixCSmoke:
