@@ -82,6 +82,8 @@ def substitution_mode(d: Design) -> str:
     is divisible by 4; otherwise 'epsem' when the overlap count
     N_t(w)^2 / N is a whole number for every group size in the support.
     Anything else cannot define substitutes and raises. Cached per design.
+    Both modes share one substitute relation, k = N_t(w)^2 / N; the mode
+    says which estimators apply (v_sub needs 'equal-size').
     """
     mode = d._memo("_substitution_mode", lambda: _substitution_mode(d))
     if mode not in (EQUAL_SIZE, EPSEM):
@@ -98,43 +100,33 @@ def _substitution_mode(d: Design) -> str:
         if sizes == [d.n // 2] and d.n % 4 == 0:
             return EQUAL_SIZE
         for nt in sizes:
-            _overlap_count(d.n, nt, EPSEM)  # raises unless N_t^2 / N is whole
+            _overlap_count(d.n, nt)  # raises unless N_t^2 / N is whole
         return EPSEM
     except AssumptionError as exc:
         return str(exc)
 
 
-def _overlap_count(n: int, n_treated: int, mode: str) -> int:
-    """How many of w's treated units a substitute must treat."""
-    if mode == EQUAL_SIZE:
-        if n % 4 or n_treated != n // 2:
-            raise AssumptionError(
-                "substitution undefined: equal-size mode needs N_t(w) = N/2 "
-                f"with N divisible by 4 (N_t = {n_treated}, N = {n})"
-            )
-        return n // 4
-    if mode == EPSEM:
-        k, rem = divmod(n_treated * n_treated, n)
-        if rem:
-            raise AssumptionError(
-                f"substitution undefined: overlap count N_t(w)^2/N = "
-                f"{n_treated * n_treated / n} is not an integer "
-                f"(N_t = {n_treated}, N = {n})"
-            )
-        return k
-    raise ValidationError(f"unknown substitution mode {mode!r}")
+def _overlap_count(n: int, n_treated: int) -> int:
+    """How many of w's treated units a substitute must treat: k = N_t(w)^2 / N,
+    which is N/4 when N_t(w) = N/2."""
+    k, rem = divmod(n_treated * n_treated, n)
+    if rem:
+        raise AssumptionError(
+            f"substitution undefined: overlap count N_t(w)^2/N = "
+            f"{n_treated * n_treated / n} is not an integer "
+            f"(N_t = {n_treated}, N = {n})"
+        )
+    return k
 
 
-def is_substitute(w: AssignmentVector, cand: AssignmentVector, mode: str) -> bool:
-    """Whether cand treats the required split of w's treated and control units.
-
-    In both modes the condition is: cand treats exactly k of w's treated units
-    and N_t(w) - k of w's controls, with k = N_t(w)^2 / N (which is N/4 in the
-    equal-size case).
+def is_substitute(w: AssignmentVector, cand: AssignmentVector) -> bool:
+    """Whether cand treats the required split of w's treated and control units:
+    exactly k of w's treated units and N_t(w) - k of its controls, with
+    k = N_t(w)^2 / N. Raises when k is not a whole number.
     """
     if cand.n != w.n:
         raise ValidationError(f"assignments have different lengths {w.n} and {cand.n}")
-    k = _overlap_count(w.n, w.n_treated, mode)
+    k = _overlap_count(w.n, w.n_treated)
     same = (w.mask & cand.mask).bit_count()
     return same == k and cand.n_treated == w.n_treated
 
@@ -145,7 +137,6 @@ class SubstituteSet:
 
     anchor: AssignmentVector
     members: tuple[AssignmentVector, ...]
-    mode: str
 
     def __post_init__(self) -> None:
         masks = frozenset(m.mask for m in self.members)
@@ -170,28 +161,26 @@ class SubstituteSet:
         return all(m.complement().mask in self._masks for m in self.members)
 
 
-def _substitute_rule(
-    d: ExplicitDesign, anchors, members, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _substitute_rule(d: ExplicitDesign, anchors, members) -> tuple[np.ndarray, np.ndarray]:
     """The substitute predicate on support rows ``anchors`` and ``members``,
     broadcast, as (k, same_size): a member substitutes for its anchor when the
     group sizes match and it shares k = N_t^2 / N of the anchor's treated
-    units (N/4 in equal-size mode)."""
+    units."""
     sizes = d.group_sizes
     anchor_sizes = sizes[anchors]
     k = np.zeros(d.n + 1)
     for nt in np.flatnonzero(np.bincount(anchor_sizes.ravel())).tolist():
-        k[nt] = _overlap_count(d.n, nt, mode)
+        k[nt] = _overlap_count(d.n, nt)
     return k[anchor_sizes], anchor_sizes == sizes[members]
 
 
-def _substitute_rows(d: ExplicitDesign, rows, mode: str) -> np.ndarray:
+def _substitute_rows(d: ExplicitDesign, rows) -> np.ndarray:
     """(len(rows), S) boolean block: entry (i, s) says support[s] substitutes
     for support[rows[i]]. The relation is symmetric, so row r also lists the
     anchors whose substitute set contains support[r].
     """
     rows = np.asarray(rows)
-    k, same_size = _substitute_rule(d, rows[:, None], slice(None), mode)
+    k, same_size = _substitute_rule(d, rows[:, None], slice(None))
     overlap = d._overlaps(rows)
     return (overlap == k.astype(overlap.dtype)) & same_size
 
@@ -228,13 +217,7 @@ def _require_explicit(d: Design, what: str) -> ExplicitDesign:
     return d
 
 
-def full_substitute_set(
-    d: Design,
-    w,
-    mode: str | None = None,
-    *,
-    cap: int = SUBSTITUTE_CAP,
-) -> SubstituteSet:
+def full_substitute_set(d: Design, w, *, cap: int = SUBSTITUTE_CAP) -> SubstituteSet:
     """All substitutes of ``w`` within the design, in support order.
 
     Scans the support with the substitute predicate. Raises when the set is
@@ -242,15 +225,13 @@ def full_substitute_set(
     """
     d = _require_explicit(d, "enumerate")
     w = _as_assignment(w, d.n)
-    if mode is None:
-        mode = substitution_mode(d)
-    hits = _substitute_rows(d, [d.index_of(w)], mode)[0]
+    hits = _substitute_rows(d, [d.index_of(w)])[0]
     _check_count(w, int(hits.sum()), cap)
     members = tuple(d.vector(s) for s in np.flatnonzero(hits))
-    return SubstituteSet(anchor=w, members=members, mode=mode)
+    return SubstituteSet(anchor=w, members=members)
 
 
-def _closed_form_counts(d: ExplicitDesign, mode: str) -> np.ndarray | None:
+def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
     """The counts of :func:`substitute_counts` by formula when the support is
     complete, else None. Rows are distinct, so C(N, m) rows of size m are the
     whole layer, and 2^J rows that treat one unit of each of J pairs
@@ -260,19 +241,23 @@ def _closed_form_counts(d: ExplicitDesign, mode: str) -> np.ndarray | None:
     if all(c == math.comb(n, m) for m, c in present.items()):
         per_size = np.zeros(n + 1, dtype=np.int64)
         for m in present:  # ascending, so a refusal names the size the scan names
-            k = _overlap_count(n, m, mode)
+            k = _overlap_count(n, m)
             per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
         return per_size[sizes]
     pairs = d.pairs or ()  # labels that partition the units: the constructor checks them
     if pairs and all(len(ab) == 2 for ab in pairs) and d.support_size == 1 << len(pairs):
         if all(np.all(d._treats(a) != d._treats(b)) for a, b in pairs):
             j = len(pairs)
-            return np.full(d.support_size, math.comb(j, _overlap_count(n, j, mode)))
+            return np.full(d.support_size, math.comb(j, _overlap_count(n, j)))
     return None
 
 
-def substitute_counts(d: Design, mode: str | None = None) -> np.ndarray:
+def substitute_counts(d: Design) -> np.ndarray:
     """|G*(w)| for every support vector, in support order; cached, read-only.
+
+    The count depends on the support alone: a k = N_t^2 / N that is not a
+    whole number is refused, but unequal propensities are not (the
+    estimators refuse those through :func:`substitution_mode`).
 
     A complete support takes a counting formula, with no scan: one whose
     every treated-group size m has all C(N, m) vectors (complete
@@ -284,25 +269,20 @@ def substitute_counts(d: Design, mode: str | None = None) -> np.ndarray:
     (rows, support) elements.
     """
     d = _require_explicit(d, "count")
-    if mode is None:
-        mode = substitution_mode(d)
 
     def count() -> np.ndarray:
-        counts = _closed_form_counts(d, mode)
+        counts = _closed_form_counts(d)
         if counts is None:
-            counts = np.concatenate([_substitute_rows(d, rows, mode).sum(axis=1)
+            counts = np.concatenate([_substitute_rows(d, rows).sum(axis=1)
                                      for rows in _row_blocks(d)])
         counts.setflags(write=False)
         return counts
 
-    return d._memo(f"_substitute_counts[{mode}]", count)
+    return d._memo("_substitute_counts", count)
 
 
 def full_substitute_map(
-    d: ExplicitDesign,
-    mode: str | None = None,
-    *,
-    cap: int = SUBSTITUTE_CAP,
+    d: ExplicitDesign, *, cap: int = SUBSTITUTE_CAP
 ) -> dict[AssignmentVector, SubstituteSet]:
     """G*(w) for every support vector, keyed by anchor.
 
@@ -311,10 +291,8 @@ def full_substitute_map(
     is refused before any set is built.
     """
     d = _require_explicit(d, "enumerate")
-    if mode is None:
-        mode = substitution_mode(d)
     support = d.support
-    counts = substitute_counts(d, mode)
+    counts = substitute_counts(d)
     # the largest set trips the cap first, then the first empty set
     for r in (int(np.argmax(counts)), int(np.argmin(counts))):
         _check_count(support[r], int(counts[r]), cap)
@@ -327,10 +305,10 @@ def full_substitute_map(
         )
     out = {}
     for rows in _row_blocks(d):
-        for r, hits in zip(rows, _substitute_rows(d, rows, mode)):
+        for r, hits in zip(rows, _substitute_rows(d, rows)):
             w = support[r]
             members = tuple(support[s] for s in np.flatnonzero(hits))
-            out[w] = SubstituteSet(anchor=w, members=members, mode=mode)
+            out[w] = SubstituteSet(anchor=w, members=members)
     return out
 
 
@@ -352,7 +330,7 @@ def _rows_of_items(d: ExplicitDesign, items: list) -> np.ndarray:
     return rows
 
 
-def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_g(d: ExplicitDesign, g: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Validate a user map in one pass; return each anchor's set size and the
     distinct (member, anchor) row pairs as sorted keys member * S + anchor.
 
@@ -375,7 +353,7 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     owner = np.repeat(np.arange(len(keys)), counts)
     a = anchors[owner]
     ok = (a >= 0) & (members >= 0)
-    k, same_size = _substitute_rule(d, a[ok], members[ok], mode)
+    k, same_size = _substitute_rule(d, a[ok], members[ok])
     ok[ok] = (d._pair_overlaps(a[ok], members[ok]) == k) & same_size
     faulty = (anchors < 0) | np.equal(counts, 0)
     faulty |= np.bincount(owner[~ok], minlength=len(keys)) > 0
@@ -401,25 +379,25 @@ def _normalize_g(d: ExplicitDesign, g: Mapping, mode: str) -> tuple[np.ndarray, 
     return sizes, pairs
 
 
-def _relation(d: ExplicitDesign, mode: str) -> tuple[int, np.ndarray | None]:
-    """Facts of the substitute relation decided once per design and mode,
-    next to the cached counts: the support row with the fewest substitutes
-    if it has none (else -1), and otherwise each anchor's weight
-    p_w / |G*(w)|."""
+def _relation(d: ExplicitDesign) -> tuple[int, np.ndarray | None]:
+    """Facts of the substitute relation decided once per design, next to the
+    cached counts: the support row with the fewest substitutes if it has
+    none (else -1), and otherwise each anchor's weight p_w / |G*(w)|."""
     def relation() -> tuple[int, np.ndarray | None]:
-        counts = substitute_counts(d, mode)
+        counts = substitute_counts(d)
         r = int(np.argmin(counts))
         return (-1, d.probs / counts) if counts[r] else (r, None)
 
-    return d._memo(f"_substitute_relation[{mode}]", relation)
+    return d._memo("_substitute_relation", relation)
 
 
 def _substitute_values(
     d: Design, g: Mapping | None, mse: bool
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
     """The kernel of v_sub, or with ``mse`` mse_sub_epsem: from k realized
-    tables (w, y) it returns the values, the substitution mode and each
-    table's number of anchors.
+    tables (w, y) it returns the values, the design's :func:`substitution_mode`
+    (which refuses unequal propensities before any count) and each table's
+    number of anchors.
 
     Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
     substitute set holds its assignment W, c_w being l(w)'y (v_sub, scaled by
@@ -436,10 +414,7 @@ def _substitute_values(
     user_map: list[tuple[np.ndarray, np.ndarray]] = []
 
     def values(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
-        if not isinstance(d, ExplicitDesign):
-            raise AssumptionError(
-                f"substitute estimators need an enumerable design, got {d.kind} sampler"
-            )
+        _require_explicit(d, "enumerate")
         if w.shape[1] != d.n:
             raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
         rows = d.rows_of(w)
@@ -458,12 +433,12 @@ def _substitute_values(
             )
         s = d.support_size
         if g is None:
-            empty, weight = _relation(d, mode)
+            empty, weight = _relation(d)
             if empty >= 0:
                 _check_count(d.vector(empty), 0)
         else:
             if not user_map:
-                user_map.append(_normalize_g(d, g, mode))
+                user_map.append(_normalize_g(d, g))
             sizes, pairs = user_map[0]
             weight = d.probs / sizes
             lo = np.searchsorted(pairs, rows * s).tolist()
@@ -472,7 +447,7 @@ def _substitute_values(
         counts = np.empty(len(rows), dtype=np.int64)
         for i, row in enumerate(rows.tolist()):
             if g is None:  # the relation is symmetric: W's substitutes are its anchors
-                a = np.flatnonzero(_substitute_rows(d, [row], mode)[0])
+                a = np.flatnonzero(_substitute_rows(d, [row])[0])
             else:
                 a = pairs[lo[i]:hi[i]] - row * s
             treated_sum = d._row_sums(y[i], a)
@@ -652,8 +627,8 @@ def check_assumptions(d: Design) -> AssumptionReport:
         details["closed_under_label_switching"] = f"complement of {w} is not in support"
 
     try:
-        mode = substitution_mode(d)
-        counts = substitute_counts(d, mode)
+        substitution_mode(d)  # a design the estimators refuse fails the check
+        counts = substitute_counts(d)
         substitution = bool(np.all(counts > 0))
         if not substitution:
             w = d.vector(int(np.argmax(counts == 0)))

@@ -584,17 +584,17 @@ def run_study_a(
 # study B: inner Monte Carlo on a 50-unit rerandomized design
 # ---------------------------------------------------------------------------
 
-def _empirical_design(draws: np.ndarray, *, symmetrize: bool = True) -> ExplicitDesign:
-    """Explicit design over the distinct rows of a draw matrix.
+def _empirical_design(draws: np.ndarray) -> ExplicitDesign:
+    """Explicit design over the distinct rows of a draw matrix and of their
+    complements.
 
-    With ``symmetrize`` each draw also contributes its complement.  The
-    balance criterion is invariant under swapping the arms, so the true
-    design is complement-symmetric and symmetrizing keeps every empirical
-    propensity at exactly one half.
+    The balance criterion is invariant under swapping the arms, so the true
+    design is complement-symmetric, and adding each draw's complement keeps
+    every empirical propensity at exactly one half.
     """
-    rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
     return ExplicitDesign._from_draws(
-        rows, kind="empirical", meta={"n_draws": len(draws), "symmetrized": bool(symmetrize)},
+        np.concatenate([draws, 1 - draws]), kind="empirical",
+        meta={"n_draws": len(draws), "symmetrized": True},
     )
 
 

@@ -45,28 +45,28 @@ def _av(bits: str) -> AssignmentVector:
 
 class TestIsSubstitute:
     def test_half_swap_is_substitute(self):
-        assert is_substitute(_av("1100"), _av("1001"), "equal-size")
+        assert is_substitute(_av("1100"), _av("1001"))
 
     def test_complement_is_not(self):
-        assert not is_substitute(_av("1100"), _av("0011"), "equal-size")
+        assert not is_substitute(_av("1100"), _av("0011"))
 
     def test_epsem_overlap_counting(self):
         # N=18, N_t=6, overlap k=2: a substitute treats 2 of the anchor's 6
         # treated units and 4 of its 12 controls.
         w = _av("1" * 6 + "0" * 12)
         cand = _av("110000" + "111100000000")
-        assert is_substitute(w, cand, "epsem")
+        assert is_substitute(w, cand)
         off_count = _av("100000" + "111110000000")
-        assert not is_substitute(w, off_count, "epsem")
+        assert not is_substitute(w, off_count)
 
     def test_equal_size_divisibility_enforced(self):
         with pytest.raises(AssumptionError, match="substitution undefined"):
-            is_substitute(_av("110100"), _av("011010"), "equal-size")
+            is_substitute(_av("110100"), _av("011010"))
 
     def test_epsem_integrality_enforced(self):
         # N=8, N_t=2 gives k = 4/8, not an integer.
         with pytest.raises(AssumptionError, match="substitution undefined"):
-            is_substitute(_av("11000000"), _av("00110000"), "epsem")
+            is_substitute(_av("11000000"), _av("00110000"))
 
 
 class TestFullSubstituteSet:
@@ -403,7 +403,7 @@ def test_full_substitute_map_covers_support():
     assert len(mapping) == d.support_size
     for anchor, sub in mapping.items():
         assert anchor in d.support
-        assert all(is_substitute(anchor, m, "equal-size") for m in sub.members)
+        assert all(is_substitute(anchor, m) for m in sub.members)
 
 
 def test_full_substitute_map_refuses_a_map_over_the_cap_before_building_it():
@@ -418,6 +418,15 @@ def test_full_substitute_map_refuses_a_map_over_the_cap_before_building_it():
     assert time.perf_counter() - start < 5.0
 
 
+def _pairs_with_unpaired_row():
+    """2^J rows under pair labels, but one treats both units of pair (0, 4):
+    propensities run from 7/16 to 9/16, so the design has no substitution
+    mode, yet every k = N_t^2 / N is whole."""
+    pairs = ((0, 4), (1, 5), (2, 6), (3, 7))
+    rows = [r for r in build_matched_pair(list(pairs)).support if r.to_string() != "11110000"]
+    return build_explicit([*rows, "11001100"], [1.0 / 16] * 16, pairs=pairs)
+
+
 class TestSubstituteScanParity:
     """The support scan agrees with the pairwise predicate, in support order."""
 
@@ -428,15 +437,16 @@ class TestSubstituteScanParity:
             lambda: build_crd(16, 4),
             lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]),
             lambda: build_rerandomized(build_crd(8, 4), np.arange(8.0) ** 1.5, 0.6),
+            _pairs_with_unpaired_row,
         ],
-        ids=["crossed-pairs", "crd-16-4", "matched-pairs-4", "rerandomized-8-4"],
+        ids=["crossed-pairs", "crd-16-4", "matched-pairs-4", "rerandomized-8-4",
+             "pairs-with-unpaired-row"],
     )
     def test_matches_brute_force_predicate(self, make):
         d = make()
-        mode = substitution_mode(d)
         sizes = []
         for w in d.support:
-            brute = tuple(c for c in d.support if is_substitute(w, c, mode))
+            brute = tuple(c for c in d.support if is_substitute(w, c))
             assert full_substitute_set(d, w).members == brute
             sizes.append(len(brute))
         assert substitute_counts(d).tolist() == sizes
@@ -452,14 +462,18 @@ class TestSubstituteScanParity:
     def test_sampler_backed_design_refused(self):
         d = build_crd(32, 16)
         assert not d.is_enumerable
+        w = _av("1" * 16 + "0" * 16)
         with pytest.raises(AssumptionError, match="sampler-backed"):
-            full_substitute_set(d, _av("1" * 16 + "0" * 16))
+            full_substitute_set(d, w)
+        for est in (v_sub, mse_sub_epsem):
+            with pytest.raises(AssumptionError, match="sampler-backed"):
+                est(d, ObservedData(w, np.arange(32.0)))
 
 
-def _scanned_counts(d, mode):
+def _scanned_counts(d):
     """|G*(w)| by the blocked support scan, which the closed form replaces."""
     return np.concatenate(
-        [contrast._substitute_rows(d, rows, mode).sum(axis=1) for rows in contrast._row_blocks(d)]
+        [contrast._substitute_rows(d, rows).sum(axis=1) for rows in contrast._row_blocks(d)]
     )
 
 
@@ -476,54 +490,51 @@ class TestClosedFormCounts:
     """Complete supports count substitutes by formula, equal to the scan."""
 
     @pytest.mark.parametrize(
-        "make, mode",
+        "make",
         [
-            (lambda: build_crd(16, 4), "epsem"),
-            (lambda: build_crd(12, 6), "equal-size"),
-            (lambda: build_crd(16, 8), "equal-size"),
-            (lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]), "equal-size"),
-            (lambda: build_matched_pair([(j, 11 - j) for j in range(6)]), "epsem"),
+            lambda: build_crd(16, 4),
+            lambda: build_crd(12, 6),
+            lambda: build_crd(16, 8),
+            lambda: build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]),
+            lambda: build_matched_pair([(j, 11 - j) for j in range(6)]),
             # weights never enter: the count is of support rows
-            (lambda: build_explicit(_layers(8, 4), np.arange(1.0, 71.0) / 2485.0), "equal-size"),
-            (lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168), "epsem"),
+            lambda: build_explicit(_layers(8, 4), np.arange(1.0, 71.0) / 2485.0),
+            lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168),
         ],
         ids=["crd-16-4", "crd-12-6", "crd-16-8", "pairs-4", "pairs-6",
              "explicit-crd-8-4-unequal", "crd-9-3-and-9-6"],
     )
-    def test_matches_scan_without_scanning(self, make, mode, monkeypatch):
+    def test_matches_scan_without_scanning(self, make, monkeypatch):
         d = make()
         with monkeypatch.context() as patch:
             patch.setattr(contrast, "_substitute_rows", _no_scan)
-            counts = substitute_counts(d, mode)
-        scanned = _scanned_counts(d, mode)
+            counts = substitute_counts(d)
+        scanned = _scanned_counts(d)
         assert counts.dtype == scanned.dtype and counts.tolist() == scanned.tolist()
         assert not counts.flags.writeable
 
     def test_refusal_matches_scan(self):
-        d = build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168)
+        # the size-2 layer has k = 4/8; the size-4 layer's k = 2 is whole
+        d = build_explicit(_layers(8, 2, 4), [1.0 / 98] * 98)
         with pytest.raises(AssumptionError) as scanned:
-            _scanned_counts(d, "equal-size")
+            _scanned_counts(d)
         with pytest.raises(AssumptionError) as closed:
-            substitute_counts(d, "equal-size")
+            substitute_counts(d)
         assert str(closed.value) == str(scanned.value)
+        assert "N_t = 2, N = 8" in str(closed.value)
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4, kind="crd"),
-            # 2^J rows under pair labels, but one treats both units of pair (0, 4)
-            lambda: build_explicit(
-                [*(r for r in build_matched_pair([(0, 4), (1, 5), (2, 6), (3, 7)]).support
-                   if r.to_string() != "11110000"), "11001100"],
-                [1.0 / 16] * 16, pairs=((0, 4), (1, 5), (2, 6), (3, 7)),
-            ),
+            _pairs_with_unpaired_row,
         ],
         ids=["crossed-pairs-labelled-crd", "pairs-with-unpaired-row"],
     )
     def test_incomplete_support_is_scanned(self, make):
         d = make()
-        assert contrast._closed_form_counts(d, "epsem") is None
-        assert substitute_counts(d, "epsem").tolist() == _scanned_counts(d, "epsem").tolist()
+        assert contrast._closed_form_counts(d) is None
+        assert substitute_counts(d).tolist() == _scanned_counts(d).tolist()
 
     def test_crd_20_10_is_never_scanned(self, monkeypatch):
         d = build_crd(20, 10)
@@ -554,14 +565,14 @@ def _scan_values(d, w, y, g, mse):
             "(see mse_sub_epsem)"
         )
     if g is None:
-        sizes = substitute_counts(d, mode)
+        sizes = substitute_counts(d)
         r = int(np.argmin(sizes))
         contrast._check_count(d.vector(r), int(sizes[r]))
 
         def hits_of(block):
-            return contrast._substitute_rows(d, block, mode)
+            return contrast._substitute_rows(d, block)
     else:
-        sizes, pairs = contrast._normalize_g(d, g, mode)
+        sizes, pairs = contrast._normalize_g(d, g)
 
         def hits_of(block):
             keys = block[:, None] * s + np.arange(s)
@@ -630,7 +641,7 @@ class TestPackedSupportPass:
         if name == "epsem-9-3-and-9-6":
             assert set(d.group_sizes.tolist()) == {3, 6}
         if name == "rerandomized-12-6":
-            assert contrast._closed_form_counts(d, "equal-size") is None
+            assert contrast._closed_form_counts(d) is None
         if name == "whole-weights-crd-8-4":
             assert np.ptp(d.probs) > 0 and np.all(d.propensities == 0.5)
         for mse in modes:

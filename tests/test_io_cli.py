@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -223,6 +224,25 @@ class TestCliDesignInspect:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload["substitutes"]) == ["0110", "1001"]
+
+    def test_substitutes_listing_without_a_substitution_mode(self, tmp_path, capsys):
+        # 4 matched pairs with "11110000" swapped for "11001100", which treats
+        # both units of pairs (0, 4) and (1, 5): propensities run from 7/16 to
+        # 9/16, but k = 4^2 / 8 = 2 is whole, so the substitutes are defined
+        rows = ["".join(bits) for bits in itertools.product(*["10"] * 4)]
+        support = [r + "".join("1" if b == "0" else "0" for b in r) for r in rows]
+        support[support.index("11110000")] = "11001100"
+        path = tmp_path / "unpaired-row.json"
+        path.write_text(json.dumps({"support": support, "probs": [1.0 / 16] * 16}))
+        code = main(["design-inspect", "--design", str(path), "--substitutes-for", "11001100",
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["substitution_mode"] is None
+        assert payload["substitution_note"] == (
+            "substitution undefined: propensities vary across units (min 0.4375, max 0.5625)"
+        )
+        assert payload["substitutes"] == sorted(set(support) - {"11001100"})
 
 
 class TestCliAnalyze:

@@ -159,7 +159,7 @@ def test_empirical_design_matches_per_row_construction(symmetrize):
     draws = np.concatenate([draws, draws[:25], draws[:5]])  # repeated draws
     counts = _draw_counts(draws, symmetrize)
     masks = sorted(counts)
-    d = _empirical_design(draws, symmetrize=symmetrize)
+    d = _empirical_design(draws) if symmetrize else ExplicitDesign._from_draws(draws)
     assert max(counts.values()) > 1
     _assert_matches(d, _reference(10, masks, [counts[m] for m in masks]))
 
@@ -172,7 +172,7 @@ def test_empirical_design_equals_row_unique_reference(n_draws, symmetrize):
     draws = build_crd(10, 5, cap=0).sample_matrix(n_draws, np.random.default_rng(n_draws))
     rows = np.concatenate([draws, 1 - draws]) if symmetrize else draws
     rows, counts = np.unique(rows, axis=0, return_counts=True)
-    d = _empirical_design(draws, symmetrize=symmetrize)
+    d = _empirical_design(draws) if symmetrize else ExplicitDesign._from_draws(draws)
     assert d._packed.tobytes() == np.packbits(rows, axis=1).tobytes()
     assert d._weights.tobytes() == counts.astype(float).tobytes()
 
@@ -386,7 +386,7 @@ def _builder_cases():
         ),
         "empirical-symmetrized": (lambda: _empirical_design(draws), lambda: empirical_rows(True)),
         "empirical": (
-            lambda: _empirical_design(draws, symmetrize=False), lambda: empirical_rows(False),
+            lambda: ExplicitDesign._from_draws(draws), lambda: empirical_rows(False),
         ),
     }
 
@@ -443,8 +443,8 @@ def test_hot_paths_leave_the_support_undecoded():
 def test_study_b_leaves_the_empirical_support_undecoded(monkeypatch):
     built = []
 
-    def spy(draws, **kwargs):
-        built.append(_empirical_design(draws, **kwargs))
+    def spy(draws):
+        built.append(_empirical_design(draws))
         return built[-1]
 
     monkeypatch.setattr(dv.simulate, "_empirical_design", spy)
