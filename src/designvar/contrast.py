@@ -391,6 +391,17 @@ def _relation(d: ExplicitDesign) -> tuple[int, np.ndarray | None]:
     return d._memo("_substitute_relation", relation)
 
 
+def _anchor_terms(
+    d: ExplicitDesign, weight: np.ndarray, a: np.ndarray, y_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A table's anchors ``a``, their weights p_w / |G*(w)|, their treated sums
+    of the outcomes ``y_row`` and its total; the arrays are read-only."""
+    kept = a, weight[a], d._row_sums(y_row, a)
+    for x in kept:
+        x.setflags(write=False)
+    return *kept, y_row.sum()
+
+
 def _substitute_values(
     d: Design, g: Mapping | None, mse: bool
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
@@ -410,6 +421,13 @@ def _substitute_values(
     are formed on the anchors alone, with the same arithmetic: a user map and
     the relation give the same bits, and a row's value does not depend on
     its batch.
+
+    The relation's pass (the anchors, with :func:`_anchor_terms`: their
+    weights, their treated sums and the table's total) is kept on the design
+    in the slot ``_realized_anchors``, keyed by the row and y's dtype and
+    bytes, so the next contrast estimator on the same table (v_sub then
+    mse_sub_epsem, or the reverse) reads it instead of scanning again.
+    Another table replaces it; a user map neither reads nor writes it.
     """
     user_map: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -447,18 +465,20 @@ def _substitute_values(
         counts = np.empty(len(rows), dtype=np.int64)
         for i, row in enumerate(rows.tolist()):
             if g is None:  # the relation is symmetric: W's substitutes are its anchors
-                a = np.flatnonzero(_substitute_rows(d, [row])[0])
+                a, weight_a, treated_sum, total = d._slot(
+                    "_realized_anchors", (row, y[i].dtype.str, y[i].tobytes()),
+                    lambda: _anchor_terms(
+                        d, weight, np.flatnonzero(_substitute_rows(d, [row])[0]), y[i]))
             else:
-                a = pairs[lo[i]:hi[i]] - row * s
-            treated_sum = d._row_sums(y[i], a)
-            total = y[i].sum()
+                a, weight_a, treated_sum, total = _anchor_terms(
+                    d, weight, pairs[lo[i]:hi[i]] - row * s, y[i])
             if mse:  # every anchor has the group size of the row
                 m = int(d.group_sizes[row])
                 c = treated_sum / m - (total - treated_sum) / (d.n - m)
             else:
                 c = 2.0 * treated_sum - total
             # every term is >= 0, so the sum does not cancel
-            sums[i] = (weight[a] * c**2).sum() / d.probs[row]
+            sums[i] = (weight_a * c**2).sum() / d.probs[row]
             counts[i] = len(a)
         return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
 

@@ -26,7 +26,6 @@ from .core import (
     VarianceEstimate,
 )
 from .designs import Design
-from .estimators import check_propensities
 
 Q_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -123,7 +122,7 @@ def _coefficients(d: Design, shift, norm: int):
     p_cell/(norm prod) + shift, prod the cell's product of propensities. A
     Q matrix gives C_cell = p_cell/(N^2 prod) + q - 1/N^2 (norm N^2). A
     propensity of 0 or 1 raises AssumptionError: its products would be 0."""
-    pi = check_propensities(d.propensities, d.n)
+    pi = d._checked_propensities()
     qi = 1.0 - pi
     cells = d.pairwise_cells()
     prods = (np.outer(pi, pi), np.outer(pi, qi), np.outer(qi, pi), np.outer(qi, qi))

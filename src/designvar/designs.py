@@ -156,11 +156,20 @@ class Design:
             self.__dict__[name] = build()
         return self.__dict__[name]
 
+    def _checked_propensities(self) -> np.ndarray:
+        """:attr:`propensities` passed through :func:`check_propensities` once per
+        design. A design that fails the check keeps nothing, so it raises the
+        same error on every call."""
+        return self._memo("_valid_propensities",
+                          lambda: check_propensities(self.propensities, self.n))
+
     def _slot(self, name: str, key: Any, build: Callable[[], Any]) -> Any:
         """``build()``, kept on the design in one slot ``name`` with its ``key``:
-        an operator of the design and one argument. A call with an equal key
-        reads the slot; another key builds and replaces it, so one operator is
-        kept at a time. A build that raises leaves the slot as it was."""
+        what the design and one argument determine, such as an operator of a
+        Q matrix or the anchors and treated sums of one realized table. A
+        call with an equal key reads the slot; another key builds and
+        replaces it, so one value is kept at a time. A build that raises
+        leaves the slot as it was."""
         slot = self.__dict__.get(name)
         if slot is None or slot[0] != key:
             slot = self.__dict__[name] = (key, build())
@@ -400,7 +409,7 @@ class ExplicitDesign(Design):
         sqrt(p) D is stacked under the R so far and factored again (TSQR), so
         no S x n float array is formed; R is (S, n) when S < n.
         """
-        pi = check_propensities(self.propensities, self.n)
+        pi = self._checked_propensities()
         r = np.empty((0, self.n))
         for block, w in self._blocks():
             block = _contrast_rows(block, pi)  # drops the 0/1 block before the stack

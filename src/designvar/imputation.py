@@ -278,7 +278,7 @@ def _gamma_rows(spec: GammaSpec, d: Design, w: np.ndarray, y: np.ndarray) -> np.
     if spec.kind != "fixed":
         if d.n != n:
             raise ValidationError(f"design has {d.n} units but data has {n}")
-        pi = check_propensities(d.propensities, n)
+        pi = d._checked_propensities()
     return next(_gammas((spec,), d, pi, w.astype(bool), y))
 
 
@@ -300,7 +300,7 @@ def _mc_draws(d: Design, m: int, seed: int | None) -> tuple[np.ndarray, np.ndarr
     """The centered contrast rows of m design draws at ``seed`` and their QR
     factor R over sqrt(m - 1). On an imputed table tau_hat(w) - tau = D_w . c / N,
     so the draws' sample variance of tau_hat is ||R c||^2 / N^2: psi's form."""
-    rows = _contrast_rows(d.sample_matrix(m, seed), check_propensities(d.propensities, d.n))
+    rows = _contrast_rows(d.sample_matrix(m, seed), d._checked_propensities())
     rows -= rows.mean(axis=0)
     return rows, np.linalg.qr(rows, mode="r") / math.sqrt(m - 1)
 
@@ -353,7 +353,7 @@ def _imputed_c(
         raise ValidationError("assignment entries must be 0 or 1")
     if not np.all(np.isfinite(y)):
         raise ValidationError("observed outcomes must be finite")
-    pi = check_propensities(d.propensities, d.n)
+    pi = d._checked_propensities()
     t = w.astype(bool)
     for gamma in _gammas(specs, d, pi, t, y):
         infinite = ~np.isfinite(gamma).all(axis=1)
@@ -436,7 +436,7 @@ def imputation_bias_terms(
     if po.n != d.n or w.n != d.n:
         raise ValidationError("design, table, and assignment sizes must agree")
     n = d.n
-    pi = check_propensities(d.propensities, n)
+    pi = d._checked_propensities()
     probs = d.probs
     t = w.to_array().astype(float)
 

@@ -23,7 +23,7 @@ from .core import (
     reveal,
 )
 from .designs import Design, ExplicitDesign, _contrast_rows
-from .estimators import check_propensities, hajek
+from .estimators import hajek
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def psi_mc(d: Design, v: np.ndarray, m: int, seed: int) -> MCEstimate:
         raise ValidationError(f"psi needs a length-{d.n} vector, got shape {v.shape}")
     if m < 2:
         raise ValidationError("psi_mc needs at least 2 draws")
-    pi = check_propensities(d.propensities, d.n)
+    pi = d._checked_propensities()
     vals = (_contrast_rows(d.sample_matrix(m, seed), pi) @ v) ** 2 / d.n**2
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)), m)
 
@@ -86,7 +86,7 @@ def ht_values(d: ExplicitDesign, po: PotentialOutcomes) -> np.ndarray:
     """Inverse-propensity estimate at every support vector, in support order."""
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    pi = check_propensities(d.propensities, d.n)
+    pi = d._checked_propensities()
     a, b = po.y1 / pi, po.y0 / (1.0 - pi)
     return np.concatenate([(u @ a - (1.0 - u) @ b) / d.n for u, _ in d._blocks()])
 

@@ -709,3 +709,86 @@ class TestPackedSupportPass:
         # nothing the pass kept on the design has a row per support vector and a column per unit
         kept = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
         assert kept and not any(v.shape == (70, 8) for v in kept)
+
+
+def _observed_tables(d, count, seed):
+    """``count`` observed tables on distinct support rows of ``d``."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(d.support_size, size=count, replace=False)
+    return [reveal(random_table(rng, d.n), d.vector(int(r))) for r in rows]
+
+
+def _hex_values(d, calls):
+    """float.hex of each (estimator, table) call in order, all on design ``d``."""
+    return [est(d, obs).value.hex() for est, obs in calls]
+
+
+class TestRealizedAnchorSlot:
+    """The relation's pass over the packed support is kept on the design for
+    one observed table: the second contrast estimator on that table reads it,
+    and every value equals the same call on a freshly built design."""
+
+    def test_one_scan_per_table(self, monkeypatch):
+        d = build_crd(8, 4)
+        substitute_counts(d)  # complete support: counted by formula, never scanned
+        first, second = _observed_tables(d, 2, 21)
+        scans = []
+        scan = contrast._substitute_rows
+
+        def spy(d, rows):
+            scans.append(rows)
+            return scan(d, rows)
+
+        monkeypatch.setattr(contrast, "_substitute_rows", spy)
+        v_sub(d, first)
+        mse_sub_epsem(d, first)
+        assert len(scans) == 1
+        v_sub(d, second)
+        mse_sub_epsem(d, second)
+        assert len(scans) == 2
+
+    @pytest.mark.parametrize(
+        "make, estimators",
+        [
+            (lambda: build_crd(8, 4), (v_sub, mse_sub_epsem)),
+            (lambda: build_crd(8, 4), (mse_sub_epsem, v_sub)),
+            (lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168), (mse_sub_epsem,)),
+        ],
+        ids=["crd-8-4-v-sub-first", "crd-8-4-mse-sub-first", "epsem-9-3-and-9-6"],
+    )
+    def test_interleaved_tables_match_a_fresh_design(self, make, estimators):
+        d = make()
+        a, b = _observed_tables(d, 2, 22)
+        calls = [(est, obs) for obs in (a, b, a) for est in estimators]
+        got = _hex_values(d, calls)
+        assert got == [_hex_values(make(), [call])[0] for call in calls]
+        assert got[:len(estimators)] == got[-len(estimators):]
+
+    @pytest.mark.parametrize(
+        "make, estimator, refused",
+        [
+            (lambda: build_crd(8, 4), v_sub, "10101011"),
+            (lambda: build_crd(16, 4), v_sub, None),
+        ],
+        ids=["row-off-support", "v-sub-on-epsem-design"],
+    )
+    def test_refusal_leaves_the_slot(self, make, estimator, refused):
+        d = make()
+        obs = _observed_tables(d, 1, 23)[0]
+        mse_sub_epsem(d, obs)
+        slot = vars(d)["_realized_anchors"]
+        w = _av(refused) if refused else obs.w
+        with pytest.raises((AssumptionError, ValidationError)):
+            estimator(d, ObservedData(w, obs.y_obs))
+        assert vars(d)["_realized_anchors"] is slot
+        assert all(not x.flags.writeable for x in slot[1][:3])
+
+    def test_user_map_gives_the_relation_bits_without_the_slot(self):
+        d = build_crd(8, 4)
+        g = full_substitute_map(d)
+        a, b = _observed_tables(d, 2, 24)
+        v_sub(d, a)
+        slot = vars(d)["_realized_anchors"]
+        for est in (v_sub, mse_sub_epsem):
+            assert est(d, b, g).value.hex() == _hex_values(build_crd(8, 4), [(est, b)])[0]
+        assert vars(d)["_realized_anchors"] is slot

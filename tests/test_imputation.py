@@ -40,7 +40,9 @@ from designvar import (
     v_imputation_mc,
 )
 
+from designvar import designs, imputation
 from designvar.core import EST_RTOL, PROB_TOL
+from designvar.estimators import check_propensities
 from designvar.imputation import _gamma_rows
 
 from conftest import random_table, support_matrix
@@ -304,6 +306,23 @@ class TestVImputation:
         )
         with pytest.raises(AssumptionError, match="v_imputation_mc"):
             v_imputation(d, obs, GammaSpec.fixed(0.0))
+
+    def test_propensities_checked_once_per_design(self, monkeypatch):
+        checks = []
+
+        def spy(pi, n):
+            checks.append(n)
+            return check_propensities(pi, n)
+
+        # every module that validates a design's propensities
+        for module in (designs, imputation):
+            monkeypatch.setattr(module, "check_propensities", spy)
+        d = build_crd(6, 3)
+        po = random_table(np.random.default_rng(23), 6)
+        for spec in ("tau-hat", "theta-loo", "tau-hat"):
+            for w in (d.vector(0), d.vector(7)):
+                v_imputation(d, reveal(po, w), GammaSpec.parse(spec))
+        assert checks == [6]
 
 
 class TestVImputationMc:
