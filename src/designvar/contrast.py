@@ -5,10 +5,11 @@ group straddles w's treated and control groups in fixed proportions.
 Squared contrasts of the observed outcomes along the substitutes of the
 realized assignment, reweighted by support probabilities, estimate the
 design variance of the difference-in-means estimator without touching
-pairwise assignment probabilities. An analogous construction with
-group-size weights estimates the MSE of the ratio (Hajek) estimator on
-equal-propensity designs with unequal group sizes. check_assumptions lives
-here too: substitution is one of the assumptions it reports on.
+pairwise assignment probabilities (v_sub). With group-size weights the
+same sum estimates the MSE of the ratio (Hajek) estimator on
+equal-propensity designs (mse_sub_epsem); at N_t = N/2 both estimators are
+one kernel, so v_sub is mse_sub_epsem on the equal-size designs. Substitution
+is one of the assumptions that check_assumptions, here too, reports on.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def substitution_mode(d: Design) -> str:
     is divisible by 4; otherwise 'epsem' when the overlap count
     N_t(w)^2 / N is a whole number for every group size in the support.
     Anything else cannot define substitutes and raises. Cached per design.
-    Both modes share one substitute relation, k = N_t(w)^2 / N; the mode
-    says which estimators apply (v_sub needs 'equal-size').
+    Both modes share one substitute relation, k = N_t(w)^2 / N, and one
+    kernel; the mode says which estimators apply: v_sub needs
+    'equal-size', where its value is mse_sub_epsem's.
     """
     mode = d._memo("_substitution_mode", lambda: _substitution_mode(d))
     if mode not in (EQUAL_SIZE, EPSEM):
@@ -391,47 +393,38 @@ def _relation(d: ExplicitDesign) -> tuple[int, np.ndarray | None]:
     return d._memo("_substitute_relation", relation)
 
 
-def _anchor_terms(
-    d: ExplicitDesign, weight: np.ndarray, a: np.ndarray, y_row: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """A table's anchors ``a``, their weights p_w / |G*(w)|, their treated sums
-    of the outcomes ``y_row`` and its total; the arrays are read-only."""
-    kept = a, weight[a], d._row_sums(y_row, a)
-    for x in kept:
-        x.setflags(write=False)
-    return *kept, y_row.sum()
-
-
 def _substitute_values(
-    d: Design, g: Mapping | None, mse: bool
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, str, np.ndarray]]:
-    """The kernel of v_sub, or with ``mse`` mse_sub_epsem: from k realized
-    tables (w, y) it returns the values, the design's :func:`substitution_mode`
+    d: Design, g: Mapping | None
+) -> Callable[..., tuple[np.ndarray, str, np.ndarray]]:
+    """The kernel of mse_sub_epsem, and of v_sub: from k realized tables
+    (w, y) it returns the values, the design's :func:`substitution_mode`
     (which refuses unequal propensities before any count) and each table's
-    number of anchors.
+    number of anchors. With ``equal_size`` (v_sub) it also refuses, right
+    after the mode, a design whose mode is not equal-size; there the value
+    is v_sub's, as the contrast at N_t = N/2 is (2/N)(2s - T).
 
     Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
-    substitute set holds its assignment W, c_w being l(w)'y (v_sub, scaled by
-    4/N^2) or the group-size contrast (mse_sub_epsem). Anchors come from the
-    substitute relation, one pass over the packed support per table, or from
-    a user map ``g`` as the range of its sorted (member, anchor) pairs whose
-    member is W. The kernel validates ``g`` once in its life, in the first
-    call that reaches it. Either way each anchor's treated sum comes from
-    per-byte 256-entry tables of the table's y, and the contrasts and terms
-    are formed on the anchors alone, with the same arithmetic: a user map and
+    substitute set holds its assignment W, with c_w = s/m - (T - s)/(N - m)
+    for w's treated sum s of y, y's total T and the group size m of W and
+    its anchors. Anchors come from the substitute relation, one pass over
+    the packed support per table, or from a user map ``g`` as the range of
+    its sorted (member, anchor) pairs whose member is W. The kernel
+    validates ``g`` once in its life, in the first call that reaches it.
+    Either way the treated sums come from per-byte 256-entry tables of the
+    table's y and the terms are formed on the anchors alone: a user map and
     the relation give the same bits, and a row's value does not depend on
     its batch.
 
-    The relation's pass (the anchors, with :func:`_anchor_terms`: their
-    weights, their treated sums and the table's total) is kept on the design
-    in the slot ``_realized_anchors``, keyed by the row and y's dtype and
-    bytes, so the next contrast estimator on the same table (v_sub then
-    mse_sub_epsem, or the reverse) reads it instead of scanning again.
-    Another table replaces it; a user map neither reads nor writes it.
+    On the relation a call's (values, counts), read-only, are kept on the
+    design in the slot ``_substitute_result``, keyed by the call's rows and
+    y's dtype and bytes: the next call on the same tables (v_sub then
+    mse_sub_epsem, or the two names of one batch kernel) reads them instead
+    of scanning again. Other tables replace them; a user map neither reads
+    nor writes the slot.
     """
     user_map: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def values(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
+    def values(w: np.ndarray, y: np.ndarray, equal_size: bool = False) -> tuple:
         _require_explicit(d, "enumerate")
         if w.shape[1] != d.n:
             raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
@@ -443,7 +436,7 @@ def _substitute_values(
                 ValidationError(f"realized assignment {w_r} is not in the design support"), r
             )
         mode = substitution_mode(d)
-        if not mse and mode != EQUAL_SIZE:
+        if equal_size and mode != EQUAL_SIZE:
             raise AssumptionError(
                 "the contrast variance estimator needs equal group sizes with N "
                 f"divisible by 4; this design supports only {mode} substitution "
@@ -461,26 +454,28 @@ def _substitute_values(
             weight = d.probs / sizes
             lo = np.searchsorted(pairs, rows * s).tolist()
             hi = np.searchsorted(pairs, rows * s + s).tolist()
-        sums = np.empty(len(rows))
-        counts = np.empty(len(rows), dtype=np.int64)
-        for i, row in enumerate(rows.tolist()):
-            if g is None:  # the relation is symmetric: W's substitutes are its anchors
-                a, weight_a, treated_sum, total = d._slot(
-                    "_realized_anchors", (row, y[i].dtype.str, y[i].tobytes()),
-                    lambda: _anchor_terms(
-                        d, weight, np.flatnonzero(_substitute_rows(d, [row])[0]), y[i]))
-            else:
-                a, weight_a, treated_sum, total = _anchor_terms(
-                    d, weight, pairs[lo[i]:hi[i]] - row * s, y[i])
-            if mse:  # every anchor has the group size of the row
-                m = int(d.group_sizes[row])
+
+        def result() -> tuple[np.ndarray, np.ndarray]:
+            sums = np.empty(len(rows))
+            counts = np.empty(len(rows), dtype=np.int64)
+            for i, row in enumerate(rows.tolist()):
+                if g is None:  # the relation is symmetric: W's substitutes are its anchors
+                    a = np.flatnonzero(_substitute_rows(d, [row])[0])
+                else:
+                    a = pairs[lo[i]:hi[i]] - row * s
+                treated_sum, total = d._row_sums(y[i], a), y[i].sum()
+                m = int(d.group_sizes[row])  # every anchor has the group size of the row
                 c = treated_sum / m - (total - treated_sum) / (d.n - m)
-            else:
-                c = 2.0 * treated_sum - total
-            # every term is >= 0, so the sum does not cancel
-            sums[i] = (weight_a * c**2).sum() / d.probs[row]
-            counts[i] = len(a)
-        return (sums if mse else 4.0 / d.n**2 * sums), mode, counts
+                # every term is >= 0, so the sum does not cancel
+                sums[i] = (weight[a] * c**2).sum() / d.probs[row]
+                counts[i] = len(a)
+            for x in (sums, counts):
+                x.setflags(write=False)
+            return sums, counts
+
+        sums, counts = result() if g is not None else d._slot(
+            "_substitute_result", (rows.tobytes(), y.dtype.str, y.tobytes()), result)
+        return sums, mode, counts
 
     return values
 
@@ -490,19 +485,14 @@ def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEst
 
     Sums (4/N^2) (p_w / p_W) |G(w)|^{-1} {l(w)' Y_obs}^2 over the anchors w
     whose substitute set contains the realized assignment, where l(w) is +-1
-    by w's arm labels. Nonnegative by construction.
+    by w's arm labels. Nonnegative by construction. It is mse_sub_epsem's
+    value, to the bit: at N_t = N/2 that contrast is (2/N) l(w)' Y_obs.
     """
-    return _substitute_estimate(d, obs, g, mse=False)
-
-
-def _substitute_estimate(
-    d: Design, obs: ObservedData, g: Mapping | None, mse: bool
-) -> VarianceEstimate:
-    """v_sub, or with ``mse`` mse_sub_epsem: one row of ``_substitute_values``."""
-    values, mode, counts = _substitute_values(d, g, mse)(obs.w.to_array()[None], obs.y_obs[None])
+    values, mode, counts = _substitute_values(d, g)(
+        obs.w.to_array()[None], obs.y_obs[None], equal_size=True)
     return VarianceEstimate(
         value=float(values[0]),
-        estimator="substitute_mse" if mse else "substitute_contrast",
+        estimator="substitute_contrast",
         params={"mode": mode, "contributing_anchors": int(counts[0])},
     )
 
@@ -562,9 +552,15 @@ def mse_sub_epsem(
 
     Same anchor sum as v_sub but with group-size contrast weights
     (+1/N_t(w) treated, -1/N_c(w) control) and no 4/N^2 prefactor, which
-    accommodates equal-propensity designs with unequal group sizes.
+    accommodates equal-propensity designs with unequal group sizes. On an
+    equal-size design it is v_sub's value, to the bit.
     """
-    return _substitute_estimate(d, obs, g, mse=True)
+    values, mode, counts = _substitute_values(d, g)(obs.w.to_array()[None], obs.y_obs[None])
+    return VarianceEstimate(
+        value=float(values[0]),
+        estimator="substitute_mse",
+        params={"mode": mode, "contributing_anchors": int(counts[0])},
+    )
 
 
 # ---------------------------------------------------------------------------

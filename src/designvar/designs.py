@@ -166,7 +166,7 @@ class Design:
     def _slot(self, name: str, key: Any, build: Callable[[], Any]) -> Any:
         """``build()``, kept on the design in one slot ``name`` with its ``key``:
         what the design and one argument determine, such as an operator of a
-        Q matrix or the anchors and treated sums of one realized table. A
+        Q matrix or the contrast values of one call's realized tables. A
         call with an equal key reads the slot; another key builds and
         replaces it, so one value is kept at a time. A build that raises
         leaves the slot as it was."""

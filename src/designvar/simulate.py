@@ -330,11 +330,10 @@ def _estimator_entry(
         return neyman_variance, _neyman_values
     if key == "v_am":
         return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
-    if key in ("v_sub", "mse_sub"):
-        mse = key == "mse_sub"
-        values = _substitute_values(d, substitutes, mse)  # the map is validated once
-        scalar = partial(mse_sub_epsem if mse else v_sub, d, g=substitutes)
-        return scalar, lambda w, y: values(w, y)[0]
+    if key in ("v_sub", "mse_sub"):  # one kernel; v_sub adds its equal-size refusal
+        values, equal_size = _substitute_values(d, substitutes), key == "v_sub"
+        scalar = partial(v_sub if equal_size else mse_sub_epsem, d, g=substitutes)
+        return scalar, lambda w, y: values(w, y, equal_size)[0]
     if key == "v_pair":
         pairs = getattr(d, "pairs", None)
         return partial(_v_pair_scalar, pairs), partial(_v_pair_values, pairs)

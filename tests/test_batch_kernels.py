@@ -37,11 +37,11 @@ _CELL_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 
 def _v_sub_values(d, w, y, g=None):
-    return _substitute_values(d, g, mse=False)(w, y)[0]
+    return _substitute_values(d, g)(w, y, equal_size=True)[0]
 
 
 def _mse_sub_values(d, w, y, g=None):
-    return _substitute_values(d, g, mse=True)(w, y)[0]
+    return _substitute_values(d, g)(w, y)[0]
 
 
 def _cell_products(t):

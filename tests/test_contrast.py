@@ -31,10 +31,11 @@ from designvar import (
     v_pair,
     v_sub,
 )
-from designvar import contrast
+from designvar import contrast, simulate
 from designvar.contrast import substitute_counts
 from designvar.core import EST_RTOL, ROW_BLOCK, _row_failure
 from designvar.designs import ExplicitDesign
+from designvar.oracles import _kernel_values
 
 from conftest import random_table, support_matrix
 
@@ -646,11 +647,11 @@ class TestPackedSupportPass:
             assert np.ptp(d.probs) > 0 and np.all(d.propensities == 0.5)
         for mse in modes:
             want, want_counts = _scan_values(d, u, y, None, mse)
-            got, mode, counts = contrast._substitute_values(d, None, mse)(u, y)
+            got, mode, counts = contrast._substitute_values(d, None)(u, y, equal_size=not mse)
             np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
             assert counts.tolist() == want_counts.tolist()
             if g is not None:
-                by_map, _, map_counts = contrast._substitute_values(d, g, mse)(u, y)
+                by_map, _, map_counts = contrast._substitute_values(d, g)(u, y, equal_size=not mse)
                 assert by_map.tobytes() == got.tobytes()
                 assert map_counts.tolist() == counts.tolist()
                 scan_map, scan_map_counts = _scan_values(d, u, y, g, mse)
@@ -672,7 +673,7 @@ class TestPackedSupportPass:
         u = support_matrix(d)
         for mse in (False, True):
             want, want_counts = _scan_values(d, u, y, None, mse)
-            got, _, counts = contrast._substitute_values(d, None, mse)(u, y)
+            got, _, counts = contrast._substitute_values(d, None)(u, y, equal_size=not mse)
             np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
             assert counts.tolist() == want_counts.tolist() == [2] * 4
 
@@ -694,7 +695,7 @@ class TestPackedSupportPass:
             with pytest.raises((AssumptionError, ValidationError)) as want:
                 _scan_values(d, w, y, None, mse)
             with pytest.raises(type(want.value)) as got:
-                contrast._substitute_values(d, None, mse)(w, y)
+                contrast._substitute_values(d, None)(w, y, equal_size=not mse)
             assert str(got.value) == str(want.value)
             assert getattr(got.value, "row", None) == getattr(want.value, "row", None)
 
@@ -703,7 +704,7 @@ class TestPackedSupportPass:
         po = random_table(np.random.default_rng(13), 8)
         u = support_matrix(d)
         y = np.where(u == 1, po.y1, po.y0)
-        values, _, _ = contrast._substitute_values(d, None, False)(u, y)
+        values, _, _ = contrast._substitute_values(d, None)(u, y, equal_size=True)
         assert values.shape == (70,)
         assert not hasattr(d, "matrix")
         # nothing the pass kept on the design has a row per support vector and a column per unit
@@ -724,9 +725,9 @@ def _hex_values(d, calls):
 
 
 class TestRealizedAnchorSlot:
-    """The relation's pass over the packed support is kept on the design for
-    one observed table: the second contrast estimator on that table reads it,
-    and every value equals the same call on a freshly built design."""
+    """The relation's result for one call's realized tables is kept on the
+    design: the second contrast estimator on those tables reads it, and
+    every value equals the same call on a freshly built design."""
 
     def test_one_scan_per_table(self, monkeypatch):
         d = build_crd(8, 4)
@@ -776,19 +777,65 @@ class TestRealizedAnchorSlot:
         d = make()
         obs = _observed_tables(d, 1, 23)[0]
         mse_sub_epsem(d, obs)
-        slot = vars(d)["_realized_anchors"]
+        slot = vars(d)["_substitute_result"]
         w = _av(refused) if refused else obs.w
         with pytest.raises((AssumptionError, ValidationError)):
             estimator(d, ObservedData(w, obs.y_obs))
-        assert vars(d)["_realized_anchors"] is slot
-        assert all(not x.flags.writeable for x in slot[1][:3])
+        assert vars(d)["_substitute_result"] is slot
+        assert all(not x.flags.writeable for x in slot[1])
 
     def test_user_map_gives_the_relation_bits_without_the_slot(self):
         d = build_crd(8, 4)
         g = full_substitute_map(d)
         a, b = _observed_tables(d, 2, 24)
         v_sub(d, a)
-        slot = vars(d)["_realized_anchors"]
+        slot = vars(d)["_substitute_result"]
         for est in (v_sub, mse_sub_epsem):
             assert est(d, b, g).value.hex() == _hex_values(build_crd(8, 4), [(est, b)])[0]
-        assert vars(d)["_realized_anchors"] is slot
+        assert vars(d)["_substitute_result"] is slot
+
+    def test_batch_kernel_scans_each_table_once_for_both_names(self, monkeypatch):
+        d = _PASS_DESIGNS["rerandomized-12-6"][0]()
+        substitute_counts(d)  # an incomplete support: counted by a scan, made here
+        kernel = simulate._batch_kernel(("v_sub", "mse_sub"), d)
+        scanned = []
+        scan = contrast._substitute_rows
+
+        def spy(d, rows):
+            scanned.append(len(rows))
+            return scan(d, rows)
+
+        monkeypatch.setattr(contrast, "_substitute_rows", spy)
+        rng = np.random.default_rng(25)
+        for tables in (1, 2):
+            by_v_sub, by_mse_sub = _kernel_values(d, random_table(rng, d.n), kernel)
+            assert sum(scanned) == tables * d.support_size  # 2S per table when not shared
+            assert by_v_sub.tobytes() == by_mse_sub.tobytes()
+
+
+class TestOneContrastKernel:
+    """v_sub is mse_sub_epsem on the equal-size designs: the same bits, by
+    the relation and by a user map, each within EST_RTOL of the blocked
+    scan's own formula."""
+
+    @pytest.mark.parametrize(
+        "name", [k for k in sorted(_PASS_DESIGNS) if k != "epsem-9-3-and-9-6"])
+    def test_v_sub_is_mse_sub_epsem(self, name):
+        make, sample = _PASS_DESIGNS[name]
+        d, fresh = make(), make()  # mse_sub_epsem on its own design: no kept result
+        assert substitution_mode(d) == contrast.EQUAL_SIZE
+        rng = np.random.default_rng(26)
+        po = random_table(rng, d.n)
+        picked = rng.choice(d.support_size, size=min(25, d.support_size), replace=False)
+        u = support_matrix(d)[picked]
+        y = np.where(u == 1, po.y1, po.y0)
+        g = full_substitute_map(d) if sample is None else None
+        want = {mse: _scan_values(d, u, y, None, mse)[0] for mse in (False, True)}
+        for i, r in enumerate(picked.tolist()):
+            obs = ObservedData(d.vector(r), y[i])
+            value = v_sub(d, obs).value
+            assert value == mse_sub_epsem(fresh, obs).value
+            if g is not None:
+                assert v_sub(d, obs, g).value == mse_sub_epsem(d, obs, g).value == value
+            for mse in (False, True):
+                np.testing.assert_allclose(value, want[mse][i], rtol=EST_RTOL, atol=0)
