@@ -67,7 +67,7 @@ def _constant_propensity(d: Design) -> float:
 
 def _group_sizes(d: Design) -> set[int]:
     if isinstance(d, ExplicitDesign):
-        return set(np.flatnonzero(np.bincount(d.group_sizes)).tolist())
+        return set(np.flatnonzero(d.structure.sizes).tolist())
     if d.kind == "crd" and "n_treated" in d.meta:
         return {int(d.meta["n_treated"])}
     raise AssumptionError(
@@ -234,23 +234,20 @@ def full_substitute_set(d: Design, w, *, cap: int = SUBSTITUTE_CAP) -> Substitut
 
 
 def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
-    """The counts of :func:`substitute_counts` by formula when the support is
-    complete, else None. Rows are distinct, so C(N, m) rows of size m are the
-    whole layer, and 2^J rows that treat one unit of each of J pairs
-    partitioning the units are all of them; k is the overlap count."""
-    n, sizes = d.n, d.group_sizes
-    present = {m: c for m, c in enumerate(np.bincount(sizes).tolist()) if c}
-    if all(c == math.comb(n, m) for m, c in present.items()):
+    """The counts of :func:`substitute_counts` by formula on a complete support
+    (:attr:`ExplicitDesign.structure`), else None; k is the overlap count. A
+    size-m row of complete layers has C(m, k)·C(N - m, m - k) substitutes, and
+    each row of J complete pairs has C(J, k)."""
+    n, (sizes, complete) = d.n, d.structure
+    if complete == "layers":
         per_size = np.zeros(n + 1, dtype=np.int64)
-        for m in present:  # ascending, so a refusal names the size the scan names
+        for m in np.flatnonzero(sizes).tolist():  # ascending: a refusal names the scan's size
             k = _overlap_count(n, m)
             per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
-        return per_size[sizes]
-    pairs = d.pairs or ()  # labels that partition the units: the constructor checks them
-    if pairs and all(len(ab) == 2 for ab in pairs) and d.support_size == 1 << len(pairs):
-        if all(np.all(d._treats(a) != d._treats(b)) for a, b in pairs):
-            j = len(pairs)
-            return np.full(d.support_size, math.comb(j, _overlap_count(n, j)))
+        return per_size[d.group_sizes]
+    if complete == "pairs":
+        j = len(d.pairs)
+        return np.full(d.support_size, math.comb(j, _overlap_count(n, j)))
     return None
 
 
@@ -415,14 +412,15 @@ def _substitute_values(
     the relation give the same bits, and a row's value does not depend on
     its batch.
 
-    On the relation a call's (values, counts), read-only, are kept on the
-    design in the slot ``_substitute_result``, keyed by the call's rows and
-    y's dtype and bytes: the next call on the same tables (v_sub then
-    mse_sub_epsem, or the two names of one batch kernel) reads them instead
-    of scanning again. Other tables replace them; a user map neither reads
-    nor writes the slot.
+    A call's (values, counts), read-only, are kept keyed by the call's rows
+    and y's dtype and bytes, so the next call on the same tables reads them
+    instead of passing over the anchors again; other tables replace them.
+    On the relation they are kept on the design in the slot
+    ``_substitute_result`` (v_sub then mse_sub_epsem, or the two names of
+    one batch kernel); with a user map, which neither reads nor writes that
+    slot, in the kernel (the two names of one batch kernel share it).
     """
-    user_map: list[tuple[np.ndarray, np.ndarray]] = []
+    kept: dict[str, Any] = {}  # a user map's validation; its last call's key and result
 
     def values(w: np.ndarray, y: np.ndarray, equal_size: bool = False) -> tuple:
         _require_explicit(d, "enumerate")
@@ -448,9 +446,9 @@ def _substitute_values(
             if empty >= 0:
                 _check_count(d.vector(empty), 0)
         else:
-            if not user_map:
-                user_map.append(_normalize_g(d, g))
-            sizes, pairs = user_map[0]
+            if "map" not in kept:
+                kept["map"] = _normalize_g(d, g)
+            sizes, pairs = kept["map"]
             weight = d.probs / sizes
             lo = np.searchsorted(pairs, rows * s).tolist()
             hi = np.searchsorted(pairs, rows * s + s).tolist()
@@ -473,8 +471,14 @@ def _substitute_values(
                 x.setflags(write=False)
             return sums, counts
 
-        sums, counts = result() if g is not None else d._slot(
-            "_substitute_result", (rows.tobytes(), y.dtype.str, y.tobytes()), result)
+        key = (rows.tobytes(), y.dtype.str, y.tobytes())
+        if g is None:
+            sums, counts = d._slot("_substitute_result", key, result)
+        else:
+            if kept.get("key") != key:  # a build that raises keeps the last result
+                kept["result"] = result()
+                kept["key"] = key
+            sums, counts = kept["result"]
         return sums, mode, counts
 
     return values
@@ -504,7 +508,7 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     if pairs is None:
         raise ValidationError("matched-pair variance needs pair labels")
     n = t.shape[1]
-    _check_pairs(pairs, n)
+    pairs = _check_pairs(pairs, n)
     if n < 4:
         raise AssumptionError(f"matched-pair variance needs at least 4 units, got {n}")
     a, b = np.array(pairs).T
@@ -615,13 +619,13 @@ def check_assumptions(d: Design) -> AssumptionReport:
     if not epsem:
         details["epsem"] = f"propensities range over [{pi.min():.6g}, {pi.max():.6g}]"
 
-    group_sizes = d.group_sizes
-    equal_groups = bool(n % 2 == 0 and np.all(group_sizes == n // 2))
+    sizes = d.structure.sizes
+    equal_groups = bool(n % 2 == 0 and sizes[n // 2] == d.support_size)
     equal_size = equal_groups and epsem
     if not equal_size:
         if not equal_groups:
             details["equal_size_constant_propensity"] = (
-                f"treated-group sizes take values {sorted(set(group_sizes.tolist()))}"
+                f"treated-group sizes take values {np.flatnonzero(sizes).tolist()}"
             )
         else:
             details["equal_size_constant_propensity"] = "propensities are not constant"

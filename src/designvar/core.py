@@ -124,10 +124,22 @@ def _row_failure(exc: Exception, row: int) -> Exception:
     return exc
 
 
-def _check_pairs(pairs: tuple[tuple[int, int], ...], n: int) -> None:
-    seen = [u for ab in pairs for u in ab]
-    if sorted(seen) != list(range(n)):
+def _check_pairs(pairs: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as (int, int) labels: each label must name two units, and the
+    labels must partition units 0..n-1."""
+    labels = []
+    for ab in pairs:
+        try:
+            a, b = ab
+            label = (int(a), int(b))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"pair label {ab!r} does not name two units") from None
+        if label != (a, b):  # 0.5 or "1" is not a unit; 1.0 and np.int64(1) are
+            raise ValidationError(f"pair label {ab!r} does not name two units")
+        labels.append(label)
+    if sorted(u for ab in labels for u in ab) != list(range(n)):
         raise ValidationError("pair labels must partition units 0..n-1")
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -189,12 +201,7 @@ class ObservedData:
                 f"y_obs length {len(self.y_obs)} does not match assignment length {self.w.n}"
             )
         if self.pair_labels is not None:
-            object.__setattr__(
-                self,
-                "pair_labels",
-                tuple((int(a), int(b)) for a, b in self.pair_labels),
-            )
-            _check_pairs(self.pair_labels, self.w.n)
+            object.__setattr__(self, "pair_labels", _check_pairs(self.pair_labels, self.w.n))
 
     @property
     def n(self) -> int:

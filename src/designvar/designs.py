@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,14 +186,27 @@ class Design:
             raise ValidationError("pairwise probabilities need two distinct units")
 
 
+class Structure(NamedTuple):
+    """What a support's rows say about its layout, read once per design."""
+
+    #: (n + 1,) read-only: entry m is the number of support rows that treat m units
+    sizes: np.ndarray
+    #: "layers" when every size m present has all C(n, m) rows (complete
+    #: randomization, or a union of such layers); "pairs" when the support holds
+    #: all 2^J rows that treat one unit of each of its J pairs; else None
+    complete: str | None
+
+
 class ExplicitDesign(Design):
     """A design with a materialized support; all queries are exact.
 
     The support is kept once, as (support_size, ceil(n/8)) uint8 rows in
     ``np.packbits`` layout sorted by their bytes (lexicographic bit-string
-    order). Only this module packs, unpacks or reads them: builders hand it
-    packed rows (``_from_packed``), and other modules read the support through
-    private helpers. Every pass reads the packed rows in bounded row blocks
+    order). Only this module packs, unpacks or reads them. The constructor
+    sorts 0/1 rows given in any order; builders know their row order and hand
+    packed rows that already ascend (``_from_packed``), which are not sorted
+    again. Other modules read the support through private helpers and
+    :attr:`structure`. Every pass reads the packed rows in bounded row blocks
     (``_blocks``) or byte by byte, so no (support_size, n) array is formed.
     Each row carries a positive weight, and its probability is the weight
     over the weights' total. Builders that know whole-number weights (ones,
@@ -223,13 +236,20 @@ class ExplicitDesign(Design):
             raise ValidationError(f"support rows must be 2-D, got shape {u.shape}")
         if u.shape[1] == 0:
             raise ValidationError("assignment length must be positive, got 0")
-        self._init_packed(_pack(u), u.shape[1], weights, kind, pairs, meta)
+        packed = _pack(u)
+        order = np.lexsort(packed.T[::-1])  # the one sort of support rows
+        w = np.asarray(weights, dtype=float)
+        if w.shape == order.shape:  # else _init_packed refuses the count
+            w = w[order]
+        self._init_packed(packed[order], u.shape[1], w, kind, pairs, meta)
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, n: int, weights: Sequence[float] | np.ndarray,
                      **kwargs: Any) -> ExplicitDesign:
         """The design over (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout, padding
-        bits 0, in any order: the constructor without its 0/1 rows."""
+        bits 0, that strictly ascend by their bytes: the constructor without its
+        0/1 rows and its sort. The design keeps ``packed`` and ``weights`` as given
+        (made read-only), so a builder hands arrays of its own."""
         d = cls.__new__(cls)
         d._init_packed(packed, n, weights, **kwargs)
         return d
@@ -245,28 +265,32 @@ class ExplicitDesign(Design):
     def _init_packed(self, packed: np.ndarray, n: int, weights: Sequence[float] | np.ndarray,
                      kind: str = "explicit", pairs: tuple[tuple[int, int], ...] | None = None,
                      meta: dict[str, Any] | None = None) -> None:
-        """Sort the rows, refuse duplicates, check weights and pair labels, set every field."""
+        """Check that the rows strictly ascend by their bytes (a duplicate is refused
+        as one), check weights and pair labels, set every field."""
         if len(packed) == 0:
             raise ValidationError("design support is empty")
-        order = np.lexsort(packed.T[::-1])
-        self._packed = packed = packed[order]
+        self._packed = packed
         packed.setflags(write=False)
         # one void key per row; keys compare as the rows' bytes
         self._keys = keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValidationError("support vectors must be distinct")
+        # fixed-width bytes keys order as the rows' bytes: one pass checks the order
+        ordered = packed.view(f"S{packed.shape[1]}").ravel()
+        if not np.all(ordered[1:] > ordered[:-1]):
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValidationError("support vectors must be distinct")
+            raise ValidationError("support rows must ascend by their bytes")
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(packed),):
             raise ValidationError(f"{len(packed)} support vectors but {w.size} probabilities")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValidationError("probabilities must be finite and strictly positive")
         if pairs is not None:
-            _check_pairs(pairs, n)
+            pairs = _check_pairs(pairs, n)
 
         self.n = n
         self.kind = kind
-        self._weights = w[order]
-        self._weights.setflags(write=False)
+        self._weights = w
+        w.setflags(write=False)
         self._total = math.fsum(memoryview(self._weights))  # no list of S Python floats
         self.pairs = pairs
         self.meta = dict(meta or {})
@@ -334,6 +358,23 @@ class ExplicitDesign(Design):
         sizes = _POPCOUNT[self._packed].sum(axis=1, dtype=np.int64)
         sizes.setflags(write=False)
         return sizes
+
+    @cached_property
+    def structure(self) -> Structure:
+        """The support's :class:`Structure`, read from its rows on first use.
+
+        Rows are distinct, so a size m with C(n, m) rows holds that whole layer,
+        and 2^J rows that each treat one unit of each of the J ``pairs`` are all
+        of them."""
+        sizes = np.bincount(self.group_sizes, minlength=self.n + 1)
+        sizes.setflags(write=False)
+        complete = None
+        if all(c == math.comb(self.n, m) for m, c in enumerate(sizes.tolist()) if c):
+            complete = "layers"
+        elif self.pairs and self.support_size == 1 << len(self.pairs) and all(
+                np.all(self._treats(a) != self._treats(b)) for a, b in self.pairs):
+            complete = "pairs"
+        return Structure(sizes, complete)
 
     def _treats(self, i: int) -> np.ndarray:
         """(support_size,) bool: whether each support row treats unit ``i``."""
@@ -581,9 +622,9 @@ def build_crd(
         raise ValidationError(f"need 0 < n_treated < n, got n_treated={n_treated}, n={n}")
     count = math.comb(n, n_treated)
     meta = {"n_treated": n_treated}
-    if count <= cap:
-        rows = _crd_rows(n, n_treated)
-        return ExplicitDesign(rows, np.ones(count), kind="crd", meta=meta)
+    if count <= cap:  # _crd_rows ascend, so their packed rows do
+        return ExplicitDesign._from_packed(np.packbits(_crd_rows(n, n_treated), axis=1), n,
+                                           np.ones(count), kind="crd", meta=meta)
     if not allow_sampler:
         raise AssumptionError(
             f"support too large: C({n},{n_treated}) = {count} exceeds cap {cap}"
@@ -607,24 +648,25 @@ def build_matched_pair(
     cap: int = SUPPORT_CAP,
 ) -> ExplicitDesign:
     """Matched-pair design: exactly one treated unit per pair, all splits equal."""
-    pairs = tuple((int(a), int(b)) for a, b in pairs)
-    units = [u for ab in pairs for u in ab]
+    pairs = tuple(pairs)
     n = 2 * len(pairs)
-    if sorted(units) != list(range(n)):
-        raise ValidationError("pairs must be disjoint and cover units 0..n-1")
+    pairs = _check_pairs(pairs, n)
     count = 1 << len(pairs)
     if count > cap:
         raise AssumptionError(
             f"support too large: 2^{len(pairs)} = {count} exceeds cap {cap}"
         )
-    # bit J-1-j of the row number picks the treated unit of pair j: from the last
-    # pair back, the rows so far are copied once and each half sets its unit's bit
+    # Rows ascend: with pairs j taken by their lower unit, bit J-1-j of the row
+    # number, when set, treats pair j's lower unit (row 0 treats every higher
+    # unit). Two rows first differ at the lower unit of the first pair they split,
+    # which the higher row number treats. From the last pair back, the rows so far
+    # are copied once and each half sets its unit's bit.
     packed = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
     size = 1
-    for a, b in reversed(pairs):
+    for low, high in sorted(sorted(ab) for ab in pairs)[::-1]:
         packed[size:2 * size] = packed[:size]
-        packed[:size, a // 8] |= 0x80 >> a % 8
-        packed[size:2 * size, b // 8] |= 0x80 >> b % 8
+        packed[:size, high // 8] |= 0x80 >> high % 8
+        packed[size:2 * size, low // 8] |= 0x80 >> low % 8
         size *= 2
     return ExplicitDesign._from_packed(packed, n, np.ones(count), kind="matched_pair",
                                        pairs=pairs)

@@ -311,12 +311,17 @@ def _estimator_entry(
     q: np.ndarray | None = None,
     mc_draws: int | None = None,
     seed: int = 0,
+    contrast: Callable | None = None,
 ) -> tuple[Callable, Callable | GammaSpec]:
     """The registry entry of an estimator name (arguments as in
     :func:`resolve_estimator`): its scalar callable, and its batch kernel
     (the same values as an array, from (k, n) 0/1 assignments and outcomes)
     or, for an imputation name, the GammaSpec that :func:`_batch_kernel`
-    scores through the shared imputation family."""
+    scores through the shared imputation family. The batch kernels of v_sub
+    and mse_sub score through ``contrast``, the one
+    ``_substitute_values(d, substitutes)`` kernel that :func:`_batch_kernel`
+    makes for all its names; :func:`resolve_estimator` keeps only the
+    scalar and passes none."""
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key.startswith("imputation:"):
@@ -331,9 +336,9 @@ def _estimator_entry(
     if key == "v_am":
         return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
     if key in ("v_sub", "mse_sub"):  # one kernel; v_sub adds its equal-size refusal
-        values, equal_size = _substitute_values(d, substitutes), key == "v_sub"
+        equal_size = key == "v_sub"
         scalar = partial(v_sub if equal_size else mse_sub_epsem, d, g=substitutes)
-        return scalar, lambda w, y: values(w, y, equal_size)[0]
+        return scalar, lambda w, y: contrast(w, y, equal_size)[0]
     if key == "v_pair":
         pairs = getattr(d, "pairs", None)
         return partial(_v_pair_scalar, pairs), partial(_v_pair_values, pairs)
@@ -359,8 +364,10 @@ def _batch_kernel(
     can fail, at its place in ``names``, so within a block the first listed
     estimator that fails raises. The kernel keeps its state for its whole
     life: the imputation factor and a user substitute map's validation are
-    made once, however many blocks or passes it scores."""
-    entries = [_estimator_entry(name, d, **options)[1] for name in names]
+    made once, however many blocks or passes it scores. The contrast names
+    share one kernel, and so one anchor pass per table."""
+    contrast = _substitute_values(d, options.get("substitutes"))
+    entries = [_estimator_entry(name, d, contrast=contrast, **options)[1] for name in names]
     specs = [k for k in entries if isinstance(k, GammaSpec)]
     family = _imputation_family(d, specs, options.get("mc_draws"), options.get("seed", 0))
 

@@ -31,6 +31,7 @@ from designvar import (
     v_pair,
     v_sub,
 )
+import designvar as dv
 from designvar import contrast, simulate
 from designvar.contrast import substitute_counts
 from designvar.core import EST_RTOL, ROW_BLOCK, _row_failure
@@ -545,6 +546,51 @@ class TestClosedFormCounts:
         assert set(counts.tolist()) == {63_504} == {math.comb(10, 5) ** 2}
 
 
+_SHUFFLED_PAIRS = ((5, 2), (0, 7), (3, 1), (6, 4))
+
+
+def _without_row(d, r):
+    """The explicit design over ``d``'s support less row ``r``, equal weights."""
+    rows = [w for k, w in enumerate(d.support) if k != r]
+    return build_explicit(rows, [1.0 / len(rows)] * len(rows), pairs=d.pairs)
+
+
+class TestSupportStructure:
+    """One read says which complete structure a support has, from its rows;
+    the counts read it, and equal the scan whichever it is."""
+
+    @pytest.mark.parametrize(
+        "make, complete",
+        [
+            (lambda: build_explicit(_layers(16, 4, 12), [1.0 / 3640] * 3640), "layers"),
+            (lambda: build_matched_pair(_SHUFFLED_PAIRS), "pairs"),
+            (lambda: _without_row(build_explicit(_layers(16, 4, 12), [1.0 / 3640] * 3640), 1000),
+             None),
+            (lambda: _without_row(build_matched_pair(_SHUFFLED_PAIRS), 6), None),
+        ],
+        ids=["layers-16-4-and-16-12", "pairs-shuffled", "layers-less-a-row",
+             "pairs-less-a-row"],
+    )
+    def test_structure_decides_the_counts(self, make, complete, monkeypatch):
+        d = make()
+        structure = d.structure
+        assert structure.complete == complete and d.structure is structure
+        assert structure.sizes.tolist() == np.bincount(d.group_sizes, minlength=d.n + 1).tolist()
+        assert not structure.sizes.flags.writeable
+        with monkeypatch.context() as patch:
+            if complete is not None:  # a complete support is counted by formula
+                patch.setattr(contrast, "_substitute_rows", _no_scan)
+            counts = substitute_counts(d)
+        assert counts.tolist() == _scanned_counts(d).tolist()
+        assert (contrast._closed_form_counts(d) is None) == (complete is None)
+
+    def test_assumption_report_reads_the_sizes(self):
+        d = build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168)
+        assert d.structure.sizes.tolist() == [0, 0, 0, 84, 0, 0, 84, 0, 0, 0]
+        details = dv.check_assumptions(d).details
+        assert details["equal_size_constant_propensity"] == "treated-group sizes take values [3, 6]"
+
+
 def _scan_values(d, w, y, g, mse):
     """v_sub, or with ``mse`` mse_sub_epsem, by the blocked scan that the
     packed-support pass replaced: per block of tables, an overlap GEMM on the
@@ -811,6 +857,25 @@ class TestRealizedAnchorSlot:
             by_v_sub, by_mse_sub = _kernel_values(d, random_table(rng, d.n), kernel)
             assert sum(scanned) == tables * d.support_size  # 2S per table when not shared
             assert by_v_sub.tobytes() == by_mse_sub.tobytes()
+
+
+def test_batch_kernel_shares_one_user_map_pass_for_both_names(monkeypatch):
+    d = build_crd(8, 4)
+    g = full_substitute_map(d)
+    po = random_table(np.random.default_rng(27), d.n)
+    want = [_kernel_values(d, po, simulate._batch_kernel((name,), d, substitutes=g))[0]
+            for name in ("v_sub", "mse_sub")]
+    validated, summed = [], []
+    normalize, row_sums = contrast._normalize_g, d._row_sums
+    monkeypatch.setattr(contrast, "_normalize_g",
+                        lambda *args: validated.append(1) or normalize(*args))
+    monkeypatch.setattr(d, "_row_sums", lambda *args: summed.append(1) or row_sums(*args))
+    got = _kernel_values(d, po, simulate._batch_kernel(("v_sub", "mse_sub"), d, substitutes=g))
+    assert len(validated) == 1
+    assert len(summed) == d.support_size == 70  # one anchor pass per table
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert got[0].tobytes() == got[1].tobytes()
+    assert "_substitute_result" not in vars(d)  # a user map leaves the design's slot
 
 
 class TestOneContrastKernel:

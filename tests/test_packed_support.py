@@ -341,6 +341,84 @@ class TestConstructor:
         with pytest.raises(ValidationError, match="pair labels must partition units 0..n-1"):
             build_explicit(["10", "01"], [0.5, 0.5], pairs=((0, 3),))
 
+    @pytest.mark.parametrize("make", [
+        lambda labels: build_explicit(["1000", "0111"], [0.5, 0.5], pairs=labels),
+        lambda labels: dv.ObservedData(AssignmentVector.from_string("1000"), np.zeros(4),
+                                       pair_labels=labels),
+        lambda labels: build_matched_pair(labels),
+    ], ids=["build-explicit", "observed-data", "build-matched-pair"])
+    @pytest.mark.parametrize("labels, named", [
+        (((0, 1, 2), (3,)), r"\(0, 1, 2\)"),
+        (((0.5, 1), (2, 3)), r"\(0\.5, 1\)"),
+        ((("0", "1"), ("2", "3")), r"\('0', '1'\)"),
+        (((0, float("inf")), (1, 2)), r"\(0, inf\)"),
+    ], ids=["three-units", "fraction", "strings", "infinite"])
+    def test_a_label_that_is_not_a_pair_is_named(self, make, labels, named):
+        with pytest.raises(ValidationError, match=rf"pair label {named} does not name two units"):
+            make(labels)
+
+    def test_whole_labels_of_any_number_type_are_units(self):
+        d = build_explicit(["1010", "0101"], [0.5, 0.5], pairs=((0.0, np.int64(1)), (2, 3)))
+        assert d.pairs == ((0, 1), (2, 3)) and all(type(u) is int for ab in d.pairs for u in ab)
+
+    def test_shuffled_rows_sort_with_their_weights(self):
+        d = build_crd(7, 3)
+        rows = np.unpackbits(d._packed, axis=1, count=7)
+        weights = np.arange(1.0, d.support_size + 1.0)
+        shuffle = np.random.default_rng(3).permutation(d.support_size)
+        given = weights[shuffle]
+        ordered, shuffled = ExplicitDesign(rows, weights), ExplicitDesign(rows[shuffle], given)
+        for name in ("_packed", "_weights", "probs"):
+            assert getattr(shuffled, name).tobytes() == getattr(ordered, name).tobytes(), name
+        # the design keeps its own sorted copy: the caller's weights stay as given
+        assert given.flags.writeable and given.tolist() == weights[shuffle].tolist()
+        with pytest.raises(ValidationError, match="support vectors must be distinct"):
+            ExplicitDesign(np.concatenate([rows[shuffle], rows[5:6]]), np.ones(len(rows) + 1))
+
+
+def _handed_rows(monkeypatch, build):
+    """The packed rows each ExplicitDesign that ``build()`` makes is handed."""
+    handed = []
+    init = ExplicitDesign._init_packed
+
+    def spy(self, packed, *args, **kwargs):
+        handed.append(packed.copy())
+        init(self, packed, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitDesign, "_init_packed", spy)
+    build()
+    return handed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_crd(9, 4), lambda: build_crd(10, 1), lambda: build_crd(12, 6),
+    lambda: build_crd(17, 3),
+    lambda: build_matched_pair(((5, 2), (0, 7), (3, 1), (6, 4))),
+    lambda: build_matched_pair([(2 * j + 1, 2 * j) for j in range(6)][::-1]),
+    lambda: build_matched_pair([(j, 19 - j) for j in range(10)]),
+    lambda: build_rerandomized(build_crd(12, 6), np.random.default_rng(2).normal(size=(12, 2)),
+                               0.3),
+    lambda: ExplicitDesign._from_draws(
+        build_crd(10, 5, cap=0).sample_matrix(300, np.random.default_rng(4))),
+], ids=["crd-9-4", "crd-10-1", "crd-12-6", "crd-17-3", "pairs-shuffled", "pairs-reversed",
+        "pairs-nested", "rerandomized-crd-12-6", "draws"])
+def test_builders_hand_strictly_ascending_rows(build, monkeypatch):
+    # the design keeps the rows it is handed, so each builder writes them in order
+    handed = _handed_rows(monkeypatch, build)
+    assert handed
+    for packed in handed:
+        keys = [row.tobytes() for row in packed]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_rows_handed_out_of_order_are_refused():
+    # the design looks rows up by binary search, so a builder's order is checked
+    packed = build_crd(6, 3)._packed
+    with pytest.raises(ValidationError, match="support rows must ascend by their bytes"):
+        ExplicitDesign._from_packed(packed[::-1].copy(), 6, np.ones(len(packed)))
+    with pytest.raises(ValidationError, match="support vectors must be distinct"):
+        ExplicitDesign._from_packed(packed[[0, 1, 1, 2]].copy(), 6, np.ones(4))
+
 
 @pytest.fixture(params=[None, 40], ids=["default-block", "block-40"])
 def row_block(request, monkeypatch):
@@ -404,14 +482,16 @@ def test_builders_hand_the_constructor_its_packed_rows(case, row_block):
 
 
 def test_matched_pair_build_memory_is_bounded():
-    # 18 pairs, 262,144 rows of 5 packed bytes: an (S, n) uint8 row array alone takes 9 MiB
+    # 18 pairs, 262,144 rows of 5 packed bytes: an (S, n) uint8 row array alone takes 9 MiB.
+    # The build holds the design's packed rows and weights, plus one byte a row for the
+    # duplicate check: rows written in order need no sort, nor sorted copies
     tracemalloc.start()
     try:
-        build_matched_pair([(2 * j, 2 * j + 1) for j in range(18)])
+        d = build_matched_pair([(2 * j, 2 * j + 1) for j in range(18)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak <= 1.1 * (d._packed.nbytes + d._weights.nbytes + d.support_size)
 
 
 def test_only_designs_reads_the_packed_format():

@@ -98,7 +98,7 @@ class TestKernelValues:
         po = random_table(np.random.default_rng(10), 8)
         kernel = _batch_kernel(["v_sub", "mse_sub"], d, substitutes=g)
         got = _kernel_values(d, po, kernel)
-        assert len(calls) == 2  # one per estimator, not one per block
+        assert len(calls) == 1  # one per kernel: not one per block, nor one per name
         _assert_bits_equal(got, _kernel_values(d, po, _batch_kernel(["v_sub", "mse_sub"], d)))
 
     @pytest.mark.parametrize("seed", ["zero", "none", "generator"])
@@ -173,7 +173,7 @@ class TestKernelLifetime:
         po = random_table(np.random.default_rng(17), 8)
         kernel = _batch_kernel(["v_sub", "mse_sub"], d, substitutes=g)
         first, second = [_kernel_values(d, po, kernel) for _ in range(2)]
-        assert len(calls) == 2  # one per estimator, across both passes
+        assert len(calls) == 1  # one for both names, across both passes
         _assert_bits_equal(first, second)
 
 
