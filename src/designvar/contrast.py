@@ -8,14 +8,18 @@ design variance of the difference-in-means estimator without touching
 pairwise assignment probabilities (v_sub). With group-size weights the
 same sum estimates the MSE of the ratio (Hajek) estimator on
 equal-propensity designs (mse_sub_epsem); at N_t = N/2 both estimators are
-one kernel, so v_sub is mse_sub_epsem on the equal-size designs. Substitution
-is one of the assumptions that check_assumptions, here too, reports on.
+one kernel, so v_sub is mse_sub_epsem on the equal-size designs. On complete
+designs the sum is Neyman's, and is scored so: s2_t/N_c + s2_c/N_t under
+complete randomization (the two-sample estimator at N_t = N/2), the
+within-pair estimator on complete matched pairs. Substitution is one of the
+assumptions that check_assumptions, here too, reports on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -35,6 +39,7 @@ from .core import (
     _row_failure,
 )
 from .designs import Design, ExplicitDesign
+from .estimators import _group_variances
 
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
@@ -50,19 +55,6 @@ def _as_assignment(x, n: int) -> AssignmentVector:
     if w.n != n:
         raise ValidationError(f"assignment has {w.n} units, expected {n}")
     return w
-
-
-def _constant_propensity(d: Design) -> float:
-    try:
-        pi = d.propensities
-    except AssumptionError as exc:
-        raise AssumptionError(f"substitution undefined: {exc}") from exc
-    if float(np.ptp(pi)) > PROB_TOL:
-        raise AssumptionError(
-            "substitution undefined: propensities vary across units "
-            f"(min {float(pi.min())!r}, max {float(pi.max())!r})"
-        )
-    return float(pi[0])
 
 
 def _group_sizes(d: Design) -> set[int]:
@@ -82,7 +74,8 @@ def substitution_mode(d: Design) -> str:
     'equal-size' when every support vector splits the units in half and N
     is divisible by 4; otherwise 'epsem' when the overlap count
     N_t(w)^2 / N is a whole number for every group size in the support.
-    Anything else cannot define substitutes and raises. Cached per design.
+    Anything else, or a support vector that treats no unit or every unit,
+    cannot define substitutes and raises. Cached per design.
     Both modes share one substitute relation, k = N_t(w)^2 / N, and one
     kernel; the mode says which estimators apply: v_sub needs
     'equal-size', where its value is mse_sub_epsem's.
@@ -97,15 +90,22 @@ def _substitution_mode(d: Design) -> str:
     """The mode, or the message of its refusal: a kept exception's traceback
     would hold the design."""
     try:
-        _constant_propensity(d)
+        pi = d.propensities
+    except AssumptionError as exc:
+        return f"substitution undefined: {exc}"
+    if float(np.ptp(pi)) > PROB_TOL:
+        return ("substitution undefined: propensities vary across units "
+                f"(min {float(pi.min())!r}, max {float(pi.max())!r})")
+    try:
         sizes = sorted(_group_sizes(d))
-        if sizes == [d.n // 2] and d.n % 4 == 0:
-            return EQUAL_SIZE
         for nt in sizes:
+            if nt in (0, d.n):
+                return (f"substitution undefined: a support vector treats N_t = {nt} of "
+                        f"N = {d.n} units, which leaves one group empty")
             _overlap_count(d.n, nt)  # raises unless N_t^2 / N is whole
-        return EPSEM
     except AssumptionError as exc:
         return str(exc)
+    return EQUAL_SIZE if sizes == [d.n // 2] and d.n % 4 == 0 else EPSEM
 
 
 def _overlap_count(n: int, n_treated: int) -> int:
@@ -238,7 +238,7 @@ def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
     (:attr:`ExplicitDesign.structure`), else None; k is the overlap count. A
     size-m row of complete layers has C(m, k)·C(N - m, m - k) substitutes, and
     each row of J complete pairs has C(J, k)."""
-    n, (sizes, complete) = d.n, d.structure
+    n, (sizes, complete, _) = d.n, d.structure
     if complete == "layers":
         per_size = np.zeros(n + 1, dtype=np.int64)
         for m in np.flatnonzero(sizes).tolist():  # ascending: a refusal names the scan's size
@@ -378,16 +378,39 @@ def _normalize_g(d: ExplicitDesign, g: Mapping) -> tuple[np.ndarray, np.ndarray]
     return sizes, pairs
 
 
-def _relation(d: ExplicitDesign) -> tuple[int, np.ndarray | None]:
-    """Facts of the substitute relation decided once per design, next to the
-    cached counts: the support row with the fewest substitutes if it has
-    none (else -1), and otherwise each anchor's weight p_w / |G*(w)|."""
-    def relation() -> tuple[int, np.ndarray | None]:
-        counts = substitute_counts(d)
-        r = int(np.argmin(counts))
-        return (-1, d.probs / counts) if counts[r] else (r, None)
+def _layer_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """s2_t/N_c + s2_c/N_t on k realized tables (arguments as in :func:`_group_variances`)."""
+    s2_t, s2_c, n_t = _group_variances(w, y)
+    return s2_t / (np.shape(w)[1] - n_t) + s2_c / n_t
 
-    return d._memo("_substitute_relation", relation)
+
+def _anchor_sums(d: ExplicitDesign, rows: np.ndarray, y: np.ndarray, sizes: np.ndarray,
+                 pairs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each table's anchor sum and anchor count: table i, realized at row
+    W = ``rows[i]``, sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
+    set holds W, with |G(w)| = ``sizes[w]`` and c_w = s/m - (T - s)/(N - m)
+    for w's treated sum s of ``y[i]``, its total T and W's group size m. The
+    anchors are W's substitutes (the relation is symmetric), one pass over
+    the support per table, or those of a user map's sorted keys
+    member * S + anchor ``pairs``: the whole relation's map gives its bits."""
+    weight, s = d.probs / sizes, d.support_size
+    if pairs is not None:
+        lo = np.searchsorted(pairs, rows * s).tolist()
+        hi = np.searchsorted(pairs, rows * s + s).tolist()
+    sums = np.empty(len(rows))
+    counts = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows.tolist()):
+        if pairs is None:
+            a = np.flatnonzero(_substitute_rows(d, [row])[0])
+        else:
+            a = pairs[lo[i]:hi[i]] - row * s
+        treated_sum, total = d._row_sums(y[i], a), y[i].sum()
+        m = int(d.group_sizes[row])  # every anchor has the group size of the row
+        c = treated_sum / m - (total - treated_sum) / (d.n - m)
+        # every term is >= 0, so the sum does not cancel
+        sums[i] = (weight[a] * c**2).sum() / d.probs[row]
+        counts[i] = len(a)
+    return sums, counts
 
 
 def _substitute_values(
@@ -397,30 +420,18 @@ def _substitute_values(
     (w, y) it returns the values, the design's :func:`substitution_mode`
     (which refuses unequal propensities before any count) and each table's
     number of anchors. With ``equal_size`` (v_sub) it also refuses, right
-    after the mode, a design whose mode is not equal-size; there the value
-    is v_sub's, as the contrast at N_t = N/2 is (2/N)(2s - T).
+    after the mode, a design whose mode is not equal-size.
 
-    Table r sums (p_w / p_W) c_w^2 / |G(w)| over the anchors w whose
-    substitute set holds its assignment W, with c_w = s/m - (T - s)/(N - m)
-    for w's treated sum s of y, y's total T and the group size m of W and
-    its anchors. Anchors come from the substitute relation, one pass over
-    the packed support per table, or from a user map ``g`` as the range of
-    its sorted (member, anchor) pairs whose member is W. The kernel
-    validates ``g`` once in its life, in the first call that reaches it.
-    Either way the treated sums come from per-byte 256-entry tables of the
-    table's y and the terms are formed on the anchors alone: a user map and
-    the relation give the same bits, and a row's value does not depend on
-    its batch.
-
-    A call's (values, counts), read-only, are kept keyed by the call's rows
-    and y's dtype and bytes, so the next call on the same tables reads them
-    instead of passing over the anchors again; other tables replace them.
-    On the relation they are kept on the design in the slot
-    ``_substitute_result`` (v_sub then mse_sub_epsem, or the two names of
-    one batch kernel); with a user map, which neither reads nor writes that
-    slot, in the kernel (the two names of one batch kernel share it).
+    Anchors come from the substitute relation or a user map ``g``, validated
+    once in the kernel's life. On a complete support whose weights are
+    constant on each group size (:attr:`ExplicitDesign.structure`), with the
+    whole relation as anchors (no map, or one with the relation's set
+    sizes), the anchor sum is Neyman's and is scored so: by
+    :func:`_layer_values` on complete layers and :func:`_v_pair_values` on
+    complete pairs. Elsewhere it is :func:`_anchor_sums`. A call keeps
+    nothing of its tables.
     """
-    kept: dict[str, Any] = {}  # a user map's validation; its last call's key and result
+    kept: dict[str, Any] = {}  # a user map's validation
 
     def values(w: np.ndarray, y: np.ndarray, equal_size: bool = False) -> tuple:
         _require_explicit(d, "enumerate")
@@ -440,48 +451,31 @@ def _substitute_values(
                 f"divisible by 4; this design supports only {mode} substitution "
                 "(see mse_sub_epsem)"
             )
-        s = d.support_size
+        _, complete, even = d.structure
         if g is None:
-            empty, weight = _relation(d)
-            if empty >= 0:
-                _check_count(d.vector(empty), 0)
+            sizes, pairs = substitute_counts(d), None
         else:
             if "map" not in kept:
                 kept["map"] = _normalize_g(d, g)
             sizes, pairs = kept["map"]
-            weight = d.probs / sizes
-            lo = np.searchsorted(pairs, rows * s).tolist()
-            hi = np.searchsorted(pairs, rows * s + s).tolist()
-
-        def result() -> tuple[np.ndarray, np.ndarray]:
-            sums = np.empty(len(rows))
-            counts = np.empty(len(rows), dtype=np.int64)
-            for i, row in enumerate(rows.tolist()):
-                if g is None:  # the relation is symmetric: W's substitutes are its anchors
-                    a = np.flatnonzero(_substitute_rows(d, [row])[0])
-                else:
-                    a = pairs[lo[i]:hi[i]] - row * s
-                treated_sum, total = d._row_sums(y[i], a), y[i].sum()
-                m = int(d.group_sizes[row])  # every anchor has the group size of the row
-                c = treated_sum / m - (total - treated_sum) / (d.n - m)
-                # every term is >= 0, so the sum does not cancel
-                sums[i] = (weight[a] * c**2).sum() / d.probs[row]
-                counts[i] = len(a)
-            for x in (sums, counts):
-                x.setflags(write=False)
-            return sums, counts
-
-        key = (rows.tobytes(), y.dtype.str, y.tobytes())
-        if g is None:
-            sums, counts = d._slot("_substitute_result", key, result)
-        else:
-            if kept.get("key") != key:  # a build that raises keeps the last result
-                kept["result"] = result()
-                kept["key"] = key
-            sums, counts = kept["result"]
+        if even and complete and (g is None or np.array_equal(sizes, substitute_counts(d))):
+            # complete layers and pairs give every row substitutes
+            formula = _layer_values if complete == "layers" else partial(_v_pair_values, d.pairs)
+            return formula(w, y), mode, sizes[rows]
+        r = int(np.argmin(sizes))  # a map covers every row; the relation may not
+        _check_count(d.vector(r), int(sizes[r]))
+        sums, counts = _anchor_sums(d, rows, y, sizes, pairs)
         return sums, mode, counts
 
     return values
+
+
+def _contrast_estimate(d: Design, obs: ObservedData, g: Mapping | None, estimator: str,
+                       equal_size: bool = False) -> VarianceEstimate:
+    values, mode, counts = _substitute_values(d, g)(
+        obs.w.to_array()[None], obs.y_obs[None], equal_size)
+    return VarianceEstimate(value=float(values[0]), estimator=estimator,
+                            params={"mode": mode, "contributing_anchors": int(counts[0])})
 
 
 def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEstimate:
@@ -490,15 +484,11 @@ def v_sub(d: Design, obs: ObservedData, g: Mapping | None = None) -> VarianceEst
     Sums (4/N^2) (p_w / p_W) |G(w)|^{-1} {l(w)' Y_obs}^2 over the anchors w
     whose substitute set contains the realized assignment, where l(w) is +-1
     by w's arm labels. Nonnegative by construction. It is mse_sub_epsem's
-    value, to the bit: at N_t = N/2 that contrast is (2/N) l(w)' Y_obs.
+    value, to the bit: at N_t = N/2 that contrast is (2/N) l(w)' Y_obs. On
+    CRD(N, N/2) it is neyman_variance, and on complete pairs v_pair, to the
+    bit.
     """
-    values, mode, counts = _substitute_values(d, g)(
-        obs.w.to_array()[None], obs.y_obs[None], equal_size=True)
-    return VarianceEstimate(
-        value=float(values[0]),
-        estimator="substitute_contrast",
-        params={"mode": mode, "contributing_anchors": int(counts[0])},
-    )
+    return _contrast_estimate(d, obs, g, "substitute_contrast", equal_size=True)
 
 
 def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -518,7 +508,8 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise _row_failure(ValidationError(
             f"pair ({a[j]}, {b[j]}) does not have exactly one treated unit"
         ), int(r))
-    diffs = np.where(t[:, a], y[:, a] - y[:, b], y[:, b] - y[:, a])
+    # rows contiguous, so each row is summed alike in any batch: y[:, a] is column-major
+    diffs = np.ascontiguousarray(np.where(t[:, a], y[:, a] - y[:, b], y[:, b] - y[:, a]))
     dev = diffs - diffs.mean(axis=1, keepdims=True)
     return 4.0 / (n * (n - 2)) * (dev * dev).sum(axis=1)
 
@@ -557,14 +548,10 @@ def mse_sub_epsem(
     Same anchor sum as v_sub but with group-size contrast weights
     (+1/N_t(w) treated, -1/N_c(w) control) and no 4/N^2 prefactor, which
     accommodates equal-propensity designs with unequal group sizes. On an
-    equal-size design it is v_sub's value, to the bit.
+    equal-size design it is v_sub's value, to the bit; on complete layers it
+    is s2_t/N_c + s2_c/N_t.
     """
-    values, mode, counts = _substitute_values(d, g)(obs.w.to_array()[None], obs.y_obs[None])
-    return VarianceEstimate(
-        value=float(values[0]),
-        estimator="substitute_mse",
-        params={"mode": mode, "contributing_anchors": int(counts[0])},
-    )
+    return _contrast_estimate(d, obs, g, "substitute_mse")
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,9 @@ class Design:
 
     def _slot(self, name: str, key: Any, build: Callable[[], Any]) -> Any:
         """``build()``, kept on the design in one slot ``name`` with its ``key``:
-        what the design and one argument determine, such as an operator of a
-        Q matrix or the contrast values of one call's realized tables. A
-        call with an equal key reads the slot; another key builds and
-        replaces it, so one value is kept at a time. A build that raises
+        what the design and one argument determine, such as the operator of a
+        Q matrix. A call with an equal key reads the slot; another key builds
+        and replaces it, so one value is kept at a time. A build that raises
         leaves the slot as it was."""
         slot = self.__dict__.get(name)
         if slot is None or slot[0] != key:
@@ -187,7 +186,7 @@ class Design:
 
 
 class Structure(NamedTuple):
-    """What a support's rows say about its layout, read once per design."""
+    """What a support's rows and weights say about its layout, read once per design."""
 
     #: (n + 1,) read-only: entry m is the number of support rows that treat m units
     sizes: np.ndarray
@@ -195,6 +194,8 @@ class Structure(NamedTuple):
     #: randomization, or a union of such layers); "pairs" when the support holds
     #: all 2^J rows that treat one unit of each of its J pairs; else None
     complete: str | None
+    #: True when the rows of each treated-group size all carry one weight
+    even_weights: bool
 
 
 class ExplicitDesign(Design):
@@ -361,11 +362,14 @@ class ExplicitDesign(Design):
 
     @cached_property
     def structure(self) -> Structure:
-        """The support's :class:`Structure`, read from its rows on first use.
+        """The support's :class:`Structure`, read from its rows and weights on first use.
 
         Rows are distinct, so a size m with C(n, m) rows holds that whole layer,
         and 2^J rows that each treat one unit of each of the J ``pairs`` are all
         of them."""
+        per_size = np.zeros(self.n + 1)
+        per_size[self.group_sizes] = self._weights  # any one weight of each size
+        even_weights = bool(np.all(self._weights == per_size[self.group_sizes]))
         sizes = np.bincount(self.group_sizes, minlength=self.n + 1)
         sizes.setflags(write=False)
         complete = None
@@ -374,7 +378,7 @@ class ExplicitDesign(Design):
         elif self.pairs and self.support_size == 1 << len(self.pairs) and all(
                 np.all(self._treats(a) != self._treats(b)) for a, b in self.pairs):
             complete = "pairs"
-        return Structure(sizes, complete)
+        return Structure(sizes, complete, even_weights)
 
     def _treats(self, i: int) -> np.ndarray:
         """(support_size,) bool: whether each support row treats unit ``i``."""

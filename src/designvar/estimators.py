@@ -82,9 +82,10 @@ def c_vector(po: PotentialOutcomes, pi: np.ndarray) -> np.ndarray:
     return (1.0 - pi) * po.y1 + pi * po.y0
 
 
-def _neyman_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """neyman_variance's value on k realized tables at once: (k, n) 0/1
-    assignments ``w`` and the matching observed outcomes ``y``."""
+def _group_variances(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of k realized tables' treated and control sample variances and
+    treated count (s2_t, s2_c, n_t): (k, n) 0/1 assignments ``w`` and the
+    matching observed outcomes ``y``."""
     t = np.asarray(w, dtype=bool)
     k, n = t.shape
     kt = t.sum(axis=1)
@@ -94,15 +95,20 @@ def _neyman_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise _row_failure(AssumptionError(
             f"group variances need at least 2 units per group, got n_t={kt[r]}, n_c={n - kt[r]}"
         ), r)
-    out = np.empty(k)
+    s2 = np.empty((2, k))
     for size in set(kt.tolist()):
         rows = kt == size
         tr, yr = t[rows], y[rows]
         # a row's treated (control) outcomes in unit order, one row each
-        s2_t = np.var(yr[tr].reshape(-1, size), axis=1, ddof=1)
-        s2_c = np.var(yr[~tr].reshape(-1, n - size), axis=1, ddof=1)
-        out[rows] = s2_t / size + s2_c / (n - size)
-    return out
+        s2[0, rows] = np.var(yr[tr].reshape(-1, size), axis=1, ddof=1)
+        s2[1, rows] = np.var(yr[~tr].reshape(-1, n - size), axis=1, ddof=1)
+    return s2[0], s2[1], kt
+
+
+def _neyman_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """neyman_variance's value on k tables (as in :func:`_group_variances`)."""
+    s2_t, s2_c, kt = _group_variances(w, y)
+    return s2_t / kt + s2_c / (np.shape(w)[1] - kt)
 
 
 def neyman_variance(

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .contrast import EQUAL_SIZE
 from .contrast import _substitute_values, _v_pair_scalar, _v_pair_values, mse_sub_epsem, v_sub
 from .core import (
     PROB_TOL,
@@ -311,17 +312,13 @@ def _estimator_entry(
     q: np.ndarray | None = None,
     mc_draws: int | None = None,
     seed: int = 0,
-    contrast: Callable | None = None,
-) -> tuple[Callable, Callable | GammaSpec]:
+) -> tuple[Callable, Callable | GammaSpec | bool]:
     """The registry entry of an estimator name (arguments as in
     :func:`resolve_estimator`): its scalar callable, and its batch kernel
     (the same values as an array, from (k, n) 0/1 assignments and outcomes)
-    or, for an imputation name, the GammaSpec that :func:`_batch_kernel`
-    scores through the shared imputation family. The batch kernels of v_sub
-    and mse_sub score through ``contrast``, the one
-    ``_substitute_values(d, substitutes)`` kernel that :func:`_batch_kernel`
-    makes for all its names; :func:`resolve_estimator` keeps only the
-    scalar and passes none."""
+    or what :func:`_batch_kernel` scores it by in a shared kernel: an
+    imputation name's GammaSpec, and for v_sub (True) and mse_sub (False)
+    whether v_sub's equal-size refusal applies."""
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key.startswith("imputation:"):
@@ -336,9 +333,7 @@ def _estimator_entry(
     if key == "v_am":
         return partial(v_am, d), lambda w, y: _v_am_values(d, w, y)[0]
     if key in ("v_sub", "mse_sub"):  # one kernel; v_sub adds its equal-size refusal
-        equal_size = key == "v_sub"
-        scalar = partial(v_sub if equal_size else mse_sub_epsem, d, g=substitutes)
-        return scalar, lambda w, y: contrast(w, y, equal_size)[0]
+        return partial(v_sub if key == "v_sub" else mse_sub_epsem, d, g=substitutes), key == "v_sub"
     if key == "v_pair":
         pairs = getattr(d, "pairs", None)
         return partial(_v_pair_scalar, pairs), partial(_v_pair_values, pairs)
@@ -365,15 +360,24 @@ def _batch_kernel(
     estimator that fails raises. The kernel keeps its state for its whole
     life: the imputation factor and a user substitute map's validation are
     made once, however many blocks or passes it scores. The contrast names
-    share one kernel, and so one anchor pass per table."""
-    contrast = _substitute_values(d, options.get("substitutes"))
-    entries = [_estimator_entry(name, d, contrast=contrast, **options)[1] for name in names]
+    share one kernel, which scores a block once for all of them (one anchor
+    pass per table) and keeps nothing of it."""
+    entries = [_estimator_entry(name, d, **options)[1] for name in names]
     specs = [k for k in entries if isinstance(k, GammaSpec)]
     family = _imputation_family(d, specs, options.get("mc_draws"), options.get("seed", 0))
+    substitute = _substitute_values(d, options.get("substitutes"))
 
     def kernel(w: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        values = family(w, y)
-        return [next(values) if isinstance(k, GammaSpec) else k(w, y) for k in entries]
+        values, scored = family(w, y), []
+
+        def contrast(equal_size: bool) -> np.ndarray:
+            # v_sub after mse_sub on a design that is not equal-size: called again, to refuse
+            if not scored or equal_size and scored[0][1] != EQUAL_SIZE:
+                scored[:] = [substitute(w, y, equal_size)]
+            return scored[0][0]
+
+        return [next(values) if isinstance(k, GammaSpec) else contrast(k) if isinstance(k, bool)
+                else k(w, y) for k in entries]
 
     return kernel
 

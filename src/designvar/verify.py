@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
+from .contrast import _anchor_sums, _layer_values, substitute_counts
 from .core import PotentialOutcomes, reveal
 from .decomposition import default_q_crd, q_feasible_for_design, v_tilde, validate_q
 from .designs import ExplicitDesign, build_crd, build_explicit, build_matched_pair
@@ -63,17 +65,32 @@ def _random_table(rng: np.random.Generator, n: int, *, homogeneous: bool) -> Pot
 
 
 def _worst_gap(
-    d: ExplicitDesign, tables: list[PotentialOutcomes], first: str, second: str, *,
-    q: np.ndarray | None = None, scale: float = 1.0,
+    d: ExplicitDesign, tables: list[PotentialOutcomes], first: str | Callable,
+    second: str | Callable, *, q: np.ndarray | None = None, scale: float = 1.0,
 ) -> float:
-    """Largest residual between two registry estimators (the second times
-    ``scale``) over the tables revealed at every support row, for each table."""
-    kernel = _batch_kernel((first, second), d, q=q)
+    """Largest residual between two estimators, registry names or one-name batch kernels (the
+    second times ``scale``), over the tables revealed at every support row, for each table."""
+    kernels = [_batch_kernel((e,), d, q=q) if isinstance(e, str) else e for e in (first, second)]
     gaps = [0.0]
     for po in tables:
-        a, b = _kernel_values(d, po, kernel)
+        a, b = (_kernel_values(d, po, kernel)[0] for kernel in kernels)
         gaps += map(_rel, a.tolist(), (scale * b).tolist())
     return max(gaps)
+
+
+def _anchor_checks(rng: np.random.Generator, tol: float, suite: str, cases) -> list[CheckResult]:
+    """Each (name, design, reference) case's worst gap, over three tables,
+    between mse_sub_epsem by the anchor sum over the substitute relation,
+    the reference of the formulas that score complete supports, and the
+    reference estimator."""
+    out = []
+    for name, d, reference in cases:
+        sizes = substitute_counts(d)
+        tables = [_random_table(rng, d.n, homogeneous=False) for _ in range(3)]
+        worst = _worst_gap(d, tables, lambda w, y: [_anchor_sums(d, d.rows_of(w), y, sizes)[0]],
+                           reference)
+        out.append(CheckResult(suite, f"contrast-equals-{name}", worst, tol))
+    return out
 
 
 def _crossed_pairs_design() -> ExplicitDesign:
@@ -94,24 +111,25 @@ def _crossed_pairs_q() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _suite_contrast_crd(rng: np.random.Generator, tol: float) -> list[CheckResult]:
-    """Substitute contrasts equal the two-sample estimator on half/half CRDs."""
-    out = []
-    for n in (4, 8, 12):
-        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
-        worst = _worst_gap(build_crd(n, n // 2), tables, "v_sub", "neyman")
-        out.append(CheckResult("thm2", f"contrast-equals-two-sample-crd-{n}", worst, tol))
-    return out
+    """Substitute contrasts, summed over anchors, equal the two-sample
+    estimator on half/half CRDs, and s2_t/N_c + s2_c/N_t on CRD(9,3),
+    CRD(16,4) and the 3- and 6-unit layers of 9 units weighted 2 and 5."""
+    rows = [[int(i in c) for i in range(9)] for m in (3, 6) for c in combinations(range(9), m)]
+    layers = ExplicitDesign(rows, [2.0 if sum(r) == 3 else 5.0 for r in rows])
+    unequal = [("crd-9-3", build_crd(9, 3)), ("crd-16-4", build_crd(16, 4)),
+               ("weighted-9-3-9-6", layers)]
+    return _anchor_checks(rng, tol, "thm2", [
+        *[(f"two-sample-crd-{n}", build_crd(n, n // 2), "neyman") for n in (4, 8, 12)],
+        *[(f"layer-formula-{name}", d, lambda w, y: [_layer_values(w, y)]) for name, d in unequal],
+    ])
 
 
 def _suite_contrast_pairs(rng: np.random.Generator, tol: float) -> list[CheckResult]:
-    """Substitute contrasts equal the matched-pair estimator on paired designs."""
-    out = []
-    for n in (4, 8):
-        pairs = tuple((2 * j, 2 * j + 1) for j in range(n // 2))
-        tables = [_random_table(rng, n, homogeneous=False) for _ in range(3)]
-        worst = _worst_gap(build_matched_pair(pairs), tables, "v_sub", "v_pair")
-        out.append(CheckResult("thm3", f"contrast-equals-pair-estimator-n{n}", worst, tol))
-    return out
+    """Substitute contrasts, summed over anchors, equal the pair estimator on paired designs."""
+    return _anchor_checks(rng, tol, "thm3", [
+        (f"pair-estimator-n{n}", build_matched_pair([(2 * j, 2 * j + 1) for j in range(n // 2)]),
+         "v_pair") for n in (4, 8)
+    ])
 
 
 def _suite_contrast_decomposition(rng: np.random.Generator, tol: float) -> list[CheckResult]:

@@ -121,6 +121,26 @@ class TestSubstitutionMode:
         with pytest.raises(AssumptionError, match="substitution undefined"):
             substitution_mode(build_crd(8, 2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_explicit(["11", "00"], [0.5, 0.5]),
+            lambda: build_explicit([[0] * 4, *_layers(4, 2), [1] * 4], [1.0 / 8] * 8),
+        ],
+        ids=["all-or-none-of-2", "layers-4-0-2-4"],
+    )
+    def test_a_vector_that_leaves_a_group_empty_is_refused(self, make):
+        d = make()
+        message = f"substitution undefined: a support vector treats N_t = 0 of N = {d.n} units"
+        obs = ObservedData(d.vector(d.support_size - 1), np.arange(d.n, dtype=float))
+        for est in (v_sub, mse_sub_epsem):
+            with pytest.raises(AssumptionError, match=message):
+                est(d, obs)
+        report = dv.check_assumptions(d)
+        assert report.substitution is False
+        assert report.details["substitution"].startswith(message)
+
 
 class TestVSub:
     def test_crossed_pairs_hand_value(self, crossed_pairs):
@@ -662,8 +682,13 @@ _PASS_DESIGNS = {
     "rerandomized-12-6": (
         lambda: build_rerandomized(build_crd(12, 6), np.arange(12.0) ** 1.5, 0.3), None),
     "epsem-9-3-and-9-6": (lambda: build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168), None),
+    "epsem-weighted-9-3-and-9-6": (
+        lambda: ExplicitDesign(_layers(9, 3, 6), [2.0] * 84 + [5.0] * 84), None),
+    "matched-pairs-12": (lambda: build_matched_pair([(j, 12 + j) for j in range(12)]), 200),
     "whole-weights-crd-8-4": (_complement_weighted_crd_8_4, None),
 }
+# supports that are not complete with weights constant on each group size
+_ANCHOR_ROUTE = ("rerandomized-12-6", "whole-weights-crd-8-4")
 
 
 class TestPackedSupportPass:
@@ -685,7 +710,7 @@ class TestPackedSupportPass:
         # a user map lists every member of every set: 63M vectors on CRD(16,8)
         g = full_substitute_map(d) if d.support_size <= 1000 else None
         modes = [True] if substitution_mode(d) == "epsem" else [False, True]
-        if name == "epsem-9-3-and-9-6":
+        if name.startswith("epsem"):
             assert set(d.group_sizes.tolist()) == {3, 6}
         if name == "rerandomized-12-6":
             assert contrast._closed_form_counts(d) is None
@@ -757,6 +782,20 @@ class TestPackedSupportPass:
         kept = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
         assert kept and not any(v.shape == (70, 8) for v in kept)
 
+    @pytest.mark.parametrize("name", sorted(_PASS_DESIGNS))
+    def test_only_incomplete_or_uneven_supports_take_the_anchor_route(self, name, monkeypatch):
+        d = _PASS_DESIGNS[name][0]()
+        routed, anchor_sums = [], contrast._anchor_sums
+        monkeypatch.setattr(contrast, "_anchor_sums",
+                            lambda *args: routed.append(1) or anchor_sums(*args))
+        u = support_matrix(d)[:3]
+        y = np.where(u == 1, 2.0, -1.0) * np.arange(d.n)
+        _, _, counts = contrast._substitute_values(d, None)(u, y)
+        assert bool(routed) == (name in _ANCHOR_ROUTE)
+        assert counts.tolist() == substitute_counts(d)[:3].tolist()
+        complete, even = d.structure.complete, d.structure.even_weights
+        assert (complete is not None and even) == (name not in _ANCHOR_ROUTE)
+
 
 def _observed_tables(d, count, seed):
     """``count`` observed tables on distinct support rows of ``d``."""
@@ -771,28 +810,20 @@ def _hex_values(d, calls):
 
 
 class TestRealizedAnchorSlot:
-    """The relation's result for one call's realized tables is kept on the
-    design: the second contrast estimator on those tables reads it, and
-    every value equals the same call on a freshly built design."""
+    """A contrast call keeps nothing of its realized tables: a second table
+    leaves the design as the first left it, and every value equals the same
+    call on a freshly built design."""
 
-    def test_one_scan_per_table(self, monkeypatch):
-        d = build_crd(8, 4)
-        substitute_counts(d)  # complete support: counted by formula, never scanned
+    @pytest.mark.parametrize("name", ["crd-8-4", "rerandomized-12-6"])
+    @pytest.mark.parametrize("estimator", [v_sub, mse_sub_epsem], ids=["v_sub", "mse_sub"])
+    def test_a_second_table_leaves_the_design_as_it_was(self, name, estimator):
+        d = _PASS_DESIGNS[name][0]()
         first, second = _observed_tables(d, 2, 21)
-        scans = []
-        scan = contrast._substitute_rows
-
-        def spy(d, rows):
-            scans.append(rows)
-            return scan(d, rows)
-
-        monkeypatch.setattr(contrast, "_substitute_rows", spy)
-        v_sub(d, first)
-        mse_sub_epsem(d, first)
-        assert len(scans) == 1
-        v_sub(d, second)
-        mse_sub_epsem(d, second)
-        assert len(scans) == 2
+        estimator(d, first)
+        after_first = dict(vars(d))
+        estimator(d, second)
+        assert vars(d).keys() == after_first.keys()
+        assert all(vars(d)[k] is v for k, v in after_first.items())
 
     @pytest.mark.parametrize(
         "make, estimators",
@@ -810,35 +841,6 @@ class TestRealizedAnchorSlot:
         got = _hex_values(d, calls)
         assert got == [_hex_values(make(), [call])[0] for call in calls]
         assert got[:len(estimators)] == got[-len(estimators):]
-
-    @pytest.mark.parametrize(
-        "make, estimator, refused",
-        [
-            (lambda: build_crd(8, 4), v_sub, "10101011"),
-            (lambda: build_crd(16, 4), v_sub, None),
-        ],
-        ids=["row-off-support", "v-sub-on-epsem-design"],
-    )
-    def test_refusal_leaves_the_slot(self, make, estimator, refused):
-        d = make()
-        obs = _observed_tables(d, 1, 23)[0]
-        mse_sub_epsem(d, obs)
-        slot = vars(d)["_substitute_result"]
-        w = _av(refused) if refused else obs.w
-        with pytest.raises((AssumptionError, ValidationError)):
-            estimator(d, ObservedData(w, obs.y_obs))
-        assert vars(d)["_substitute_result"] is slot
-        assert all(not x.flags.writeable for x in slot[1])
-
-    def test_user_map_gives_the_relation_bits_without_the_slot(self):
-        d = build_crd(8, 4)
-        g = full_substitute_map(d)
-        a, b = _observed_tables(d, 2, 24)
-        v_sub(d, a)
-        slot = vars(d)["_substitute_result"]
-        for est in (v_sub, mse_sub_epsem):
-            assert est(d, b, g).value.hex() == _hex_values(build_crd(8, 4), [(est, b)])[0]
-        assert vars(d)["_substitute_result"] is slot
 
     def test_batch_kernel_scans_each_table_once_for_both_names(self, monkeypatch):
         d = _PASS_DESIGNS["rerandomized-12-6"][0]()
@@ -860,7 +862,7 @@ class TestRealizedAnchorSlot:
 
 
 def test_batch_kernel_shares_one_user_map_pass_for_both_names(monkeypatch):
-    d = build_crd(8, 4)
+    d = _PASS_DESIGNS["rerandomized-12-6"][0]()  # incomplete: the anchor route
     g = full_substitute_map(d)
     po = random_table(np.random.default_rng(27), d.n)
     want = [_kernel_values(d, po, simulate._batch_kernel((name,), d, substitutes=g))[0]
@@ -872,10 +874,9 @@ def test_batch_kernel_shares_one_user_map_pass_for_both_names(monkeypatch):
     monkeypatch.setattr(d, "_row_sums", lambda *args: summed.append(1) or row_sums(*args))
     got = _kernel_values(d, po, simulate._batch_kernel(("v_sub", "mse_sub"), d, substitutes=g))
     assert len(validated) == 1
-    assert len(summed) == d.support_size == 70  # one anchor pass per table
+    assert len(summed) == d.support_size  # one anchor pass per table
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert got[0].tobytes() == got[1].tobytes()
-    assert "_substitute_result" not in vars(d)  # a user map leaves the design's slot
 
 
 class TestOneContrastKernel:
@@ -883,8 +884,7 @@ class TestOneContrastKernel:
     the relation and by a user map, each within EST_RTOL of the blocked
     scan's own formula."""
 
-    @pytest.mark.parametrize(
-        "name", [k for k in sorted(_PASS_DESIGNS) if k != "epsem-9-3-and-9-6"])
+    @pytest.mark.parametrize("name", [k for k in sorted(_PASS_DESIGNS) if not k.startswith("epsem")])
     def test_v_sub_is_mse_sub_epsem(self, name):
         make, sample = _PASS_DESIGNS[name]
         d, fresh = make(), make()  # mse_sub_epsem on its own design: no kept result
@@ -904,3 +904,53 @@ class TestOneContrastKernel:
                 assert v_sub(d, obs, g).value == mse_sub_epsem(d, obs, g).value == value
             for mse in (False, True):
                 np.testing.assert_allclose(value, want[mse][i], rtol=EST_RTOL, atol=0)
+
+
+def _pairs(j):
+    """J complete matched pairs, unit i with unit J + i."""
+    return build_matched_pair([(i, j + i) for i in range(j)])
+
+
+_COMPLETE_DESIGNS = {
+    **{f"crd-{n}-{m}": (lambda n=n, m=m: build_crd(n, m))
+       for n, m in [(8, 4), (9, 3), (9, 6), (12, 6), (16, 4), (16, 8), (18, 6), (18, 12)]},
+    "weighted-9-3-and-9-6": _PASS_DESIGNS["epsem-weighted-9-3-and-9-6"][0],
+    **{f"pairs-{j}": (lambda j=j: _pairs(j)) for j in (2, 4, 6, 8, 10, 12)},
+}
+
+
+class TestNeymanFormulas:
+    """On complete supports with weights constant on each group size the
+    contrast estimators are scored by Neyman's formulas: they match the
+    anchor route within EST_RTOL with the same anchor counts, and at
+    N_t = N/2 they are neyman_variance, or v_pair on complete pairs, to the
+    bit."""
+
+    @pytest.mark.parametrize("name", sorted(_COMPLETE_DESIGNS))
+    def test_formula_matches_the_anchor_route(self, name, monkeypatch):
+        d = _COMPLETE_DESIGNS[name]()
+        rng = np.random.default_rng(sorted(_COMPLETE_DESIGNS).index(name))
+        rows = np.sort(rng.choice(d.support_size, size=min(40, d.support_size), replace=False))
+        u = support_matrix(d)[rows]
+        y = rng.normal(3.0, 2.0, u.shape)
+        monkeypatch.setattr(contrast, "_anchor_sums", _no_scan)  # the formula route
+        got, _, counts = contrast._substitute_values(d, None)(u, y)
+        monkeypatch.undo()
+        want, want_counts = contrast._anchor_sums(d, rows, y, substitute_counts(d))
+        np.testing.assert_allclose(got, want, rtol=EST_RTOL, atol=0)
+        assert counts.tolist() == want_counts.tolist()
+
+    @pytest.mark.parametrize("make, other", [
+        *[(lambda n=n: build_crd(n, n // 2), "neyman") for n in (4, 8, 12, 16)],
+        *[(lambda j=j: _pairs(j), "v_pair") for j in (2, 4, 6, 8, 10)],
+    ], ids=[f"crd-{n}-{n // 2}" for n in (4, 8, 12, 16)] + [f"pairs-{j}" for j in (2, 4, 6, 8, 10)])
+    def test_v_sub_is_the_neyman_estimator_to_the_bit(self, make, other):
+        d = make()
+        po = random_table(np.random.default_rng(d.n), d.n)
+        by_v_sub, by_mse_sub, by_other = _kernel_values(
+            d, po, simulate._batch_kernel(("v_sub", "mse_sub", other), d))
+        assert by_v_sub.tobytes() == by_mse_sub.tobytes() == by_other.tobytes()
+        for r in range(0, d.support_size, max(1, d.support_size // 20)):
+            obs = reveal(po, d.vector(r), pair_labels=d.pairs)
+            want = (neyman_variance if other == "neyman" else v_pair)(obs).value
+            assert v_sub(d, obs).value == want == by_v_sub[r]
