@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -233,21 +232,38 @@ def full_substitute_set(d: Design, w, *, cap: int = SUBSTITUTE_CAP) -> Substitut
     return SubstituteSet(anchor=w, members=members)
 
 
-def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
-    """The counts of :func:`substitute_counts` by formula on a complete support
-    (:attr:`ExplicitDesign.structure`), else None; k is the overlap count. A
-    size-m row of complete layers has C(m, k)·C(N - m, m - k) substitutes, and
-    each row of J complete pairs has C(J, k)."""
-    n, (sizes, complete, _) = d.n, d.structure
-    if complete == "layers":
-        per_size = np.zeros(n + 1, dtype=np.int64)
-        for m in np.flatnonzero(sizes).tolist():  # ascending: a refusal names the scan's size
+def _layer_counts(d: ExplicitDesign) -> np.ndarray:
+    """(N + 1,) read-only, kept on the design: entry m is the substitute count
+    C(m, k)·C(N - m, m - k) of a size-m row of complete layers, k the overlap
+    count, and 0 for a size the support does not hold."""
+
+    def build() -> np.ndarray:
+        n, per_size = d.n, np.zeros(d.n + 1, dtype=np.int64)
+        # ascending: a refusal names the scan's size
+        for m in np.flatnonzero(d.structure.sizes).tolist():
             k = _overlap_count(n, m)
             per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
-        return per_size[d.group_sizes]
+        per_size.setflags(write=False)
+        return per_size
+
+    return d._memo("_layer_counts", build)
+
+
+def _pair_count(d: ExplicitDesign) -> int:
+    """The substitute count C(J, k) of every row of J complete pairs."""
+    j = len(d.pairs)
+    return math.comb(j, _overlap_count(d.n, j))
+
+
+def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
+    """The counts of :func:`substitute_counts` by formula on a complete support
+    (:attr:`ExplicitDesign.structure`), else None: :func:`_layer_counts` by
+    group size on complete layers, :func:`_pair_count` on complete pairs."""
+    complete = d.structure.complete
+    if complete == "layers":
+        return _layer_counts(d)[d.group_sizes]
     if complete == "pairs":
-        j = len(d.pairs)
-        return np.full(d.support_size, math.comb(j, _overlap_count(n, j)))
+        return np.full(d.support_size, _pair_count(d))
     return None
 
 
@@ -413,6 +429,18 @@ def _anchor_sums(d: ExplicitDesign, rows: np.ndarray, y: np.ndarray, sizes: np.n
     return sums, counts
 
 
+def _pair_units(d: ExplicitDesign) -> np.ndarray:
+    """(2, J) read-only, kept on the design: the first and second unit of each of
+    the design's pairs."""
+
+    def build() -> np.ndarray:
+        units = np.array(d.pairs).T
+        units.setflags(write=False)
+        return units
+
+    return d._memo("_pair_units", build)
+
+
 def _substitute_values(
     d: Design, g: Mapping | None
 ) -> Callable[..., tuple[np.ndarray, str, np.ndarray]]:
@@ -427,9 +455,12 @@ def _substitute_values(
     constant on each group size (:attr:`ExplicitDesign.structure`), with the
     whole relation as anchors (no map, or one with the relation's set
     sizes), the anchor sum is Neyman's and is scored so: by
-    :func:`_layer_values` on complete layers and :func:`_v_pair_values` on
-    complete pairs. Elsewhere it is :func:`_anchor_sums`. A call keeps
-    nothing of its tables.
+    :func:`_layer_values` on complete layers and :func:`_pair_values` on
+    complete pairs. Elsewhere it is :func:`_anchor_sums`. A complete support
+    reads each table's membership from its structure, with no lookup of its
+    row: on layers a table is in the support iff its group size is, on pairs
+    iff it treats one unit of each pair. The anchor route looks the rows up
+    (:meth:`ExplicitDesign.rows_of`). A call keeps nothing of its tables.
     """
     kept: dict[str, Any] = {}  # a user map's validation
 
@@ -437,9 +468,22 @@ def _substitute_values(
         _require_explicit(d, "enumerate")
         if w.shape[1] != d.n:
             raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
-        rows = d.rows_of(w)
-        if np.any(rows < 0):
-            r = int(np.argmax(rows < 0))
+        sizes_present, complete, even = d.structure
+        t = np.asarray(w, dtype=bool)
+        if complete and np.any(t != w):
+            d.rows_of(w)  # refuses entries that are not 0 or 1
+        if complete == "layers":
+            n_t = t.sum(axis=1)
+            off = sizes_present[n_t] == 0
+        elif complete == "pairs":
+            first, second = _pair_units(d)
+            t_first = t[:, first]
+            off = (t_first == t[:, second]).any(axis=1)
+        else:
+            rows = d.rows_of(w)
+            off = rows < 0
+        if off.any():
+            r = int(np.argmax(off))
             w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
             raise _row_failure(
                 ValidationError(f"realized assignment {w_r} is not in the design support"), r
@@ -451,17 +495,18 @@ def _substitute_values(
                 f"divisible by 4; this design supports only {mode} substitution "
                 "(see mse_sub_epsem)"
             )
-        _, complete, even = d.structure
-        if g is None:
-            sizes, pairs = substitute_counts(d), None
-        else:
-            if "map" not in kept:
-                kept["map"] = _normalize_g(d, g)
-            sizes, pairs = kept["map"]
-        if even and complete and (g is None or np.array_equal(sizes, substitute_counts(d))):
+        if g is not None and "map" not in kept:
+            kept["map"] = _normalize_g(d, g)
+        if even and complete and (
+                g is None or np.array_equal(kept["map"][0], substitute_counts(d))):
             # complete layers and pairs give every row substitutes
-            formula = _layer_values if complete == "layers" else partial(_v_pair_values, d.pairs)
-            return formula(w, y), mode, sizes[rows]
+            if complete == "layers":
+                return _layer_values(t, y), mode, _layer_counts(d)[n_t]
+            return (_pair_values(t_first, y[:, first], y[:, second]), mode,
+                    np.full(len(t), _pair_count(d)))
+        if complete:
+            rows = d.rows_of(w)
+        sizes, pairs = (substitute_counts(d), None) if g is None else kept["map"]
         r = int(np.argmin(sizes))  # a map covers every row; the relation may not
         _check_count(d.vector(r), int(sizes[r]))
         sums, counts = _anchor_sums(d, rows, y, sizes, pairs)
@@ -502,16 +547,27 @@ def _v_pair_values(pairs, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n < 4:
         raise AssumptionError(f"matched-pair variance needs at least 4 units, got {n}")
     a, b = np.array(pairs).T
-    unbalanced = t[:, a] == t[:, b]
+    t_a = t[:, a]
+    unbalanced = t_a == t[:, b]
     if unbalanced.any():
         r, j = np.argwhere(unbalanced)[0]
         raise _row_failure(ValidationError(
             f"pair ({a[j]}, {b[j]}) does not have exactly one treated unit"
         ), int(r))
+    return _pair_values(t_a, y[:, a], y[:, b])
+
+
+def _pair_values(t_a: np.ndarray, y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
+    """v_pair's value on k tables whose every pair (a, b) has one treated unit,
+    from ``t_a``, whether a is treated, and the outcomes of a and b, each
+    (k, J)."""
+    n = 2 * t_a.shape[1]
     # rows contiguous, so each row is summed alike in any batch: y[:, a] is column-major
-    diffs = np.ascontiguousarray(np.where(t[:, a], y[:, a] - y[:, b], y[:, b] - y[:, a]))
-    dev = diffs - diffs.mean(axis=1, keepdims=True)
-    return 4.0 / (n * (n - 2)) * (dev * dev).sum(axis=1)
+    diffs = np.ascontiguousarray(np.where(t_a, y_a - y_b, y_b - y_a))
+    # diffs.mean(axis=1) and the sum of squares, to the bit, without their dispatch
+    dev = diffs - np.add.reduce(diffs, axis=1, keepdims=True) / t_a.shape[1]
+    np.multiply(dev, dev, out=dev)
+    return 4.0 / (n * (n - 2)) * np.add.reduce(dev, axis=1)
 
 
 def _v_pair_scalar(pairs, obs: ObservedData) -> VarianceEstimate:

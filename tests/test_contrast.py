@@ -954,3 +954,99 @@ class TestNeymanFormulas:
             obs = reveal(po, d.vector(r), pair_labels=d.pairs)
             want = (neyman_variance if other == "neyman" else v_pair)(obs).value
             assert v_sub(d, obs).value == want == by_v_sub[r]
+
+
+_ROUTE_DESIGNS = {
+    "crd-8-4": (lambda: build_crd(8, 4), ("v_sub", "mse_sub")),
+    "layers-9-3-and-9-6": (_PASS_DESIGNS["epsem-9-3-and-9-6"][0], ("mse_sub",)),
+    "pairs-8": (lambda: _pairs(8), ("v_sub", "mse_sub")),
+}
+_SCALAR = {"v_sub": v_sub, "mse_sub": mse_sub_epsem}
+
+
+def _spy_lookups(monkeypatch) -> list:
+    """Record every support-row lookup (ExplicitDesign._find) from here on."""
+    found, find = [], ExplicitDesign._find
+    monkeypatch.setattr(ExplicitDesign, "_find",
+                        lambda self, packed: found.append(1) or find(self, packed))
+    return found
+
+
+class TestFormulaRouteMembership:
+    """On complete supports scored by formula a table's membership and its
+    anchor count are read from the design's structure, with no lookup of its
+    support row; the anchor route still looks rows up, and a table off the
+    support is refused as the lookup refused it."""
+
+    @pytest.mark.parametrize("name", sorted(_ROUTE_DESIGNS))
+    def test_no_row_lookup_on_the_formula_route(self, name, monkeypatch):
+        make, names = _ROUTE_DESIGNS[name]
+        d = make()
+        rng = np.random.default_rng(sorted(_ROUTE_DESIGNS).index(name))
+        po = random_table(rng, d.n)
+        rows = rng.choice(d.support_size, size=5, replace=False).tolist()
+        found = _spy_lookups(monkeypatch)
+        for r in rows:
+            obs = reveal(po, d.vector(r))
+            for est in names:
+                one = _SCALAR[est](d, obs)
+                assert one.params["contributing_anchors"] == substitute_counts(d)[r]
+        _kernel_values(d, po, simulate._batch_kernel(names, d))
+        assert found == []
+
+    @pytest.mark.parametrize("route", ["rerandomized-12-6", "partial-map-crd-8-4"])
+    def test_the_anchor_route_looks_rows_up(self, route, monkeypatch):
+        if route == "rerandomized-12-6":
+            d, g = _PASS_DESIGNS[route][0](), None
+        else:
+            d = build_crd(8, 4)
+            g = {w: list(full_substitute_set(d, w))[:2] for w in d.support}
+        kernel = contrast._substitute_values(d, g)
+        u = support_matrix(d)[:3]
+        y = np.arange(u.size, dtype=float).reshape(u.shape)
+        kernel(u, y)  # validates the map once in the kernel's life
+        found = _spy_lookups(monkeypatch)
+        _, _, counts = kernel(u, y)
+        assert found
+        if g is not None:  # not the whole relation's anchor counts
+            assert counts.tolist() != substitute_counts(d)[:3].tolist()
+
+    @pytest.mark.parametrize(
+        "make, off, equal_size",
+        [
+            (lambda: build_crd(8, 4), "11100000", True),
+            (_PASS_DESIGNS["epsem-9-3-and-9-6"][0], "110000000", True),  # before v_sub's mode refusal
+            (lambda: _pairs(8), "1" * 9 + "0" * 7, False),  # units 0 and 8 are a pair
+        ],
+        ids=["crd-8-4-three-treated", "layers-9-size-2", "pairs-8-both-treated"],
+    )
+    def test_an_off_support_table_is_refused_at_its_row(self, make, off, equal_size):
+        d = make()
+        on = d.vector(3).to_string()
+        w = np.array([[int(b) for b in bits] for bits in (on, off, on)])
+        y = np.arange(w.size, dtype=float).reshape(w.shape)
+        with pytest.raises(ValidationError) as exc:
+            contrast._substitute_values(d, None)(w, y, equal_size)
+        assert str(exc.value) == f"realized assignment {off} is not in the design support"
+        assert exc.value.row == 1
+        obs = ObservedData(AssignmentVector.from_string(off), y[1])
+        with pytest.raises(ValidationError, match="is not in the design support"):
+            (v_sub if equal_size else mse_sub_epsem)(d, obs)
+
+    def test_entries_that_are_not_zero_or_one_are_refused(self):
+        d = build_crd(8, 4)
+        u = support_matrix(d)[:2]
+        with pytest.raises(ValidationError, match="0 or 1, got 2.0"):
+            contrast._substitute_values(d, None)(2.0 * u, u)
+
+    def test_pair_formula_is_the_within_pair_estimator_to_the_bit(self):
+        d = _pairs(8)
+        rng = np.random.default_rng(30)
+        u = support_matrix(d)[rng.choice(d.support_size, size=50, replace=False)]
+        y = 1e3 + rng.normal(size=u.shape)
+        a, b = np.arange(8), np.arange(8, 16)
+        diffs = np.ascontiguousarray(np.where(u[:, a] == 1, y[:, a] - y[:, b], y[:, b] - y[:, a]))
+        dev = diffs - diffs.mean(axis=1, keepdims=True)
+        want = 4.0 / (16 * 14) * (dev * dev).sum(axis=1)
+        got, _, _ = contrast._substitute_values(d, None)(u, y)
+        assert got.tobytes() == want.tobytes() == contrast._v_pair_values(d.pairs, u, y).tobytes()

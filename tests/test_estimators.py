@@ -13,6 +13,7 @@ from designvar import (
     ObservedData,
     PotentialOutcomes,
     ValidationError,
+    build_crd,
     c_vector,
     difference_in_means,
     estimator_expectation,
@@ -20,6 +21,9 @@ from designvar import (
     horvitz_thompson,
     neyman_variance,
 )
+from designvar.estimators import _group_variances
+
+from conftest import support_matrix
 
 
 def _obs(bits: str, y) -> ObservedData:
@@ -126,3 +130,77 @@ def test_ht_equals_group_mean_difference_at_half(y, bits):
     w = obs.w.to_array().astype(bool)
     expected = arr[w].mean() - arr[~w].mean()
     assert horvitz_thompson(obs, HALF) == pytest.approx(expected, abs=1e-9)
+
+
+def _arm_variances(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.var(..., ddof=1) of each row's treated and control outcomes, row by row."""
+    t = w.astype(bool)
+    return (np.array([np.var(y[i][t[i]], ddof=1) for i in range(len(t))]),
+            np.array([np.var(y[i][~t[i]], ddof=1) for i in range(len(t))]))
+
+
+class TestGroupVariances:
+    """_group_variances is np.var(ddof=1) of each realized arm, to the bit, in
+    every layout it takes: one shared group size, equal halves, mixed sizes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        k=st.integers(1, 64),
+        layout=st.sampled_from(["one-size", "halves", "mixed"]),
+        scale_exp=st.floats(-3.0, 6.0),
+        offset=st.floats(-1e6, 1e6),
+        dtype=st.sampled_from([np.int8, float, bool]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_var_of_each_arm_to_the_bit(self, n, k, layout, scale_exp, offset,
+                                                   dtype, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "halves":
+            n += n % 2
+            sizes = np.full(k, n // 2)
+        elif layout == "one-size":
+            sizes = np.full(k, rng.integers(2, n - 1))
+        else:
+            sizes = rng.integers(2, n - 1, size=k)
+        w = np.zeros((k, n), dtype=dtype)
+        for i, m in enumerate(sizes):
+            w[i, rng.permutation(n)[:m]] = 1
+        y = offset + 10.0**scale_exp * rng.normal(size=(k, n))
+        s2_t, s2_c, n_t = _group_variances(w, y)
+        want_t, want_c = _arm_variances(w, y)
+        assert s2_t.tobytes() == want_t.tobytes()
+        assert s2_c.tobytes() == want_c.tobytes()
+        assert n_t.tolist() == sizes.tolist()
+
+    def test_a_whole_support_batch_equals_np_var_to_the_bit(self):
+        w = support_matrix(build_crd(16, 8))  # 12,870 rows
+        y = 1e6 + 1e3 * np.random.default_rng(3).normal(size=w.shape)
+        s2_t, s2_c, _ = _group_variances(w, y)
+        want_t, want_c = _arm_variances(w, y)
+        assert s2_t.tobytes() == want_t.tobytes()
+        assert s2_c.tobytes() == want_c.tobytes()
+
+    def test_no_tables_give_empty_arrays(self):
+        out = _group_variances(np.zeros((0, 6)), np.zeros((0, 6)))
+        assert [x.shape for x in out] == [(0,), (0,), (0,)]
+
+    @pytest.mark.parametrize(
+        "rows, message, row",
+        [
+            (["11110000", "11000000", "10000000", "11111110"],
+             "group variances need at least 2 units per group, got n_t=1, n_c=7", 2),
+            (["11110000", "11111110", "10000000"],
+             "group variances need at least 2 units per group, got n_t=7, n_c=1", 1),
+            (["10000000", "01000000"],
+             "group variances need at least 2 units per group, got n_t=1, n_c=7", 0),
+            (["11111110"], "group variances need at least 2 units per group, got n_t=7, n_c=1", 0),
+        ],
+        ids=["mixed", "mixed-control", "one-size", "one-table"],
+    )
+    def test_a_group_of_one_is_refused_at_its_row(self, rows, message, row):
+        w = np.array([[int(b) for b in r] for r in rows])
+        with pytest.raises(AssumptionError) as exc:
+            _group_variances(w, np.arange(w.size, dtype=float).reshape(w.shape))
+        assert str(exc.value) == message
+        assert exc.value.row == row
