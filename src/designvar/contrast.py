@@ -38,7 +38,7 @@ from .core import (
     _row_failure,
 )
 from .designs import Design, ExplicitDesign
-from .estimators import _group_variances
+from .estimators import _group_variances, _squared_deviations
 
 EQUAL_SIZE = "equal-size"
 EPSEM = "epsem"
@@ -429,18 +429,6 @@ def _anchor_sums(d: ExplicitDesign, rows: np.ndarray, y: np.ndarray, sizes: np.n
     return sums, counts
 
 
-def _pair_units(d: ExplicitDesign) -> np.ndarray:
-    """(2, J) read-only, kept on the design: the first and second unit of each of
-    the design's pairs."""
-
-    def build() -> np.ndarray:
-        units = np.array(d.pairs).T
-        units.setflags(write=False)
-        return units
-
-    return d._memo("_pair_units", build)
-
-
 def _substitute_values(
     d: Design, g: Mapping | None
 ) -> Callable[..., tuple[np.ndarray, str, np.ndarray]]:
@@ -456,11 +444,11 @@ def _substitute_values(
     whole relation as anchors (no map, or one with the relation's set
     sizes), the anchor sum is Neyman's and is scored so: by
     :func:`_layer_values` on complete layers and :func:`_pair_values` on
-    complete pairs. Elsewhere it is :func:`_anchor_sums`. A complete support
-    reads each table's membership from its structure, with no lookup of its
-    row: on layers a table is in the support iff its group size is, on pairs
-    iff it treats one unit of each pair. The anchor route looks the rows up
-    (:meth:`ExplicitDesign.rows_of`). A call keeps nothing of its tables.
+    complete pairs. Elsewhere it is :func:`_anchor_sums`, which needs each
+    table's support row (:meth:`ExplicitDesign.rows_of`), looked up once per
+    call on the anchor route only: a complete support's membership is
+    :meth:`ExplicitDesign.in_support`, read from its structure, and an
+    incomplete support's is its lookup. A call keeps nothing of its tables.
     """
     kept: dict[str, Any] = {}  # a user map's validation
 
@@ -468,20 +456,10 @@ def _substitute_values(
         _require_explicit(d, "enumerate")
         if w.shape[1] != d.n:
             raise ValidationError(f"observed data has {w.shape[1]} units, design has {d.n}")
-        sizes_present, complete, even = d.structure
-        t = np.asarray(w, dtype=bool)
-        if complete and np.any(t != w):
-            d.rows_of(w)  # refuses entries that are not 0 or 1
-        if complete == "layers":
-            n_t = t.sum(axis=1)
-            off = sizes_present[n_t] == 0
-        elif complete == "pairs":
-            first, second = _pair_units(d)
-            t_first = t[:, first]
-            off = (t_first == t[:, second]).any(axis=1)
-        else:
-            rows = d.rows_of(w)
-            off = rows < 0
+        _, complete, even = d.structure
+        # an incomplete support is scored by anchors, which need each table's row
+        rows = None if complete else d.rows_of(w)
+        off = ~d.in_support(w) if rows is None else rows < 0
         if off.any():
             r = int(np.argmax(off))
             w_r = AssignmentVector.from_bits(w[r].astype(np.int8).tolist())
@@ -500,11 +478,13 @@ def _substitute_values(
         if even and complete and (
                 g is None or np.array_equal(kept["map"][0], substitute_counts(d))):
             # complete layers and pairs give every row substitutes
+            t = np.asarray(w, dtype=bool)
             if complete == "layers":
-                return _layer_values(t, y), mode, _layer_counts(d)[n_t]
-            return (_pair_values(t_first, y[:, first], y[:, second]), mode,
+                return _layer_values(t, y), mode, _layer_counts(d)[t.sum(axis=1)]
+            first, second = d.pair_units
+            return (_pair_values(t[:, first], y[:, first], y[:, second]), mode,
                     np.full(len(t), _pair_count(d)))
-        if complete:
+        if rows is None:
             rows = d.rows_of(w)
         sizes, pairs = (substitute_counts(d), None) if g is None else kept["map"]
         r = int(np.argmin(sizes))  # a map covers every row; the relation may not
@@ -564,10 +544,7 @@ def _pair_values(t_a: np.ndarray, y_a: np.ndarray, y_b: np.ndarray) -> np.ndarra
     n = 2 * t_a.shape[1]
     # rows contiguous, so each row is summed alike in any batch: y[:, a] is column-major
     diffs = np.ascontiguousarray(np.where(t_a, y_a - y_b, y_b - y_a))
-    # diffs.mean(axis=1) and the sum of squares, to the bit, without their dispatch
-    dev = diffs - np.add.reduce(diffs, axis=1, keepdims=True) / t_a.shape[1]
-    np.multiply(dev, dev, out=dev)
-    return 4.0 / (n * (n - 2)) * np.add.reduce(dev, axis=1)
+    return 4.0 / (n * (n - 2)) * _squared_deviations(diffs)
 
 
 def _v_pair_scalar(pairs, obs: ObservedData) -> VarianceEstimate:

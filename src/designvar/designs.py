@@ -30,14 +30,20 @@ from .estimators import check_propensities
 BalanceCriterion = Callable[[np.ndarray, AssignmentVector], float]
 
 
-def _pack(u: np.ndarray) -> np.ndarray:
-    """(k, n) 0/1 rows as (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout."""
+def _bits(u: np.ndarray) -> np.ndarray:
+    """(k, n) 0/1 rows, refused if an entry is not 0 or 1: ``u`` itself when
+    its dtype is bool or integer, else as bool."""
     if u.dtype.kind not in "biu" or (u.size and not 0 <= u.min() <= u.max() <= 1):
         bad = ~np.isin(u, (0, 1))
         if bad.any():
             raise ValidationError(f"assignment entries must be 0 or 1, got {u[bad][0].item()!r}")
         u = u != 0
-    return np.packbits(u, axis=1)
+    return u
+
+
+def _pack(u: np.ndarray) -> np.ndarray:
+    """(k, n) 0/1 rows as (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout."""
+    return np.packbits(_bits(u), axis=1)
 
 
 _BYTE_VALUES = np.arange(256, dtype=np.uint8)
@@ -323,10 +329,28 @@ class ExplicitDesign(Design):
 
     def rows_of(self, w: np.ndarray) -> np.ndarray:
         """Support row of each (k, n) 0/1 assignment; -1 if not in the support."""
+        return self._find(np.packbits(self._assignments(w), axis=1))
+
+    def in_support(self, w: np.ndarray) -> np.ndarray:
+        """(k,) bool: whether each (k, n) 0/1 assignment is a support row. A
+        complete support (:attr:`structure`) answers from the rows alone, with
+        no lookup: on layers a row is in it iff its treated count is a layer
+        size, on pairs iff it treats one unit of each pair."""
+        u = self._assignments(w)
+        sizes, complete, _ = self.structure
+        if complete == "layers":
+            return sizes[u.sum(axis=1)] != 0
+        if complete == "pairs":
+            first, second = self.pair_units
+            return (u[:, first] != u[:, second]).all(axis=1)
+        return self._find(np.packbits(u, axis=1)) >= 0
+
+    def _assignments(self, w: np.ndarray) -> np.ndarray:
+        """``w`` as (k, n) 0/1 rows (:func:`_bits`), refused in another shape."""
         w = np.asarray(w)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValidationError(f"need (k, {self.n}) assignments, got shape {w.shape}")
-        return self._find(_pack(w))
+        return _bits(w)
 
     def _find(self, packed: np.ndarray | bytes) -> np.ndarray:
         """Support row of each packed row (or key bytes); -1 if not in the support."""
@@ -379,6 +403,15 @@ class ExplicitDesign(Design):
                 np.all(self._treats(a) != self._treats(b)) for a, b in self.pairs):
             complete = "pairs"
         return Structure(sizes, complete, even_weights)
+
+    @cached_property
+    def pair_units(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first and the second unit of each of the design's ``pairs``, as
+        two read-only (J,) index arrays."""
+        first, second = np.array(self.pairs).T
+        first.setflags(write=False)
+        second.setflags(write=False)
+        return first, second
 
     def _treats(self, i: int) -> np.ndarray:
         """(support_size,) bool: whether each support row treats unit ``i``."""

@@ -82,46 +82,46 @@ def c_vector(po: PotentialOutcomes, pi: np.ndarray) -> np.ndarray:
     return (1.0 - pi) * po.y1 + pi * po.y0
 
 
-def _sample_variances(x: np.ndarray) -> np.ndarray:
-    """``np.var(x, axis=1, ddof=1)`` to the bit, without its dispatch: the same
-    row sums, mean, squared deviations and divisions, in the same order."""
-    m = x.shape[1]
-    dev = x - np.add.reduce(x, axis=1, keepdims=True) / m
+def _squared_deviations(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared deviations from its mean, computed as
+    ``np.var`` computes it, to the bit, without its dispatch: row sums,
+    divide by the count, subtract, square in place, sum."""
+    dev = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
     np.multiply(dev, dev, out=dev)
-    return np.add.reduce(dev, axis=1) / (m - 1)
+    return np.add.reduce(dev, axis=1)
+
+
+def _sample_variances(x: np.ndarray) -> np.ndarray:
+    """``np.var(x, axis=1, ddof=1)`` to the bit: :func:`_squared_deviations`
+    divided by the count - 1."""
+    return _squared_deviations(x) / (x.shape[1] - 1)
 
 
 def _group_variances(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each of k realized tables' treated and control sample variances and
     treated count (s2_t, s2_c, n_t): (k, n) 0/1 assignments ``w`` and the
     matching observed outcomes ``y``. Each variance is ``np.var(..., ddof=1)``
-    of the row's arm, to the bit. Rows that share one treated-group size
-    (every fixed-size design, every one-table call) take one gather per arm,
-    and at N_t = N/2 both arms are one (2k, N/2) stack; mixed sizes are
-    scored size by size."""
+    of the row's arm, to the bit (:func:`_sample_variances`), scored one
+    treated-group size at a time; rows that all share one size (every
+    fixed-size design, every one-table call) are scored with no subset."""
     t = np.asarray(w, dtype=bool)
     k, n = t.shape
     kt = t.sum(axis=1)
-    lo, hi = (int(kt.min()), int(kt.max())) if k else (2, n - 2)  # no table to refuse
-    if lo < 2 or n - hi < 2:
-        r = int(np.argmax((kt < 2) | (n - kt < 2)))
+    few = (kt < 2) | (n - kt < 2)
+    if few.any():
+        r = int(np.argmax(few))
         raise _row_failure(AssumptionError(
             f"group variances need at least 2 units per group, got n_t={kt[r]}, n_c={n - kt[r]}"
         ), r)
-    # a row's treated (control) outcomes in unit order, one row each
-    if k and lo == hi:
-        if 2 * lo == n:
-            s2 = _sample_variances(np.concatenate((y[t], y[~t])).reshape(2 * k, lo))
-            return s2[:k], s2[k:], kt
-        return (_sample_variances(y[t].reshape(k, lo)),
-                _sample_variances(y[~t].reshape(k, n - lo)), kt)
-    s2 = np.empty((2, k))
-    for size in set(kt.tolist()):
-        rows = kt == size
+    s2_t, s2_c = np.empty(k), np.empty(k)
+    sizes = set(kt.tolist())
+    for size in sizes:
+        rows = kt == size if len(sizes) > 1 else slice(None)
         tr, yr = t[rows], y[rows]
-        s2[0, rows] = _sample_variances(yr[tr].reshape(-1, size))
-        s2[1, rows] = _sample_variances(yr[~tr].reshape(-1, n - size))
-    return s2[0], s2[1], kt
+        # a row's treated (control) outcomes in unit order, one row each
+        s2_t[rows] = _sample_variances(yr[tr].reshape(-1, size))
+        s2_c[rows] = _sample_variances(yr[~tr].reshape(-1, n - size))
+    return s2_t, s2_c, kt
 
 
 def _neyman_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -975,8 +975,8 @@ def _spy_lookups(monkeypatch) -> list:
 class TestFormulaRouteMembership:
     """On complete supports scored by formula a table's membership and its
     anchor count are read from the design's structure, with no lookup of its
-    support row; the anchor route still looks rows up, and a table off the
-    support is refused as the lookup refused it."""
+    support row; the anchor route looks the rows up once per call, and a
+    table off the support is refused as the lookup refused it."""
 
     @pytest.mark.parametrize("name", sorted(_ROUTE_DESIGNS))
     def test_no_row_lookup_on_the_formula_route(self, name, monkeypatch):
@@ -1007,7 +1007,7 @@ class TestFormulaRouteMembership:
         kernel(u, y)  # validates the map once in the kernel's life
         found = _spy_lookups(monkeypatch)
         _, _, counts = kernel(u, y)
-        assert found
+        assert found == [1]  # one lookup of the tables' rows per call
         if g is not None:  # not the whole relation's anchor counts
             assert counts.tolist() != substitute_counts(d)[:3].tolist()
 

@@ -242,6 +242,15 @@ def test_psi_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def _all_rows_design(n: int, keep, drop: int | None = None) -> ExplicitDesign:
+    """Uniform design on every n-unit row whose treated count m passes
+    ``keep(m)``, less the row ``drop`` of them if given."""
+    rows = [r for r in itertools.product((0, 1), repeat=n) if keep(sum(r))]
+    if drop is not None:
+        del rows[drop]
+    return ExplicitDesign(np.array(rows), np.full(len(rows), 1.0 / len(rows)))
+
+
 class TestLookup:
     def test_rows_of_members_and_non_members(self):
         d = build_crd(70, 2)
@@ -292,6 +301,34 @@ class TestLookup:
             assert w not in d
             with pytest.raises(ValidationError, match="is not in the design support"):
                 d.index_of(w)
+
+    @pytest.mark.parametrize("make, complete", [
+        (lambda: build_crd(6, 3), "layers"),
+        (lambda: _all_rows_design(6, lambda m: m in (2, 4)), "layers"),
+        (lambda: build_matched_pair([(0, 3), (4, 1), (2, 5)]), "pairs"),
+        (lambda: build_rerandomized(build_crd(6, 3), np.arange(6.0) ** 2, 0.5), None),
+        (lambda: _all_rows_design(6, lambda m: m == 3, drop=5), None),
+    ], ids=["crd-6-3", "layers-6-2-and-6-4", "pairs-3", "rerandomized-6-3", "crd-6-3-less-one"])
+    @pytest.mark.parametrize("dtype", [np.int8, bool, float])
+    def test_in_support_is_the_lookup(self, make, complete, dtype, monkeypatch):
+        d = make()
+        assert d.structure.complete == complete
+        every = np.array(list(itertools.product((0, 1), repeat=6)), dtype=dtype)
+        want = d.rows_of(every) >= 0
+        found, find = [], ExplicitDesign._find
+        monkeypatch.setattr(ExplicitDesign, "_find",
+                            lambda self, packed: found.append(1) or find(self, packed))
+        got = d.in_support(every)
+        assert got.dtype == bool and got.tolist() == want.tolist()
+        assert want.sum() == d.support_size
+        assert bool(found) == (complete is None)  # a complete support needs no lookup
+
+    def test_in_support_refuses_as_the_lookup_refuses(self):
+        d = build_crd(6, 3)
+        with pytest.raises(ValidationError, match=r"need \(k, 6\) assignments"):
+            d.in_support(np.zeros((2, 5)))
+        with pytest.raises(ValidationError, match="0 or 1, got 2.0"):
+            d.in_support(np.array([[1.0, 2.0, 0.0, 1.0, 0.0, 0.0]]))
 
     def test_rows_of_rejects_a_wrong_width(self):
         with pytest.raises(ValidationError, match="assignments"):
