@@ -101,18 +101,7 @@ def cmd_analyze(args) -> int:
     d = io_mod.load_design(args.design)
     obs = io_mod.load_observed(args.data)
     name, options = _estimator_from_args(args, d)
-    result = sim.resolve_estimator(name, d, **options)(obs)
-    payload = {
-        "estimator": result.estimator,
-        "value": result.value,
-        "exact": result.exact,
-        "warnings": list(result.warnings),
-        "params": dict(result.params),
-    }
-    if result.mc_draws:
-        payload["mc_draws"] = result.mc_draws
-        payload["mc_se"] = result.mc_se
-    _print(payload, args.json)
+    _print(sim.resolve_estimator(name, d, **options)(obs).to_dict(), args.json)
     return 0
 
 

@@ -192,7 +192,6 @@ class ObservedData:
     w: AssignmentVector
     y_obs: np.ndarray
     pair_labels: tuple[tuple[int, int], ...] | None = None
-    covariates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y_obs", _as_float_vector(self.y_obs, "y_obs"))
@@ -212,9 +211,10 @@ def reveal(po: PotentialOutcomes, w: AssignmentVector, *,
            pair_labels: tuple[tuple[int, int], ...] | None = None) -> ObservedData:
     """Observe a science table under assignment ``w``.
 
-    Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment; the batch route,
-    ``oracles._kernel_values``, forms it for a whole row block of the support
-    at once.
+    Forms Y_obs = W*Y(1) + (1-W)*Y(0) for one assignment. The oracles do not
+    call it: their one support pass, ``oracles._kernel_values``, forms it for a
+    whole row block at once, and a scalar estimator gets each row's table, the
+    same values, from that block.
     """
     if po.n != w.n:
         raise ValidationError(f"table has {po.n} units but assignment has {w.n}")
@@ -243,17 +243,15 @@ class VarianceEstimate:
         return float(self.value)
 
     def to_dict(self) -> dict[str, Any]:
+        """The estimate's fields as ``designvar analyze`` prints them."""
         out: dict[str, Any] = {
-            "value": self.value,
             "estimator": self.estimator,
+            "value": self.value,
             "exact": self.exact,
+            "warnings": list(self.warnings),
+            "params": dict(self.params),
         }
-        if not self.exact:
+        if self.mc_draws:
             out["mc_draws"] = self.mc_draws
             out["mc_se"] = self.mc_se
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
         return out
-

@@ -856,8 +856,16 @@ def build_rerandomized(
 
     if isinstance(base, ExplicitDesign):
         b = max(1, ROW_BLOCK // (base.n * x.shape[1]))  # rows per call: bounded gathers
-        keep = np.concatenate([score(np.unpackbits(base._packed[i:i + b], axis=1, count=base.n))
-                               < threshold for i in range(0, base.support_size, b)])
+        parts = []
+        for i in range(0, base.support_size, b):
+            try:
+                parts.append(score(np.unpackbits(base._packed[i:i + b], axis=1, count=base.n))
+                             < threshold)
+            except Exception as exc:
+                if hasattr(exc, "row"):  # a refusal names its support row, not its chunk's
+                    exc.row += i
+                raise
+        keep = np.concatenate(parts)
         if not keep.any():
             raise ValidationError(
                 f"infeasible threshold {threshold}: no support vector is balanced enough"

@@ -2,9 +2,10 @@
 
 Everything here needs the full design support, so it applies to explicit
 designs only. These are the reference quantities the estimators are tested
-against; they deliberately use routes independent of the estimators
-themselves (direct enumeration rather than shared algebra). psi alone does
-not sum along the support: it reads the design's n x n factor of its form.
+against. Every expectation is one pass over the support in row blocks
+(:func:`_kernel_values`); a scalar estimator is called once per row, on that
+row's revealed table. psi alone does not sum along the support: it reads the
+design's n x n factor of its form.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    AssignmentVector,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
     ValidationError,
-    reveal,
+    _row_failure,
 )
 from .designs import Design, ExplicitDesign, _contrast_rows
 from .estimators import hajek
@@ -102,22 +104,20 @@ def true_variance(d: Design, po: PotentialOutcomes) -> float:
     return math.fsum(d.probs * (dev * dev))
 
 
-def _support_values(
-    d: ExplicitDesign,
-    po: PotentialOutcomes,
-    est: Callable[[ObservedData], "float | object"],
-) -> np.ndarray:
-    """``float(est(obs))`` for the table revealed at every support row."""
-    if po.n != d.n:
-        raise ValidationError(f"table has {po.n} units but design has {d.n}")
-    values = np.empty(d.support_size)
-    for k, (w, _) in enumerate(d.enumerate_support()):
-        try:
-            values[k] = float(est(reveal(po, w, pair_labels=d.pairs)))
-        except Exception as exc:
-            exc.args = (f"{exc} (estimator failed at support vector {w})",)
-            raise
-    return values
+def _scalar_kernel(d: ExplicitDesign, est: Callable[[ObservedData], "float | object"]):
+    """``est`` as a one-name batch kernel: ``float(est(obs))`` for each row of a
+    block, on that row's revealed table with the design's pair labels. A
+    failure is re-raised with its row (``exc.row``)."""
+    def kernel(u: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        values = np.empty(len(u))
+        for i, bits in enumerate(u.astype(np.int8).tolist()):
+            try:
+                w = AssignmentVector.from_bits(bits)
+                values[i] = float(est(ObservedData(w=w, y_obs=y[i], pair_labels=d.pairs)))
+            except Exception as exc:
+                raise _row_failure(exc, i)
+        return [values]
+    return kernel
 
 
 def _weighted_moments(d: ExplicitDesign, values: np.ndarray) -> tuple[float, float]:
@@ -128,19 +128,20 @@ def _weighted_moments(d: ExplicitDesign, values: np.ndarray) -> tuple[float, flo
 
 
 def _moments(d: ExplicitDesign, po: PotentialOutcomes, est) -> tuple[float, float]:
-    return _weighted_moments(d, _support_values(d, po, est))
+    return _weighted_moments(d, _kernel_values(d, po, _scalar_kernel(d, est))[0])
 
 
 def _kernel_values(d: ExplicitDesign, po: PotentialOutcomes, kernel) -> list[np.ndarray]:
     """A batch kernel's value arrays (one per estimator it scores) on the
     tables revealed, once, at every support row.
 
-    ``kernel`` is a ``simulate._batch_kernel``, called once per row block of
-    the support, in order. Its state (a Monte Carlo factor, a validated
-    substitute map) is made once in its life, and each row's values do not
-    depend on its block, so the arrays are those of one call on the whole
-    support. The first block with a refusal raises it; a refusal of one row
-    (``exc.row``) names that row's support vector.
+    ``kernel`` is a ``simulate._batch_kernel`` or a :func:`_scalar_kernel`,
+    called once per row block of the support, in order. Its state (a Monte
+    Carlo factor, a validated substitute map) is made once in its life, and
+    each row's values do not depend on its block, so the arrays are those of
+    one call on the whole support. The first block with a failure raises it, and this is the one
+    place that names a failing support row: an exception of any type carrying
+    ``exc.row`` gets the support row and, in its message, the row's vector.
     """
     if po.n != d.n:
         raise ValidationError(f"table has {po.n} units but design has {d.n}")
@@ -149,7 +150,7 @@ def _kernel_values(d: ExplicitDesign, po: PotentialOutcomes, kernel) -> list[np.
         for u, _ in d._blocks():
             parts.append(kernel(u, np.where(u == 1, po.y1, po.y0)))
             offset += len(u)
-    except (AssumptionError, ValidationError) as exc:
+    except Exception as exc:
         if hasattr(exc, "row"):
             exc.row += offset
             exc.args = (f"{exc} (estimator failed at support vector {d.vector(exc.row)})",)
@@ -179,5 +180,5 @@ def true_mse_hajek(d: Design, po: PotentialOutcomes) -> float:
     """Exact design MSE of the ratio estimator about the true effect."""
     d = _require_explicit(d, "true_mse_hajek")
     pi = d.propensities
-    devs = _support_values(d, po, lambda obs: hajek(obs, pi)) - po.tau
+    devs = _kernel_values(d, po, _scalar_kernel(d, lambda obs: hajek(obs, pi)))[0] - po.tau
     return math.fsum(d.probs * (devs * devs))

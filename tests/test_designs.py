@@ -26,6 +26,7 @@ from designvar import (
     substitution_mode,
     validate_q,
 )
+import designvar.designs
 from designvar.core import PROB_TOL
 from designvar.designs import ExplicitDesign, SampledDesign, _max_asmd_rows, _MaxAsmdScreen
 from designvar.estimators import check_propensities
@@ -544,6 +545,19 @@ class TestBalanceScreen:
             _MaxAsmdScreen(x, 0.2)(w)
         assert want.value.row == row
         assert (str(got.value), got.value.row) == (str(want.value), want.value.row)
+
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_explicit_filter_refusal_names_its_support_row(self, monkeypatch, block):
+        # at 40 entries, 8 units and 2 covariates, the base is scored 2 rows at a time
+        if block is not None:
+            monkeypatch.setattr(designvar.designs, "ROW_BLOCK", block)
+        rows = [w.to_string() for w in build_crd(8, 4).support + build_crd(8, 7).support]
+        base = build_explicit(rows, [1.0 / len(rows)] * len(rows))
+        x = np.random.default_rng(7).normal(size=(8, 2))
+        with pytest.raises(ValidationError) as exc:
+            build_rerandomized(base, x, 0.5)
+        assert str(exc.value) == "asmd needs at least two units per group"
+        assert exc.value.row == base.index_of(AssignmentVector.from_string("01111111")) == 35
 
     def test_explicit_filter_equals_exact_kernel_filter(self):
         base = build_crd(12, 6)

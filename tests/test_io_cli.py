@@ -20,8 +20,10 @@ from designvar import (
     load_observed,
     load_science_table,
     load_substitute_map,
+    neyman_variance,
 )
 from designvar.cli import main
+from designvar.simulate import resolve_estimator
 from designvar.contrast import substitute_counts
 
 from conftest import random_table
@@ -461,6 +463,34 @@ def test_malformed_number_exits_2_naming_the_field(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "out").exists()
+
+
+class TestVarianceEstimateToDict:
+    """``VarianceEstimate.to_dict`` is the payload ``analyze`` prints, in its order."""
+
+    def _analyze(self, capsys, design, obs, *flags) -> list[str]:
+        assert main(["analyze", "--design", design, "--data", obs, *flags]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_exact_estimate(self, crd_file, obs_file, capsys):
+        est = neyman_variance(load_observed(obs_file))
+        assert est.to_dict() == {"estimator": "neyman", "value": est.value, "exact": True,
+                                 "warnings": [], "params": {"n_t": 2, "n_c": 2}}
+        assert list(est.to_dict()) == ["estimator", "value", "exact", "warnings", "params"]
+        lines = self._analyze(capsys, crd_file, obs_file, "--estimator", "neyman")
+        assert lines == [f"{k}: {v}" for k, v in est.to_dict().items()]
+
+    def test_monte_carlo_estimate(self, crd_file, obs_file, capsys):
+        d, obs = load_design(crd_file), load_observed(obs_file)
+        est = resolve_estimator("imputation:theta-loo", d, mc_draws=500, seed=3)(obs)
+        assert est.to_dict() == {
+            "estimator": "imputation", "value": est.value, "exact": False, "warnings": [],
+            "params": {"gamma": "theta_loo", "seed": 3}, "mc_draws": 500, "mc_se": est.mc_se,
+        }
+        assert list(est.to_dict())[-2:] == ["mc_draws", "mc_se"]
+        lines = self._analyze(capsys, crd_file, obs_file, "--estimator", "imputation",
+                              "--gamma", "theta-loo", "--mc", "--mc-draws", "500", "--seed", "3")
+        assert lines == [f"{k}: {v}" for k, v in est.to_dict().items()]
 
 
 class TestCliOracle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from designvar import (
     PotentialOutcomes,
     build_crd,
     build_explicit,
+    build_matched_pair,
+    build_rerandomized,
     estimator_expectation,
     estimator_moments,
     hajek,
@@ -24,6 +28,9 @@ from designvar import (
     true_mse_hajek,
     true_variance,
 )
+import designvar.designs
+from designvar.oracles import _weighted_moments
+from designvar.simulate import resolve_estimator
 
 from conftest import random_table
 
@@ -133,6 +140,80 @@ class TestEstimatorExpectation:
         assert mean == pytest.approx(float(probs @ values), rel=1e-12)
         expected_sd = float(np.sqrt(probs @ (values - mean) ** 2))
         assert sd == pytest.approx(expected_sd, rel=1e-10)
+
+
+ONE_PASS_DESIGNS = {
+    "crd-8-4": lambda: build_crd(8, 4),
+    "pairs-4": lambda: build_matched_pair([(0, 1), (2, 3), (4, 5), (6, 7)]),
+    "rerandomized-10-5": lambda: build_rerandomized(
+        build_crd(10, 5), np.random.default_rng(0).normal(size=(10, 2)), 0.3),
+    "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+}
+
+
+def _per_row_values(d, po, est) -> np.ndarray:
+    """Reference: the estimator on the table revealed at each support row."""
+    return np.array([float(est(reveal(po, w, pair_labels=d.pairs)))
+                     for w, _ in d.enumerate_support()])
+
+
+def _bits(*values: float) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.fixture(params=["default-block", "block-40"])
+def block(request, monkeypatch):
+    """Support passes at the default row block and at 40 entries (many blocks)."""
+    if request.param == "block-40":
+        monkeypatch.setattr(designvar.designs, "ROW_BLOCK", 40)
+
+
+class TestOneSupportPass:
+    """Scalar estimator callables are scored in the oracles' one pass over
+    the support: one call per row, and each failure names its support row."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_DESIGNS))
+    def test_equals_the_per_row_reference_to_the_bit(self, block, name):
+        d = ONE_PASS_DESIGNS[name]()
+        po = random_table(np.random.default_rng(21), d.n)
+        names = ["v_am", "imputation:theta-loo"] + (["v_sub"] if d.kind == "matched_pair" else [])
+        estimators = [neyman_variance] + [resolve_estimator(e, d) for e in names]
+        for est in estimators:
+            mean, sd = _weighted_moments(d, _per_row_values(d, po, est))
+            assert _bits(*estimator_moments(d, po, est)) == _bits(mean, sd)
+            assert _bits(estimator_expectation(d, po, est)) == _bits(mean)
+        devs = _per_row_values(d, po, lambda obs: hajek(obs, d.propensities)) - po.tau
+        assert _bits(true_mse_hajek(d, po)) == _bits(math.fsum(d.probs * (devs * devs)))
+
+    def test_a_nested_refusal_names_its_support_row(self, block):
+        # neyman_variance refuses the size-7 row as row 0 of its one-row batch;
+        # the oracle reports the row of the support, 70
+        rows = [w.to_string() for w in build_crd(8, 4).support] + ["11111110"]
+        d = build_explicit(rows, [1.0 / len(rows)] * len(rows))
+        po = random_table(np.random.default_rng(12), 8)
+        with pytest.raises(AssumptionError) as exc:
+            estimator_expectation(d, po, neyman_variance)
+        assert str(exc.value) == (
+            "group variances need at least 2 units per group, got n_t=7, n_c=1 "
+            "(estimator failed at support vector 11111110)"
+        )
+        assert exc.value.row == 70
+
+    def test_a_user_error_keeps_its_type_and_message(self, block):
+        d = build_crd(8, 4)
+        po = random_table(np.random.default_rng(13), 8)
+        bad = d.vector(52)
+
+        def est(obs):
+            if obs.w == bad:
+                raise ValueError("boom")
+            return 0.0
+
+        with pytest.raises(ValueError) as exc:
+            estimator_moments(d, po, est)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"boom (estimator failed at support vector {bad.to_string()})"
+        assert exc.value.row == 52
 
 
 class TestPsiMc:
