@@ -205,7 +205,8 @@ def _scenario_from_json(payload: dict, args) -> sim.ScenarioSpec:
         n_replications=io_mod._whole(
             payload.get("n_replications", args.reps), "scenario file: 'n_replications'"),
         n_inner_draws=io_mod._whole(
-            payload.get("n_inner_draws", args.inner_draws), "scenario file: 'n_inner_draws'"),
+            payload.get("n_inner_draws", sim.DEFAULT_INNER_DRAWS),
+            "scenario file: 'n_inner_draws'"),
         seed=io_mod._whole(payload.get("seed", args.seed), "scenario file: 'seed'"),
     )
 

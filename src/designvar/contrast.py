@@ -232,39 +232,27 @@ def full_substitute_set(d: Design, w, *, cap: int = SUBSTITUTE_CAP) -> Substitut
     return SubstituteSet(anchor=w, members=members)
 
 
-def _layer_counts(d: ExplicitDesign) -> np.ndarray:
-    """(N + 1,) read-only, kept on the design: entry m is the substitute count
-    C(m, k)·C(N - m, m - k) of a size-m row of complete layers, k the overlap
-    count, and 0 for a size the support does not hold."""
+def _size_counts(d: ExplicitDesign) -> np.ndarray | None:
+    """The substitute count of a row by its treated-group size on a complete
+    support (:attr:`ExplicitDesign.structure`), else None: (N + 1,) int64,
+    read-only and kept on the design, whose entry m is C(m, k)·C(N - m, m - k)
+    on complete layers and C(J, k) on J complete pairs (every row of size J),
+    k the overlap count, and 0 for a size the support does not hold."""
 
-    def build() -> np.ndarray:
-        n, per_size = d.n, np.zeros(d.n + 1, dtype=np.int64)
+    def build() -> np.ndarray | None:
+        n, (sizes, complete, _) = d.n, d.structure
+        if complete is None:
+            return None
+        per_size = np.zeros(n + 1, dtype=np.int64)
         # ascending: a refusal names the scan's size
-        for m in np.flatnonzero(d.structure.sizes).tolist():
+        for m in np.flatnonzero(sizes).tolist():
             k = _overlap_count(n, m)
-            per_size[m] = math.comb(m, k) * math.comb(n - m, m - k)
+            count = math.comb(m, k)
+            per_size[m] = count if complete == "pairs" else count * math.comb(n - m, m - k)
         per_size.setflags(write=False)
         return per_size
 
-    return d._memo("_layer_counts", build)
-
-
-def _pair_count(d: ExplicitDesign) -> int:
-    """The substitute count C(J, k) of every row of J complete pairs."""
-    j = len(d.pairs)
-    return math.comb(j, _overlap_count(d.n, j))
-
-
-def _closed_form_counts(d: ExplicitDesign) -> np.ndarray | None:
-    """The counts of :func:`substitute_counts` by formula on a complete support
-    (:attr:`ExplicitDesign.structure`), else None: :func:`_layer_counts` by
-    group size on complete layers, :func:`_pair_count` on complete pairs."""
-    complete = d.structure.complete
-    if complete == "layers":
-        return _layer_counts(d)[d.group_sizes]
-    if complete == "pairs":
-        return np.full(d.support_size, _pair_count(d))
-    return None
+    return d._memo("_size_counts", build)
 
 
 def substitute_counts(d: Design) -> np.ndarray:
@@ -286,10 +274,12 @@ def substitute_counts(d: Design) -> np.ndarray:
     d = _require_explicit(d, "count")
 
     def count() -> np.ndarray:
-        counts = _closed_form_counts(d)
-        if counts is None:
+        per_size = _size_counts(d)
+        if per_size is None:
             counts = np.concatenate([_substitute_rows(d, rows).sum(axis=1)
                                      for rows in _row_blocks(d)])
+        else:
+            counts = per_size[d.group_sizes]
         counts.setflags(write=False)
         return counts
 
@@ -394,10 +384,11 @@ def _normalize_g(d: ExplicitDesign, g: Mapping) -> tuple[np.ndarray, np.ndarray]
     return sizes, pairs
 
 
-def _layer_values(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """s2_t/N_c + s2_c/N_t on k realized tables (arguments as in :func:`_group_variances`)."""
+def _layer_values(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s2_t/N_c + s2_c/N_t on k realized tables, and each table's treated
+    count N_t (arguments as in :func:`_group_variances`)."""
     s2_t, s2_c, n_t = _group_variances(w, y)
-    return s2_t / (np.shape(w)[1] - n_t) + s2_c / n_t
+    return s2_t / (np.shape(w)[1] - n_t) + s2_c / n_t, n_t
 
 
 def _anchor_sums(d: ExplicitDesign, rows: np.ndarray, y: np.ndarray, sizes: np.ndarray,
@@ -478,12 +469,13 @@ def _substitute_values(
         if even and complete and (
                 g is None or np.array_equal(kept["map"][0], substitute_counts(d))):
             # complete layers and pairs give every row substitutes
-            t = np.asarray(w, dtype=bool)
+            t, per_size = np.asarray(w, dtype=bool), _size_counts(d)
             if complete == "layers":
-                return _layer_values(t, y), mode, _layer_counts(d)[t.sum(axis=1)]
+                values, n_t = _layer_values(t, y)
+                return values, mode, per_size[n_t]
             first, second = d.pair_units
             return (_pair_values(t[:, first], y[:, first], y[:, second]), mode,
-                    np.full(len(t), _pair_count(d)))
+                    np.full(len(t), per_size[len(d.pairs)]))
         if rows is None:
             rows = d.rows_of(w)
         sizes, pairs = (substitute_counts(d), None) if g is None else kept["map"]

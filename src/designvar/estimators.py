@@ -60,8 +60,11 @@ def hajek(obs: ObservedData, pi: np.ndarray) -> float:
     Each group mean is normalized by its realized total weight; under a
     constant propensity this reduces to the difference in means.
     """
-    n = obs.w.n
-    pi = check_propensities(pi, n)
+    return _hajek(obs, check_propensities(pi, obs.w.n))
+
+
+def _hajek(obs: ObservedData, pi: np.ndarray) -> float:
+    """:func:`hajek` with ``pi`` already checked by :func:`check_propensities`."""
     bits = obs.w.to_array().astype(bool)
     if not bits.any() or bits.all():
         raise AssumptionError("hajek estimator is undefined: one realized group is empty")

@@ -25,7 +25,7 @@ from .core import (
     _row_failure,
 )
 from .designs import Design, ExplicitDesign, _contrast_rows
-from .estimators import hajek
+from .estimators import _hajek
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,6 @@ def estimator_moments(
 def true_mse_hajek(d: Design, po: PotentialOutcomes) -> float:
     """Exact design MSE of the ratio estimator about the true effect."""
     d = _require_explicit(d, "true_mse_hajek")
-    pi = d.propensities
-    devs = _kernel_values(d, po, _scalar_kernel(d, lambda obs: hajek(obs, pi)))[0] - po.tau
+    pi = d._checked_propensities()
+    devs = _kernel_values(d, po, _scalar_kernel(d, lambda obs: _hajek(obs, pi)))[0] - po.tau
     return math.fsum(d.probs * (devs * devs))

@@ -396,40 +396,49 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     One batch kernel scores the whole revealed support for every estimator
     in one call.
     """
-    d = spec.design_spec
-    if not isinstance(d, ExplicitDesign):
-        raise AssumptionError(
-            "run_study scores estimators by exact enumeration and needs an "
-            "enumerable design; use run_study_b for sampler-backed designs"
-        )
-    kernel = _batch_kernel(spec.estimators, d)
+    return _run_scenarios(spec.name, [spec], {"seed": spec.seed,
+                                               "n_replications": spec.n_replications})
+
+
+def _run_scenarios(study: str, specs: Sequence[ScenarioSpec], meta: dict) -> SimResult:
+    """The one runner of the exact studies: each scenario of ``specs`` scored
+    in order as :func:`run_study` describes, with one batch kernel per
+    scenario, and every record summarized once into ``study``'s result."""
     records: list[SimRecord] = []
     excluded = 0
-    for rep in range(spec.n_replications):
-        rng = np.random.default_rng((spec.seed, rep))
-        po = gen_outcomes(spec.outcome_model, d.n, rng)
-        var = true_variance(d, po)
-        if var <= 0.0:
-            excluded += 1
-            continue
-        for name, values in zip(spec.estimators, _kernel_values(d, po, kernel)):
-            mean, sd = _weighted_moments(d, values)
-            records.append(
-                SimRecord(
-                    scenario=spec.name,
-                    model=spec.outcome_model.label,
-                    replication=rep,
-                    estimator=name,
-                    relative_bias=(mean - var) / var,
-                    sd=sd,
-                )
+    for spec in specs:
+        d = spec.design_spec
+        if not isinstance(d, ExplicitDesign):
+            raise AssumptionError(
+                "run_study scores estimators by exact enumeration and needs an "
+                "enumerable design; use run_study_b for sampler-backed designs"
             )
+        kernel = _batch_kernel(spec.estimators, d)
+        for rep in range(spec.n_replications):
+            rng = np.random.default_rng((spec.seed, rep))
+            po = gen_outcomes(spec.outcome_model, d.n, rng)
+            var = true_variance(d, po)
+            if var <= 0.0:
+                excluded += 1
+                continue
+            for name, values in zip(spec.estimators, _kernel_values(d, po, kernel)):
+                mean, sd = _weighted_moments(d, values)
+                records.append(
+                    SimRecord(
+                        scenario=spec.name,
+                        model=spec.outcome_model.label,
+                        replication=rep,
+                        estimator=name,
+                        relative_bias=(mean - var) / var,
+                        sd=sd,
+                    )
+                )
     return SimResult(
-        study=spec.name,
+        study=study,
         records=tuple(records),
         summary=_summarize(records, excluded),
         excluded_zero_variance=excluded,
-        meta={"seed": spec.seed, "n_replications": spec.n_replications},
+        meta=meta,
     )
 
 
@@ -472,21 +481,6 @@ def _summarize(records: Iterable[SimRecord], excluded: int) -> dict:
     return {"scenarios": scenarios, "excluded_zero_variance": excluded}
 
 
-def _merge_results(study: str, parts: Sequence[SimResult], meta: dict) -> SimResult:
-    records: list[SimRecord] = []
-    excluded = 0
-    for part in parts:
-        records.extend(part.records)
-        excluded += part.excluded_zero_variance
-    return SimResult(
-        study=study,
-        records=tuple(records),
-        summary=_summarize(records, excluded),
-        excluded_zero_variance=excluded,
-        meta=meta,
-    )
-
-
 # ---------------------------------------------------------------------------
 # appendix-C scenarios: imputation estimators under complete randomization
 # ---------------------------------------------------------------------------
@@ -515,25 +509,20 @@ def run_appendix_c(
     estimators: tuple[str, ...] = APPENDIX_C_ESTIMATORS,
 ) -> SimResult:
     """Six CRD scenarios comparing the four imputation-gamma choices."""
-    parts = []
-    for k, (name, n, n_treated, model_kind) in enumerate(_APPENDIX_C_LAYOUT):
-        model = (
-            OutcomeModel.constant_random()
-            if model_kind == "constant_random"
-            else OutcomeModel.heterogeneous()
-        )
-        spec = ScenarioSpec(
+    specs = [
+        ScenarioSpec(
             name=name,
             design_spec=build_crd(n, n_treated),
-            outcome_model=model,
+            outcome_model=OutcomeModel(model_kind),
             estimators=estimators,
             n_replications=n_replications,
             n_inner_draws=0,
             seed=1000 * seed + k,
         )
-        parts.append(run_study(spec))
+        for k, (name, n, n_treated, model_kind) in enumerate(_APPENDIX_C_LAYOUT)
+    ]
     meta = {"seed": seed, "n_replications": n_replications}
-    return _merge_results("appendix-c", parts, meta)
+    return _run_scenarios("appendix-c", specs, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +557,8 @@ def run_study_a(
 ) -> SimResult:
     """Study A: four outcome models on the non-measurable 12-unit design."""
     d, x = study_a_design(seed)
-    parts = []
-    for k, model in enumerate(study_models()):
-        spec = ScenarioSpec(
+    specs = [
+        ScenarioSpec(
             name=f"study-a:{model.label}",
             design_spec=d,
             outcome_model=model,
@@ -579,7 +567,8 @@ def run_study_a(
             n_inner_draws=0,
             seed=1000 * seed + k,
         )
-        parts.append(run_study(spec))
+        for k, model in enumerate(study_models())
+    ]
     meta = {
         "seed": seed,
         "n_replications": n_replications,
@@ -587,7 +576,7 @@ def run_study_a(
         "balance_threshold": BALANCE_THRESHOLD,
         "pr_first_pair_both_treated": 0.0,
     }
-    return _merge_results("study-a", parts, meta)
+    return _run_scenarios("study-a", specs, meta)
 
 
 # ---------------------------------------------------------------------------

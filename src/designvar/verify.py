@@ -120,7 +120,8 @@ def _suite_contrast_crd(rng: np.random.Generator, tol: float) -> list[CheckResul
                ("weighted-9-3-9-6", layers)]
     return _anchor_checks(rng, tol, "thm2", [
         *[(f"two-sample-crd-{n}", build_crd(n, n // 2), "neyman") for n in (4, 8, 12)],
-        *[(f"layer-formula-{name}", d, lambda w, y: [_layer_values(w, y)]) for name, d in unequal],
+        *[(f"layer-formula-{name}", d, lambda w, y: [_layer_values(w, y)[0]])
+          for name, d in unequal],
     ])
 
 

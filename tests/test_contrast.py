@@ -555,7 +555,7 @@ class TestClosedFormCounts:
     )
     def test_incomplete_support_is_scanned(self, make):
         d = make()
-        assert contrast._closed_form_counts(d) is None
+        assert contrast._size_counts(d) is None
         assert substitute_counts(d).tolist() == _scanned_counts(d).tolist()
 
     def test_crd_20_10_is_never_scanned(self, monkeypatch):
@@ -602,7 +602,7 @@ class TestSupportStructure:
                 patch.setattr(contrast, "_substitute_rows", _no_scan)
             counts = substitute_counts(d)
         assert counts.tolist() == _scanned_counts(d).tolist()
-        assert (contrast._closed_form_counts(d) is None) == (complete is None)
+        assert (contrast._size_counts(d) is None) == (complete is None)
 
     def test_assumption_report_reads_the_sizes(self):
         d = build_explicit(_layers(9, 3, 6), [1.0 / 168] * 168)
@@ -713,7 +713,7 @@ class TestPackedSupportPass:
         if name.startswith("epsem"):
             assert set(d.group_sizes.tolist()) == {3, 6}
         if name == "rerandomized-12-6":
-            assert contrast._closed_form_counts(d) is None
+            assert contrast._size_counts(d) is None
         if name == "whole-weights-crd-8-4":
             assert np.ptp(d.probs) > 0 and np.all(d.propensities == 0.5)
         for mse in modes:

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of ``designvar simulate`` outputs.
 
-The digests pin results.csv, summary.json and every box-plot SVG of two
+The digests pin results.csv, summary.json and every box-plot SVG of three
 fixed-seed runs, so a change to how the studies are scored or summarized
 must leave every output byte the same. The appendix-c run has 150
 replications, enough for the summary means to reach numpy's pairwise
@@ -23,6 +23,11 @@ most 1.6e-15 relative, its summary.json 56 values by at most 7.1e-15
 absolute (1.0e-15 relative); study-b results.csv 14 of 72 values by at most
 7.0e-16 relative, its summary.json 17 values by at most 2.8e-17 absolute
 (6.9e-16 relative). No SVG digest moved. All on numpy 2.4.
+
+The study-a digests, of a two-replication run, were made with the code
+before studies A and C were scored by one scenario runner, when each
+scenario was scored and summarized on its own and the per-scenario results
+were merged and summarized again.
 """
 
 from __future__ import annotations
@@ -45,6 +50,17 @@ GOLDEN = {
             "boxplot-scenario-6.svg": "8207c19ca5e75d34b83b468bbecfeeb641009ea7051f2ca3488a4d56930894e4",
             "results.csv": "ad38024f9a2727401c1fa8e1159652b337c992c3091df3e9c8632c3dfec51440",
             "summary.json": "f50086ce8be8d137f6c0fdf416ba64935a6041b561c32ae916cebfb81d7ed873",
+        },
+    ),
+    "study-a": (
+        ["--study", "a", "--reps", "2", "--seed", "0"],
+        {
+            "boxplot-study-a-constant_fixed.svg": "d77d19d2ba7cc8270a62e87109f86e2955c3a020bfa843db35888744b0e5dc83",
+            "boxplot-study-a-constant_random.svg": "527ede4aaf31e9ddb8e2d31dc3c2b8a65781dbc4974f3c8f666cc2e192bcfefe",
+            "boxplot-study-a-heterogeneous.svg": "624a64989d93d8991dd3ef02a468e15a85d610c2e7e93af388025fb63dd7f9cf",
+            "boxplot-study-a-no_effect.svg": "77a03b9508629e3db9a3273d9f2610edbb37d0c00707f0ead43d5886a17eb862",
+            "results.csv": "96d96f20d1e9b23f0d95a4568465201d2af9e06f49abedde5c64b5853ce2df6e",
+            "summary.json": "bdcdb1362fd208aa6088f9ef049f49d7057708acae2fd0c73e4942257c2f22d2",
         },
     ),
     "study-b": (

@@ -444,6 +444,7 @@ _MALFORMED = {
                        "'threshold'"),
     "replications-word": ("scenario", {**_SCENARIO, "n_replications": "ten"}, "'n_replications'"),
     "seed-fraction": ("scenario", {**_SCENARIO, "seed": 1.5}, "'seed'"),
+    "inner-draws-word": ("scenario", {**_SCENARIO, "n_inner_draws": "many"}, "'n_inner_draws'"),
     "estimators-string": ("scenario", {**_SCENARIO, "estimators": "neyman"}, "'estimators'"),
     "effect-word": ("scenario", {**_SCENARIO, "outcome_model": {"kind": "constant_fixed",
                                                                "delta": "5"}}, "'delta'"),
@@ -649,6 +650,17 @@ class TestCliSimulate:
         assert list(out.glob("boxplot-*.svg"))
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 2
+
+    def test_scenario_ignores_inner_draws(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"name": "s", "design": _CRD, "outcome_model": "heterogeneous",
+                                   "estimators": ["v_am"], "n_replications": 2}))
+        for run, extra in (("plain", []), ("flagged", ["--inner-draws", "-1"])):
+            args = ["simulate", "--scenario", str(cfg), "--out", str(tmp_path / run), *extra]
+            assert main(args) == 0
+        plain, flagged = (sorted((tmp_path / run).iterdir()) for run in ("plain", "flagged"))
+        assert [p.name for p in plain] == [p.name for p in flagged]
+        assert [p.read_bytes() for p in plain] == [p.read_bytes() for p in flagged]
 
     def test_study_b_outer_draws(self, tmp_path, capsys):
         out = tmp_path / "b"

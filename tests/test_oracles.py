@@ -263,6 +263,33 @@ class TestTrueMseHajek:
             true_variance(crossed_pairs, po), rel=1e-10
         )
 
+    def test_propensities_are_checked_once_per_call(self, monkeypatch):
+        import designvar.estimators
+
+        checks, check = [], designvar.estimators.check_propensities
+
+        def spy(pi, n):
+            checks.append(n)
+            return check(pi, n)
+
+        monkeypatch.setattr(designvar.estimators, "check_propensities", spy)
+        monkeypatch.setattr(designvar.designs, "check_propensities", spy)
+        po = random_table(np.random.default_rng(7), 6)
+        for calls in (1, 2):
+            true_mse_hajek(build_crd(6, 3), po)  # 20 support rows, a fresh design each call
+            assert checks == [6] * calls
+
+    def test_a_certain_unit_is_refused_before_the_pass(self):
+        d = build_explicit(["1100", "1010", "1001"], [1 / 3] * 3)  # unit 0 always treated
+        po = random_table(np.random.default_rng(8), 4)
+        message = "propensity of unit 0 is 1.0; inverse weighting needs 0 < pi < 1"
+        with pytest.raises(AssumptionError) as hajek_mse:
+            true_mse_hajek(d, po)
+        with pytest.raises(AssumptionError) as variance:
+            true_variance(d, po)
+        assert str(hajek_mse.value) == str(variance.value) == message
+        assert not hasattr(hajek_mse.value, "row")
+
 
 class TestReveal:
     def test_observed_coordinates(self):

@@ -566,6 +566,38 @@ class TestEmitOutputs:
         assert [f.stat().st_mode for f in files] == [mode] * len(files)
 
 
+class TestScenarioRunner:
+    """The exact studies are lists of scenarios that one runner scores in
+    order and summarizes once, over all their records."""
+
+    @pytest.mark.parametrize("run", [dv.run_study_a, run_appendix_c],
+                             ids=["study-a", "appendix-c"])
+    def test_one_summary_per_study(self, run, monkeypatch):
+        import designvar.simulate as sim
+
+        summarized, summarize = [], sim._summarize
+
+        def spy(records, excluded):
+            summarized.append(len(records))
+            return summarize(records, excluded)
+
+        monkeypatch.setattr(sim, "_summarize", spy)
+        res = run(seed=0, n_replications=1)
+        assert summarized == [len(res.records)]
+        assert res.summary == summarize(res.records, res.excluded_zero_variance)
+
+    def test_sampler_backed_scenario_is_refused(self):
+        d = build_crd(40, 20)
+        assert isinstance(d, dv.SampledDesign)
+        spec = ScenarioSpec("sampled", d, OutcomeModel.no_effect(), n_replications=1)
+        with pytest.raises(dv.AssumptionError) as exc:
+            run_study(spec)
+        assert str(exc.value) == (
+            "run_study scores estimators by exact enumeration and needs an "
+            "enumerable design; use run_study_b for sampler-backed designs"
+        )
+
+
 class TestAppendixCSmoke:
     def test_tiny_run_shapes_and_constants(self):
         res = run_appendix_c(seed=0, n_replications=2)
