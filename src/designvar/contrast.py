@@ -652,11 +652,12 @@ def check_assumptions(d: Design) -> AssumptionReport:
             f"Pr(W_{i}={wi}, W_{j}={wj}) = 0 for units ({i},{j})"
         )
 
-    unmatched = np.flatnonzero(d._complement_rows() < 0)
-    closed = not unmatched.size
+    unmatched = d._unclosed_row()
+    closed = unmatched < 0
     if not closed:
-        w = d.vector(int(unmatched[0]))
-        details["closed_under_label_switching"] = f"complement of {w} is not in support"
+        details["closed_under_label_switching"] = (
+            f"complement of {d.vector(unmatched)} is not in support"
+        )
 
     try:
         substitution_mode(d)  # a design the estimators refuse fails the check

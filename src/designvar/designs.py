@@ -68,6 +68,20 @@ def _contrast_rows(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.where(w == 1, 1.0 / pi, -1.0 / (1.0 - pi))
 
 
+def _cell_tables(n11: np.ndarray, total: float) -> tuple[np.ndarray, ...]:
+    """(P11, P10, P01, P00) of a support from the (n, n) weight n11[i, j] of its rows
+    that treat both i and j (on the diagonal, that treat i) and the weights' total,
+    each read-only. Whole-number weights make every entry one correctly rounded
+    division of an exact count."""
+    s1, t = np.diag(n11), total
+    cells = (n11 / t, (s1[:, None] - n11) / t, (s1[None, :] - n11) / t,
+             (t - s1[:, None] - s1[None, :] + n11) / t)
+    for cell in cells:
+        np.maximum(cell, 0.0, out=cell)  # float weights can leave a tiny negative
+        cell.setflags(write=False)
+    return cells
+
+
 class Design:
     """Common interface of explicit and sampler-backed designs."""
 
@@ -192,7 +206,8 @@ class Design:
 
 
 class Structure(NamedTuple):
-    """What a support's rows and weights say about its layout, read once per design."""
+    """What a support's rows and weights say about its layout, read once per design
+    or handed to it by its builder."""
 
     #: (n + 1,) read-only: entry m is the number of support rows that treat m units
     sizes: np.ndarray
@@ -252,13 +267,16 @@ class ExplicitDesign(Design):
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, n: int, weights: Sequence[float] | np.ndarray,
-                     **kwargs: Any) -> ExplicitDesign:
+                     *, facts: dict[str, Any] | None = None, **kwargs: Any) -> ExplicitDesign:
         """The design over (k, ceil(n/8)) uint8 rows in ``np.packbits`` layout, padding
         bits 0, that strictly ascend by their bytes: the constructor without its
         0/1 rows and its sort. The design keeps ``packed`` and ``weights`` as given
-        (made read-only), so a builder hands arrays of its own."""
+        (made read-only), so a builder hands arrays of its own. ``facts`` maps
+        cached properties to the values a builder knows without a support pass
+        (:func:`_uniform_facts`), which the design keeps in place of computing them."""
         d = cls.__new__(cls)
         d._init_packed(packed, n, weights, **kwargs)
+        d.__dict__.update(facts or {})
         return d
 
     @classmethod
@@ -437,11 +455,23 @@ class ExplicitDesign(Design):
         v[:len(values)] = values  # units past the end count 0
         return _lookup(v.reshape(len(columns), 8) @ _BYTE_BITS, columns)
 
-    def _complement_rows(self) -> np.ndarray:
-        """Support row of each row's complement (arms swapped); -1 if not in the support."""
+    def _unclosed_row(self) -> int:
+        """The first support row whose complement (arms swapped) is not in the
+        support; -1 when the support is closed under label switching. A complete
+        support (:attr:`structure`) answers with no lookup: the complement of a
+        one-per-pair row is one, and a size-m row's complement has size n - m,
+        so layers are closed iff their sizes are."""
+        sizes, complete, _ = self.structure
+        if complete == "pairs":
+            return -1
+        if complete == "layers":
+            if all(sizes[self.n - m] for m in np.flatnonzero(sizes).tolist()):
+                return -1
+            return int(np.argmax(sizes[self.n - self.group_sizes] == 0))
         complements = ~self._packed
         complements[:, -1] &= 0xFF << (-self.n % 8) & 0xFF  # keep the padding bits 0
-        return self._find(complements)
+        unmatched = np.flatnonzero(self._find(complements) < 0)
+        return int(unmatched[0]) if unmatched.size else -1
 
     # -- probability queries -------------------------------------------------
     def _blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -463,14 +493,7 @@ class ExplicitDesign(Design):
 
     @cached_property
     def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n11 = sum((u * w[:, None]).T @ u for u, w in self._blocks())
-        s1, t = np.diag(n11), self._total
-        cells = (n11 / t, (s1[:, None] - n11) / t, (s1[None, :] - n11) / t,
-                 (t - s1[:, None] - s1[None, :] + n11) / t)
-        for cell in cells:
-            np.maximum(cell, 0.0, out=cell)  # float weights can leave a tiny negative
-            cell.setflags(write=False)
-        return cells
+        return _cell_tables(sum((u * w[:, None]).T @ u for u, w in self._blocks()), self._total)
 
     # -- sampling ------------------------------------------------------------
     def sample_matrix(self, m: int, seed: int | np.random.Generator | None) -> np.ndarray:
@@ -480,20 +503,41 @@ class ExplicitDesign(Design):
 
     @cached_property
     def _psi_factor(self) -> np.ndarray:
-        """Upper-triangular R with R'R = D' diag(p) D, D the support's :func:`_contrast_rows`.
+        """R with R'R = D' diag(p) D, D the support's :func:`_contrast_rows`.
 
         The Horvitz-Thompson error is (1/N) D_w . c, so psi(v) =
-        (1/N^2) sum_w p_w (D_w . v)^2 = ||R v||^2 / N^2. Each row block of
-        sqrt(p) D is stacked under the R so far and factored again (TSQR), so
-        no S x n float array is formed; R is (S, n) when S < n.
+        (1/N^2) sum_w p_w (D_w . v)^2 = ||R v||^2 / N^2. A complete support
+        with one weight per group size (:attr:`structure`) has R in closed
+        form, Neyman's variance: on one layer of size m, with pi = m/N,
+        R = sqrt(N / ((N - 1) pi (1 - pi))) (I - J/N); on J complete pairs,
+        R = sqrt(2) (I - P), P the swap of each unit with its partner. Any
+        other support is factored by :meth:`_qr_factor`.
         """
         pi = self._checked_propensities()
+        n, (sizes, complete, even) = self.n, self.structure
+        layers = np.flatnonzero(sizes)
+        if even and complete == "layers" and len(layers) == 1:
+            m = int(layers[0])
+            r = math.sqrt(n ** 3 / ((n - 1) * m * (n - m))) * (np.eye(n) - 1.0 / n)
+        elif even and complete == "pairs":
+            swap = np.zeros((n, n))
+            first, second = self.pair_units
+            swap[first, second] = swap[second, first] = 1.0
+            r = math.sqrt(2.0) * (np.eye(n) - swap)
+        else:
+            r = self._qr_factor(pi)
+        r.setflags(write=False)
+        return r
+
+    def _qr_factor(self, pi: np.ndarray) -> np.ndarray:
+        """Upper-triangular R with R'R = D' diag(p) D at propensities ``pi``: each
+        row block of sqrt(p) D is stacked under the R so far and factored again
+        (TSQR), so no S x n float array is formed; R is (S, n) when S < n."""
         r = np.empty((0, self.n))
         for block, w in self._blocks():
             block = _contrast_rows(block, pi)  # drops the 0/1 block before the stack
             block *= np.sqrt(w / self._total)[:, None]
             r = np.linalg.qr(np.vstack([r, block]), mode="r")
-        r.setflags(write=False)
         return r
 
 
@@ -564,6 +608,23 @@ def _support_rows(support: Sequence[AssignmentVector | str | Sequence[int]]) -> 
     """Support entries (bit strings, vectors or 0/1 lists) as 0/1 lists."""
     return [AssignmentVector.from_string(w).bits if isinstance(w, str)
             else w.bits if isinstance(w, AssignmentVector) else w for w in support]
+
+
+def _uniform_facts(n11: np.ndarray, size: int, count: int, complete: str) -> dict[str, Any]:
+    """What a builder knows of its ``count`` rows of weight 1, each treating ``size``
+    units, that make a complete support (:class:`Structure`), from the exact count
+    n11[i, j] of rows that treat both i and j (on the diagonal, that treat i): the
+    facts a support pass would compute, to the bit, for :meth:`ExplicitDesign._from_packed`.
+    Each is O(n^2) or read-only; ``group_sizes`` is a broadcast view."""
+    n = len(n11)
+    pi = np.diag(n11) / float(count)
+    pi.setflags(write=False)
+    sizes = np.zeros(n + 1, dtype=np.intp)
+    sizes[size] = count
+    sizes.setflags(write=False)
+    return {"propensities": pi, "_cells": _cell_tables(n11, float(count)),
+            "structure": Structure(sizes, complete, True),
+            "group_sizes": np.broadcast_to(np.int64(size), (count,))}
 
 
 def build_explicit(
@@ -660,8 +721,12 @@ def build_crd(
     count = math.comb(n, n_treated)
     meta = {"n_treated": n_treated}
     if count <= cap:  # _crd_rows ascend, so their packed rows do
-        return ExplicitDesign._from_packed(np.packbits(_crd_rows(n, n_treated), axis=1), n,
-                                           np.ones(count), kind="crd", meta=meta)
+        k = n_treated  # k(k-1)/(n(n-1)) of the rows treat two given units, k/n one
+        n11 = np.full((n, n), float(count * k * (k - 1) // (n * (n - 1))))
+        np.fill_diagonal(n11, count * k // n)
+        return ExplicitDesign._from_packed(np.packbits(_crd_rows(n, k), axis=1), n,
+                                           np.ones(count), kind="crd", meta=meta,
+                                           facts=_uniform_facts(n11, k, count, "layers"))
     if not allow_sampler:
         raise AssumptionError(
             f"support too large: C({n},{n_treated}) = {count} exceeds cap {cap}"
@@ -705,8 +770,16 @@ def build_matched_pair(
         packed[:size, high // 8] |= 0x80 >> high % 8
         packed[size:2 * size, low // 8] |= 0x80 >> low % 8
         size *= 2
+    # a row treats both units of two pairs in a quarter of the rows, both of one pair in none
+    n11 = np.full((n, n), float(count // 4))
+    for a, b in pairs:
+        n11[a, b] = n11[b, a] = 0.0
+    np.fill_diagonal(n11, count // 2)
+    # one pair is also the complete layer of size 1, which the support pass names first
+    complete = "layers" if math.comb(n, len(pairs)) == count else "pairs"
     return ExplicitDesign._from_packed(packed, n, np.ones(count), kind="matched_pair",
-                                       pairs=pairs)
+                                       pairs=pairs,
+                                       facts=_uniform_facts(n11, len(pairs), count, complete))
 
 
 def _covariates(covariates: Sequence[float] | np.ndarray, n: int) -> np.ndarray:

@@ -60,11 +60,7 @@ def hajek(obs: ObservedData, pi: np.ndarray) -> float:
     Each group mean is normalized by its realized total weight; under a
     constant propensity this reduces to the difference in means.
     """
-    return _hajek(obs, check_propensities(pi, obs.w.n))
-
-
-def _hajek(obs: ObservedData, pi: np.ndarray) -> float:
-    """:func:`hajek` with ``pi`` already checked by :func:`check_propensities`."""
+    pi = check_propensities(pi, obs.w.n)
     bits = obs.w.to_array().astype(bool)
     if not bits.any() or bits.all():
         raise AssumptionError("hajek estimator is undefined: one realized group is empty")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import (
     _row_failure,
 )
 from .designs import Design, ExplicitDesign, _contrast_rows
-from .estimators import _hajek
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,31 @@ def estimator_moments(
     return _moments(_require_explicit(d, "estimator_moments"), po, est)
 
 
+def _hajek_kernel(pi: np.ndarray):
+    """:func:`~designvar.estimators.hajek` at checked propensities ``pi`` as a
+    one-name batch kernel: each row's estimate from its 0/1 row and observed
+    outcomes, with hajek's arithmetic (each weight and weighted outcome, then an
+    fsum per arm, so the same bits) and its refusal of an empty group, which
+    carries the row as ``exc.row``; no per-row vector or table is built."""
+    wt_t, wt_c = 1.0 / pi, 1.0 / (1.0 - pi)
+    weights_t, weights_c = wt_t.tolist(), wt_c.tolist()
+
+    def kernel(u: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        t = u.astype(bool)
+        values = np.empty(len(u))
+        rows = zip(t.tolist(), (~t).tolist(), (y * wt_t).tolist(), (y * wt_c).tolist())
+        for i, (treated, control, yt, yc) in enumerate(rows):
+            if not any(treated) or all(treated):
+                raise _row_failure(
+                    AssumptionError("hajek estimator is undefined: one realized group is empty"), i)
+            values[i] = (math.fsum(compress(yt, treated)) / math.fsum(compress(weights_t, treated))
+                         - math.fsum(compress(yc, control)) / math.fsum(compress(weights_c, control)))
+        return [values]
+    return kernel
+
+
 def true_mse_hajek(d: Design, po: PotentialOutcomes) -> float:
     """Exact design MSE of the ratio estimator about the true effect."""
     d = _require_explicit(d, "true_mse_hajek")
-    pi = d._checked_propensities()
-    devs = _kernel_values(d, po, _scalar_kernel(d, lambda obs: _hajek(obs, pi)))[0] - po.tau
+    devs = _kernel_values(d, po, _hajek_kernel(d._checked_propensities()))[0] - po.tau
     return math.fsum(d.probs * (devs * devs))

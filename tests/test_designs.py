@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -396,6 +397,94 @@ class TestCheckAssumptions:
         payload = check_assumptions(crossed_pairs).to_dict()
         assert payload["flags"]["measurable"] is False
         assert "details" in payload
+
+
+def _shuffled_pairs(pairs: int, seed: int) -> list[tuple[int, int]]:
+    """``pairs`` pair labels over shuffled units, each label's units in either order."""
+    units = np.random.default_rng(seed).permutation(2 * pairs).tolist()
+    return [(units[2 * j + 1], units[2 * j]) for j in range(pairs)]
+
+
+BUILDER_CASES = (
+    [f"crd-{n}-{m}" for n in range(2, 13) for m in range(1, n)] + ["crd-16-8", "crd-20-10"]
+    + [f"pairs-{j}" for j in range(1, 11)]
+)
+
+
+def _builder_design(case: str) -> ExplicitDesign:
+    kind, *sizes = case.split("-")
+    if kind == "crd":
+        return build_crd(*map(int, sizes))
+    return build_matched_pair(_shuffled_pairs(int(sizes[0]), seed=int(sizes[0])))
+
+
+def _pass_design(d: ExplicitDesign) -> ExplicitDesign:
+    """The same rows and pair labels through the constructor: every fact by a support pass."""
+    rows = np.unpackbits(d._packed, axis=1, count=d.n)
+    return ExplicitDesign(rows, np.ones(d.support_size), pairs=d.pairs)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuilderFacts:
+    """build_crd and build_matched_pair hand the design its propensities, cell
+    tables, structure and group sizes; each equals the support pass's, to the
+    bit, and so does every fact derived from them."""
+
+    @pytest.mark.parametrize("case", BUILDER_CASES)
+    def test_facts_equal_the_support_pass(self, case):
+        d = _builder_design(case)
+        ref = _pass_design(d)
+        assert _same(d.propensities, ref.propensities)
+        for k, (got, want) in enumerate(zip(d.pairwise_cells(), ref.pairwise_cells())):
+            assert _same(got, want), f"cell {k}"
+        assert _same(d.structure.sizes, ref.structure.sizes)
+        assert d.structure[1:] == ref.structure[1:]
+        assert _same(d.group_sizes, ref.group_sizes)
+        assert _same(d.conditional_tables, ref.conditional_tables)
+        for got, want in zip(d._loo_operators, ref._loo_operators):
+            assert _same(got, want)
+        assert check_assumptions(d).to_dict() == check_assumptions(ref).to_dict()
+
+    def test_group_sizes_are_a_read_only_view(self):
+        d = build_matched_pair([(2 * j, 2 * j + 1) for j in range(12)])
+        assert d.group_sizes.strides == (0,) and not d.group_sizes.flags.writeable
+        assert all(not cell.flags.writeable for cell in d.pairwise_cells())
+        assert not d.propensities.flags.writeable and not d.structure.sizes.flags.writeable
+
+    @pytest.mark.parametrize("case", ["crd-8-4", "crd-7-2", "crd-9-1", "pairs-5", "pairs-1"])
+    def test_builder_designs_make_no_support_pass(self, case, monkeypatch):
+        calls = []
+        for name in ("_blocks", "_find"):
+            method = getattr(ExplicitDesign, name)
+
+            def spy(self, *args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(ExplicitDesign, name, spy)
+        d = _builder_design(case)
+        d.propensities, d.pairwise_cells(), d.structure, d._psi_factor, d._unclosed_row()
+        check_assumptions(d)
+        assert calls == []
+        _pass_design(d).propensities  # the spy sees the pass it replaces
+        assert calls == ["_blocks"]
+
+    @pytest.mark.parametrize("n, layers", [(6, (1, 5)), (6, (2, 3)), (6, (3,)), (7, (2, 4, 5)),
+                                           (5, (0, 2, 3, 5))])
+    def test_closure_of_layers_equals_the_complement_search(self, n, layers):
+        rows = ["".join("1" if i in treated else "0" for i in range(n))
+                for m in layers for treated in itertools.combinations(range(n), m)]
+        d = build_explicit(rows, [1.0 / len(rows)] * len(rows))
+        assert d.structure.complete == "layers"
+        complements = 1 - np.unpackbits(d._packed, axis=1, count=n)
+        missing = np.flatnonzero(d.rows_of(complements) < 0)
+        assert d._unclosed_row() == (int(missing[0]) if missing.size else -1)
+        report = check_assumptions(d)
+        assert report.closed_under_label_switching is (not missing.size)
 
 
 class TestAsmd:

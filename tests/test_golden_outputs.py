@@ -22,7 +22,15 @@ leave-one-out values: appendix-c results.csv 1,187 of 7,200 values by at
 most 1.6e-15 relative, its summary.json 56 values by at most 7.1e-15
 absolute (1.0e-15 relative); study-b results.csv 14 of 72 values by at most
 7.0e-16 relative, its summary.json 17 values by at most 2.8e-17 absolute
-(6.9e-16 relative). No SVG digest moved. All on numpy 2.4.
+(6.9e-16 relative). No SVG digest moved. The appendix-c results.csv and
+summary.json digests were then made with psi factored in closed form on
+complete randomization (Neyman's variance, R = sqrt(N/((N-1) pi (1-pi)))
+(I - J/N)) instead of by the row-blocked QR. That moved 6,008 of 7,200
+results.csv values: relative_bias by at most 2.8e-14 absolute (8.6e-16
+relative on a value of 33; 6.3e-16 absolute on the smallest moved value,
+2.3e-6) and sd by at most 4.6e-14 relative; summary.json 239 values by at
+most 2.8e-14 absolute. No study-a, study-b or SVG digest moved. All on
+numpy 2.4.
 
 The study-a digests, of a two-replication run, were made with the code
 before studies A and C were scored by one scenario runner, when each
@@ -48,8 +56,8 @@ GOLDEN = {
             "boxplot-scenario-4.svg": "e1b8e42028eb11f03a42cf74aa9cc9cf1f1dfd9c7ec948e660b3dfea4a36bd18",
             "boxplot-scenario-5.svg": "b9a7fbd1f91bd91c6858d84d7c553e11326fef2204b2c7cb59146c158a3481d9",
             "boxplot-scenario-6.svg": "8207c19ca5e75d34b83b468bbecfeeb641009ea7051f2ca3488a4d56930894e4",
-            "results.csv": "ad38024f9a2727401c1fa8e1159652b337c992c3091df3e9c8632c3dfec51440",
-            "summary.json": "f50086ce8be8d137f6c0fdf416ba64935a6041b561c32ae916cebfb81d7ed873",
+            "results.csv": "380f38e033bb7b558e70902b534e380ce70587645b3ec4cb1036c2c120f37af2",
+            "summary.json": "d0fe5c0f7e0c1878c7e1eb4cf909b9445282bd7bb9e444af375364e2ab1023ab",
         },
     ),
     "study-a": (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from designvar import (
     build_explicit,
     build_matched_pair,
     build_rerandomized,
+    c_vector,
     estimator_expectation,
     estimator_moments,
     hajek,
@@ -29,7 +31,9 @@ from designvar import (
     true_variance,
 )
 import designvar.designs
-from designvar.oracles import _weighted_moments
+from designvar.core import EST_RTOL
+from designvar.designs import ExplicitDesign
+from designvar.oracles import _factor_values, _weighted_moments
 from designvar.simulate import resolve_estimator
 
 from conftest import random_table
@@ -62,6 +66,92 @@ class TestPsi:
         assert psi(d, u) >= 0.0
         mid = psi(d, (u + v) / 2.0)
         assert mid <= (psi(d, u) + psi(d, v)) / 2.0 + 1e-9
+
+
+def _exact_psi(d, c: np.ndarray) -> Fraction:
+    """psi(c) in exact rationals on a uniform complete design: Neyman's
+    N/((N - 1) pi (1 - pi)) sum (c_i - mean c)^2 / N^2 on CRD(N, m), pi = m/N,
+    and 4 sum over pairs (c_a - c_b)^2 / N^2 on complete matched pairs."""
+    n, c = d.n, [Fraction(x) for x in c.tolist()]
+    if d.kind == "matched_pair":
+        return 4 * sum((c[a] - c[b]) ** 2 for a, b in d.pairs) / n**2
+    pi = Fraction(d.meta["n_treated"], n)
+    mean = sum(c) / n
+    return n / ((n - 1) * pi * (1 - pi)) * sum((x - mean) ** 2 for x in c) / n**2
+
+
+def _enumerated_psi(d, c: np.ndarray) -> Fraction:
+    """psi(c) = (1/N^2) sum_w p_w (D_w . c)^2 in exact rationals, row by row,
+    with p_w each row's weight over the weights' exact total."""
+    pi = [Fraction(x) for x in d.propensities.tolist()]
+    c = [Fraction(x) for x in c.tolist()]
+    weights = [Fraction(x) for x in d._weights.tolist()]
+    total = Fraction(0)
+    for (w, _), weight in zip(d.enumerate_support(), weights):
+        dot = sum(ci / p if b else -ci / (1 - p) for ci, p, b in zip(c, pi, w.bits))
+        total += weight * dot * dot
+    return total / sum(weights) / d.n**2
+
+
+PSI_DESIGNS = {
+    "crd-6-3": lambda: build_crd(6, 3),
+    "crd-8-5": lambda: build_crd(8, 5),
+    "crd-16-8": lambda: build_crd(16, 8),
+    "pairs-6": lambda: build_matched_pair([(0, 7), (3, 1), (2, 11), (5, 4), (10, 6), (8, 9)]),
+}
+
+
+class TestClosedFormPsi:
+    """Complete designs with one weight per group size factor psi in closed
+    form, Neyman's variance; other supports keep the row-blocked QR."""
+
+    @pytest.mark.parametrize("name", ["crd-6-3", "pairs-3"])
+    def test_exact_reference_is_the_enumerated_sum(self, name):
+        d = (build_crd(6, 3) if name == "crd-6-3"
+             else build_matched_pair([(0, 3), (5, 1), (2, 4)]))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            c = c_vector(random_table(rng, d.n), d.propensities)
+            assert _exact_psi(d, c) == _enumerated_psi(d, c)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("name", sorted(PSI_DESIGNS))
+    def test_closed_form_is_as_accurate_as_the_qr_factor(self, name, offset):
+        d = PSI_DESIGNS[name]()
+        pi = d.propensities
+        qr = d._qr_factor(pi)
+        rng = np.random.default_rng(2024)
+        closed_err = qr_err = 0.0
+        for _ in range(200):
+            po = random_table(rng, d.n)
+            c = c_vector(PotentialOutcomes(po.y0 + offset, po.y1 + offset), pi)
+            exact = _exact_psi(d, c)
+            closed_err = max(closed_err, float(abs(Fraction(psi(d, c)) - exact) / exact))
+            qr_err = max(qr_err, float(abs(Fraction(float(_factor_values(qr, c[None])[0]))
+                                           - exact) / exact))
+        if offset <= 1e3:
+            assert closed_err <= EST_RTOL
+        assert closed_err <= qr_err
+
+    def test_factor_route_follows_the_structure(self):
+        rows = np.unpackbits(build_crd(6, 3)._packed, axis=1, count=6)
+        even = ExplicitDesign(rows, np.full(20, 0.05))  # user rows: closed form too
+        uneven = ExplicitDesign(rows, np.arange(1.0, 21.0))
+        two_layers = build_explicit(["10", "01", "11", "00"], [0.25] * 4)
+        assert np.array_equal(even._psi_factor, even._psi_factor.T)
+        assert np.array_equal(uneven._psi_factor, np.triu(uneven._psi_factor))
+        assert uneven._psi_factor.tobytes() == uneven._qr_factor(uneven.propensities).tobytes()
+        v = random_table(np.random.default_rng(9), 6).y0
+        for d in (even, uneven):
+            assert psi(d, v) == pytest.approx(float(_enumerated_psi(d, v)), rel=EST_RTOL)
+        with pytest.raises(AssumptionError, match="propensity of unit 0 is"):
+            psi(build_explicit(["000000"], [1.0]), v)  # one complete layer of size 0
+        assert two_layers.structure.complete == "layers"
+        assert np.array_equal(two_layers._psi_factor, np.triu(two_layers._psi_factor))
+
+    def test_factor_is_read_only(self):
+        for make in PSI_DESIGNS.values():
+            assert not make()._psi_factor.flags.writeable
 
 
 class TestTrueVariance:
@@ -289,6 +379,37 @@ class TestTrueMseHajek:
             true_variance(d, po)
         assert str(hajek_mse.value) == str(variance.value) == message
         assert not hasattr(hajek_mse.value, "row")
+
+
+class TestHajekKernel:
+    """true_mse_hajek scores each row's ratio estimate in its own row kernel,
+    with hajek's arithmetic: the same bits as hajek on each revealed table."""
+
+    @pytest.mark.parametrize("name", ["crd-12-6", "crossed-pairs", "rerandomized-12-6"])
+    def test_equals_hajek_on_each_revealed_table_to_the_bit(self, block, name):
+        d = {
+            "crd-12-6": lambda: build_crd(12, 6),
+            "crossed-pairs": lambda: build_explicit(["1100", "0011", "1001", "0110"], [0.25] * 4),
+            "rerandomized-12-6": lambda: build_rerandomized(
+                build_crd(12, 6), np.random.default_rng(0).normal(size=(12, 2)), 0.3),
+        }[name]()
+        for seed in range(3):
+            po = random_table(np.random.default_rng(seed), d.n)
+            devs = _per_row_values(d, po, lambda obs: hajek(obs, d.propensities)) - po.tau
+            assert true_mse_hajek(d, po).hex() == math.fsum(d.probs * (devs * devs)).hex()
+
+    def test_an_empty_group_is_refused_as_hajek_refuses_it(self, block):
+        rows = [w.to_string() for w in build_crd(6, 3).support] + ["111111"]
+        d = build_explicit(rows, [1.0 / len(rows)] * len(rows))
+        po = random_table(np.random.default_rng(4), 6)
+        with pytest.raises(AssumptionError) as kernel:
+            true_mse_hajek(d, po)
+        with pytest.raises(AssumptionError) as scalar:
+            estimator_expectation(d, po, lambda obs: hajek(obs, d.propensities))
+        assert str(kernel.value) == str(scalar.value) == (
+            "hajek estimator is undefined: one realized group is empty "
+            "(estimator failed at support vector 111111)")
+        assert kernel.value.row == scalar.value.row == 20
 
 
 class TestReveal:
