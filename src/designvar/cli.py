@@ -17,7 +17,13 @@ import numpy as np
 from . import io as io_mod
 from . import simulate as sim
 from . import verify as verify_mod
-from .contrast import check_assumptions, full_substitute_set, substitute_counts, substitution_mode
+from .contrast import (
+    _size_counts,
+    check_assumptions,
+    full_substitute_set,
+    substitute_counts,
+    substitution_mode,
+)
 from .core import EST_RTOL, MC_DEFAULT_DRAWS, AssumptionError, ValidationError
 from .decomposition import default_q_crd
 from .designs import ExplicitDesign
@@ -67,10 +73,14 @@ def _estimator_from_args(args, d) -> tuple[str, dict]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _count_summary(counts) -> list[dict]:
-    """Each distinct substitute count with its number of support rows, in
-    support order of first appearance."""
-    values, first, rows = np.unique(counts, return_index=True, return_counts=True)
+def _count_summary(d: ExplicitDesign) -> list[dict]:
+    """Each distinct substitute count of ``d`` with its number of support rows,
+    in support order of first appearance. A complete support of one group size
+    has one count (``contrast._size_counts``), read with no pass over its rows."""
+    per_size, sizes = _size_counts(d), np.flatnonzero(d.structure.sizes)
+    if per_size is not None and len(sizes) == 1:
+        return [{"count": int(per_size[sizes[0]]), "rows": d.support_size}]
+    values, first, rows = np.unique(substitute_counts(d), return_index=True, return_counts=True)
     return [{"count": int(values[i]), "rows": int(rows[i])} for i in np.argsort(first)]
 
 
@@ -82,7 +92,7 @@ def cmd_design_inspect(args) -> int:
         payload["propensities"] = [float(p) for p in d.propensities]
         try:
             payload["substitution_mode"] = substitution_mode(d)
-            payload["substitute_counts"] = _count_summary(substitute_counts(d))
+            payload["substitute_counts"] = _count_summary(d)
         except (AssumptionError, ValidationError) as exc:
             payload["substitution_mode"] = None
             payload["substitution_note"] = str(exc)

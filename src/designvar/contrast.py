@@ -671,14 +671,27 @@ def check_assumptions(d: Design) -> AssumptionReport:
         details["substitution"] = str(exc)
 
     if positivity:
-        # sum over treated units of 1/pi - 1/(1-pi), plus 1/(1-pi) over all units
-        weights = d._row_sums(1.0 / pi - 1.0 / (1.0 - pi))
-        weights += (1.0 / (1.0 - pi)).sum()
-        fixed_weight = bool(np.all(np.abs(weights - 2.0 * n) <= WEIGHT_TOL))
+        # each row's sum over its treated units of 1/pi - 1/(1-pi), plus 1/(1-pi)
+        # over all units; at one propensity the first sum of a size-m row is m
+        # times one unit's term, so it is taken once per size, not once per row
+        treated, base = 1.0 / pi - 1.0 / (1.0 - pi), (1.0 / (1.0 - pi)).sum()
+        if np.all(pi == pi[0]):
+            by_size = np.arange(n + 1) * treated[0] + base
+            off = (np.abs(by_size - 2.0 * n) > WEIGHT_TOL) & (sizes > 0)
+            fixed_weight = not off.any()
+            if not fixed_weight:
+                k = int(np.argmax(off[d.group_sizes]))
+                weight = by_size[d.group_sizes[k]]
+        else:
+            weights = d._row_sums(treated) + base
+            off = np.abs(weights - 2.0 * n) > WEIGHT_TOL
+            fixed_weight = not off.any()
+            if not fixed_weight:
+                k = int(np.argmax(off))
+                weight = weights[k]
         if not fixed_weight:
-            k = int(np.argmax(np.abs(weights - 2.0 * n) > WEIGHT_TOL))
             details["fixed_total_weight"] = (
-                f"total weight at {d.vector(k)} is {weights[k]:.6g}, not {2 * n}"
+                f"total weight at {d.vector(k)} is {weight:.6g}, not {2 * n}"
             )
     else:
         fixed_weight = False

@@ -4,7 +4,8 @@ Everything here needs the full design support, so it applies to explicit
 designs only. These are the reference quantities the estimators are tested
 against. Every expectation is one pass over the support in row blocks
 (:func:`_kernel_values`); a scalar estimator is called once per row, on that
-row's revealed table. psi alone does not sum along the support: it reads the
+row's revealed table. psi and the study loops' true variance
+(:func:`_variance_route`) do not sum along the support: they read the
 design's n x n factor of its form.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from typing import Callable
 
@@ -26,6 +28,7 @@ from .core import (
     _row_failure,
 )
 from .designs import Design, ExplicitDesign, _contrast_rows
+from .estimators import c_vector
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,39 @@ def ht_values(d: ExplicitDesign, po: PotentialOutcomes) -> np.ndarray:
 def true_variance(d: Design, po: PotentialOutcomes) -> float:
     """Exact design variance of the inverse-propensity estimator.
 
-    Computed directly as sum_w p_w (tau_hat(w) - tau)^2; psi(c_vector(...))
-    must agree and is checked against this in the tests, not reused here.
+    Computed directly as sum_w p_w (tau_hat(w) - tau)^2, one pass over the
+    support per call. This is the reference the tests and ``verify`` compare
+    against: psi(c_vector(...)) and the study loops' factor route
+    (:func:`_variance_route`) must agree with it, and neither is reused here.
     """
     d = _require_explicit(d, "true_variance")
     dev = ht_values(d, po) - po.tau
     return math.fsum(d.probs * (dev * dev))
+
+
+def _variance_route(d: ExplicitDesign) -> Callable[[PotentialOutcomes], float]:
+    """:func:`true_variance` on ``d`` as a function of the table, for a loop
+    that scores many tables on one design.
+
+    Where D_w . 1 = 0 on every support row, psi(c) does not move when c is
+    shifted by a constant, so the variance is ||R (c - c_0)||^2 / N^2 with
+    the design's factor R (:func:`psi`): one n x n matrix-vector product a
+    table, with no support pass. That holds when every row treats one number
+    m of units and every propensity is m/N, which is read once here from
+    :attr:`~ExplicitDesign.structure` and the propensities. Shifting by c's
+    first entry keeps an outcome offset out of the product, and a constant c
+    scores exactly 0. Any other design enumerates its support per table.
+    """
+    pi, sizes = d._checked_propensities(), np.flatnonzero(d.structure.sizes)
+    if len(sizes) != 1 or not np.all(pi == sizes[0] / d.n):
+        return partial(true_variance, d)
+    r = d._psi_factor
+
+    def variance(po: PotentialOutcomes) -> float:
+        c = c_vector(po, pi)
+        return float(_factor_values(r, (c - c[0])[None])[0])
+
+    return variance
 
 
 def _scalar_kernel(d: ExplicitDesign, est: Callable[[ObservedData], "float | object"]):

@@ -24,9 +24,10 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .contrast import EQUAL_SIZE
 from .contrast import _substitute_values, _v_pair_scalar, _v_pair_values, mse_sub_epsem, v_sub
 from .core import (
     PROB_TOL,
+    ROW_BLOCK,
     AssumptionError,
     ObservedData,
     PotentialOutcomes,
@@ -61,7 +63,7 @@ from .imputation import (
     v_imputation,
     v_imputation_mc,
 )
-from .oracles import _kernel_values, _weighted_moments, true_variance
+from .oracles import _kernel_values, _variance_route, _weighted_moments
 
 __all__ = [
     "OutcomeModel",
@@ -394,7 +396,8 @@ def run_study(spec: ScenarioSpec) -> SimResult:
     mean and standard deviation of each estimator, and records the relative
     bias.  Replications whose true variance is zero are excluded and counted.
     One batch kernel scores the whole revealed support for every estimator
-    in one call.
+    in one call. The true variance is read from the design's psi factor where
+    the design allows it (``oracles._variance_route``), else enumerated.
     """
     return _run_scenarios(spec.name, [spec], {"seed": spec.seed,
                                                "n_replications": spec.n_replications})
@@ -413,11 +416,11 @@ def _run_scenarios(study: str, specs: Sequence[ScenarioSpec], meta: dict) -> Sim
                 "run_study scores estimators by exact enumeration and needs an "
                 "enumerable design; use run_study_b for sampler-backed designs"
             )
-        kernel = _batch_kernel(spec.estimators, d)
+        kernel, variance = _batch_kernel(spec.estimators, d), _variance_route(d)
         for rep in range(spec.n_replications):
             rng = np.random.default_rng((spec.seed, rep))
             po = gen_outcomes(spec.outcome_model, d.n, rng)
-            var = true_variance(d, po)
+            var = variance(po)
             if var <= 0.0:
                 excluded += 1
                 continue
@@ -446,12 +449,48 @@ _METRICS = ("relative_bias", "sd")
 _QUANTILES = (("min", 0.0), ("q25", 0.25), ("median", 0.5), ("q75", 0.75), ("max", 1.0))
 
 
+@cache
+def _quantile_plan(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``np.quantile``'s default (linear) method reads each of
+    ``_QUANTILES`` among ``count`` sorted values: the lower and upper
+    positions and the weight gamma, with numpy's own arithmetic. A position
+    at or past the last value reads the last value at both ends, and gamma
+    is then taken from position -1, as numpy takes it. The arrays are
+    read-only, as one plan serves every call."""
+    virtual = (count - 1) * np.array([q for _, q in _QUANTILES])
+    lower = np.floor(virtual)
+    upper = lower + 1
+    lower[virtual >= count - 1] = upper[virtual >= count - 1] = -1
+    plan = lower.astype(np.intp), upper.astype(np.intp), virtual - lower
+    for part in plan:
+        part.setflags(write=False)
+    return plan
+
+
+def _sorted_quantiles(arr: np.ndarray) -> np.ndarray:
+    """``np.quantile(arr, [q for _, q in _QUANTILES], axis=-1)`` with the
+    quantiles on the last axis, to the bit: one sort, then numpy's ``_lerp``
+    at :func:`_quantile_plan`'s positions (a + (b - a) t, or b - (b - a)(1 - t)
+    where t >= 0.5). A row holding a NaN gets NaN, as in numpy. Only a row
+    holding both 0.0 and -0.0 may differ, in a zero's sign: the sort and
+    numpy's partition may order those two differently. A record's metrics
+    are never -0.0."""
+    ordered = np.sort(arr, axis=-1)
+    lower, upper, gamma = _quantile_plan(arr.shape[-1])
+    a, b = ordered[..., lower], ordered[..., upper]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    out[np.isnan(ordered[..., -1])] = np.nan
+    return out
+
+
 def _summarize(records: Iterable[SimRecord], excluded: int) -> dict:
     """Mean, quantiles and count of each metric per (scenario, estimator).
 
-    The groups of one size are stacked and share one ``np.quantile`` call
-    along the last axis; each group's mean stays its own 1-D ``mean``, which
-    a stacked axis mean does not reproduce to the bit.
+    The groups of one size are stacked and sorted once along the last axis
+    (:func:`_sorted_quantiles`); each group's mean stays its own 1-D
+    ``mean``, which a stacked axis mean does not reproduce to the bit.
     """
     grouped: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
     for rec in records:
@@ -465,12 +504,12 @@ def _summarize(records: Iterable[SimRecord], excluded: int) -> dict:
     for count, keys in by_count.items():
         # (groups, metrics, count): one contiguous row per group and metric
         arr = np.array([grouped[key] for key in keys], dtype=float)
-        qs = np.quantile(arr, [q for _, q in _QUANTILES], axis=-1)
+        qs = _sorted_quantiles(arr)
         for g, key in enumerate(keys):
             blocks[key] = {
                 metric: {
                     "mean": float(arr[g, m].mean()),
-                    **{label: float(qs[j, g, m]) for j, (label, _) in enumerate(_QUANTILES)},
+                    **{label: float(qs[g, m, j]) for j, (label, _) in enumerate(_QUANTILES)},
                     "count": count,
                 }
                 for m, metric in enumerate(_METRICS)
@@ -626,28 +665,43 @@ def run_study_b(
     draws = d.sample_matrix(n_inner_draws, draw_rng)
     emp = _empirical_design(draws)
 
-    kernel = _batch_kernel(estimators, emp)
-
-    records: list[SimRecord] = []
+    kernel, variance = _batch_kernel(estimators, emp), _variance_route(emp)
     excluded = 0
-    for k, model in enumerate(study_models()):
-        scenario = f"study-b:{model.label}"
-        for rep in range(n_replications):
-            rng = np.random.default_rng((seed, k, rep))
-            po = gen_outcomes(model, STUDY_B_N, rng)
-            var = true_variance(emp, po)
-            if var <= 0.0:
-                excluded += 1
-                continue
-            w = emp.sample_matrix(n_outer, rng)
-            y = np.where(w == 1, po.y1, po.y0)
-            for name, vals in zip(estimators, kernel(w, y)):
-                mean = float(vals.mean())
-                sd = float(vals.std(ddof=1))
+
+    def tables() -> Iterator[tuple[str, int, float, np.ndarray, np.ndarray]]:
+        """Each (model, replication) table with a positive variance, in
+        generator order: its model's label, replication and variance, its
+        outer assignments and their observed outcomes."""
+        nonlocal excluded
+        for k, model in enumerate(study_models()):
+            for rep in range(n_replications):
+                rng = np.random.default_rng((seed, k, rep))
+                po = gen_outcomes(model, STUDY_B_N, rng)
+                var = variance(po)
+                if var <= 0.0:
+                    excluded += 1
+                    continue
+                w = emp.sample_matrix(n_outer, rng)
+                yield model.label, rep, var, w, np.where(w == 1, po.y1, po.y0)
+
+    # Tables are drawn and scored a block at a time: one kernel call a block,
+    # whose rows' values are those of one call per table, since every kernel
+    # scores its rows independently. A block holds about ROW_BLOCK / 8
+    # outcomes, as the kernels make about seven float copies of their input.
+    records: list[SimRecord] = []
+    pending, per_block = tables(), max(1, ROW_BLOCK // (8 * n_outer * STUDY_B_N))
+    while block := list(islice(pending, per_block)):
+        w = np.concatenate([table[3] for table in block])
+        y = np.concatenate([table[4] for table in block])
+        values = [vals.reshape(len(block), n_outer) for vals in kernel(w, y)]
+        for i, (label, rep, var, _, _) in enumerate(block):
+            for name, vals in zip(estimators, values):
+                mean = float(vals[i].mean())
+                sd = float(vals[i].std(ddof=1))
                 records.append(
                     SimRecord(
-                        scenario=scenario,
-                        model=model.label,
+                        scenario=f"study-b:{label}",
+                        model=label,
                         replication=rep,
                         estimator=name,
                         relative_bias=(mean - var) / var,
@@ -815,6 +869,65 @@ def _format_tick(v: float) -> str:
     return f"{v:.3g}"
 
 
+_TICK_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@cache
+def _panel_frame(x0: float, y0: float, width: float, height: float, title: str,
+                 count: int) -> tuple[str, str, str, str]:
+    """What a box-plot panel with ``count`` boxes draws whatever its data,
+    built once per panel and box count: the title and axis lines, and
+    ``str.format`` templates, with every x-coordinate filled in, of the tick
+    lines (fields: the five tick heights, the heights of their labels, the
+    labels), the zero line (its height) and the boxes (per box: the heights
+    of its whisker ends, box top, box height and median, then its name)."""
+    head = (
+        f'<text x="{x0 + width / 2:.1f}" y="{y0 - 12:.1f}" text-anchor="middle" '
+        f'font-size="13" font-weight="bold">{title}</text>\n'
+        f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x0:.1f}" '
+        f'y2="{y0 + height:.1f}" stroke="black"/>'
+    )
+    ticks = "\n".join(
+        f'<line x1="{x0 - 4:.1f}" y1="{{{i}:.1f}}" x2="{x0:.1f}" y2="{{{i}:.1f}}" '
+        'stroke="black"/>\n'
+        f'<text x="{x0 - 8:.1f}" y="{{{i + 5}:.1f}}" text-anchor="end" '
+        f'font-size="10">{{{i + 10}}}</text>'
+        for i in range(len(_TICK_FRACTIONS))
+    )
+    zero = (
+        f'<line x1="{x0:.1f}" y1="{{0:.1f}}" x2="{x0 + width:.1f}" y2="{{0:.1f}}" '
+        'stroke="#999999" stroke-dasharray="4 3"/>'
+    )
+    slot = width / count
+    box_w = slot * 0.5
+    half = box_w / 2
+    boxes = []
+    for pos in range(count):
+        cx, k = x0 + slot * (pos + 0.5), 6 * pos
+        boxes.append(
+            f'<line x1="{cx:.1f}" y1="{{{k}:.1f}}" x2="{cx:.1f}" '
+            f'y2="{{{k + 1}:.1f}}" stroke="black"/>'
+        )
+        for end in (k, k + 1):
+            boxes.append(
+                f'<line x1="{cx - half / 2:.1f}" y1="{{{end}:.1f}}" '
+                f'x2="{cx + half / 2:.1f}" y2="{{{end}:.1f}}" stroke="black"/>'
+            )
+        boxes.append(
+            f'<rect x="{cx - half:.1f}" y="{{{k + 2}:.1f}}" width="{box_w:.1f}" '
+            f'height="{{{k + 3}:.1f}}" fill="#9db8dd" stroke="black"/>'
+        )
+        boxes.append(
+            f'<line x1="{cx - half:.1f}" y1="{{{k + 4}:.1f}}" x2="{cx + half:.1f}" '
+            f'y2="{{{k + 4}:.1f}}" stroke="black" stroke-width="1.6"/>'
+        )
+        boxes.append(
+            f'<text x="{cx:.1f}" y="{y0 + height + 16:.1f}" text-anchor="middle" '
+            f'font-size="10">{{{k + 5}}}</text>'
+        )
+    return head, ticks, zero, "\n".join(boxes)
+
+
 def _boxplot_panel(
     lines: list[str],
     x0: float,
@@ -825,7 +938,8 @@ def _boxplot_panel(
     groups: Mapping[str, Mapping[str, float]],
 ) -> None:
     """Append one box-plot panel (axis, ticks, one box per estimator), each
-    box drawn from a quantile block of the summary."""
+    box drawn from a quantile block of the summary into the panel's
+    :func:`_panel_frame`."""
     names = list(groups)
     lo = min(groups[name]["min"] for name in names)
     hi = max(groups[name]["max"] for name in names)
@@ -839,62 +953,19 @@ def _boxplot_panel(
     def ty(v: float) -> float:
         return y0 + height - (v - lo) / (hi - lo) * height
 
-    lines.append(
-        f'<text x="{x0 + width / 2:.1f}" y="{y0 - 12:.1f}" text-anchor="middle" '
-        f'font-size="13" font-weight="bold">{title}</text>'
-    )
-    lines.append(
-        f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x0:.1f}" '
-        f'y2="{y0 + height:.1f}" stroke="black"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = lo + frac * (hi - lo)
-        y = ty(v)
-        lines.append(
-            f'<line x1="{x0 - 4:.1f}" y1="{y:.1f}" x2="{x0:.1f}" y2="{y:.1f}" '
-            'stroke="black"/>'
-        )
-        lines.append(
-            f'<text x="{x0 - 8:.1f}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="10">{_format_tick(v)}</text>'
-        )
+    head, ticks, zero, boxes = _panel_frame(x0, y0, width, height, title, len(names))
+    values = [lo + frac * (hi - lo) for frac in _TICK_FRACTIONS]
+    heights = [ty(v) for v in values]
+    lines.append(head)
+    lines.append(ticks.format(*heights, *(y + 4 for y in heights), *map(_format_tick, values)))
     if lo < 0.0 < hi:
-        y = ty(0.0)
-        lines.append(
-            f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x0 + width:.1f}" y2="{y:.1f}" '
-            'stroke="#999999" stroke-dasharray="4 3"/>'
-        )
-    slot = width / len(names)
-    box_w = slot * 0.5
-    for pos, name in enumerate(names):
+        lines.append(zero.format(ty(0.0)))
+    fields: list = []
+    for name in names:
         q0, q1, q2, q3, q4 = (groups[name][key] for key in _BOX_KEYS)
-        cx = x0 + slot * (pos + 0.5)
-        half = box_w / 2
-        lines.append(
-            f'<line x1="{cx:.1f}" y1="{ty(q0):.1f}" x2="{cx:.1f}" '
-            f'y2="{ty(q4):.1f}" stroke="black"/>'
-        )
-        for whisker in (q0, q4):
-            y = ty(whisker)
-            lines.append(
-                f'<line x1="{cx - half / 2:.1f}" y1="{y:.1f}" '
-                f'x2="{cx + half / 2:.1f}" y2="{y:.1f}" stroke="black"/>'
-            )
         top = ty(q3)
-        box_h = max(ty(q1) - top, 0.8)
-        lines.append(
-            f'<rect x="{cx - half:.1f}" y="{top:.1f}" width="{box_w:.1f}" '
-            f'height="{box_h:.1f}" fill="#9db8dd" stroke="black"/>'
-        )
-        y_med = ty(q2)
-        lines.append(
-            f'<line x1="{cx - half:.1f}" y1="{y_med:.1f}" x2="{cx + half:.1f}" '
-            f'y2="{y_med:.1f}" stroke="black" stroke-width="1.6"/>'
-        )
-        lines.append(
-            f'<text x="{cx:.1f}" y="{y0 + height + 16:.1f}" text-anchor="middle" '
-            f'font-size="10">{name}</text>'
-        )
+        fields += [ty(q0), ty(q4), top, max(ty(q1) - top, 0.8), ty(q2), name]
+    lines.append(boxes.format(*fields))
 
 
 def _boxplot_svg(scenario: str, groups: Mapping[str, Mapping[str, Mapping[str, float]]]) -> str:

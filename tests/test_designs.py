@@ -356,6 +356,18 @@ class TestCheckAssumptions:
         assert report.equal_size_constant_propensity is False
         assert report.epsem is True
 
+    def test_one_propensity_total_weight_is_taken_per_size(self, monkeypatch):
+        # sizes 1 and 2 of 4 units, all ten rows weighted alike: every
+        # propensity is 0.4, and a size-1 row's total weight is 7.5, not 8
+        rows = [w.to_string() for m in (1, 2) for w in build_crd(4, m).support]
+        d = build_explicit(rows, [0.1] * 10)
+        assert np.all(d.propensities == 0.4)
+        monkeypatch.setattr(ExplicitDesign, "_row_sums", None)  # no pass over the rows
+        report = check_assumptions(d)
+        assert report.fixed_total_weight is False
+        assert report.details["fixed_total_weight"] == "total weight at 0001 is 7.5, not 8"
+        assert check_assumptions(build_crd(6, 4)).fixed_total_weight is True
+
     def test_crd_22_11_propensities_do_not_drift(self):
         # 705,432 rows: a float dot of the row probabilities spread the
         # propensities by about 3e-12, past PROB_TOL, and failed EPSEM; sums

@@ -29,7 +29,20 @@ complete randomization (Neyman's variance, R = sqrt(N/((N-1) pi (1-pi)))
 results.csv values: relative_bias by at most 2.8e-14 absolute (8.6e-16
 relative on a value of 33; 6.3e-16 absolute on the smallest moved value,
 2.3e-6) and sd by at most 4.6e-14 relative; summary.json 239 values by at
-most 2.8e-14 absolute. No study-a, study-b or SVG digest moved. All on
+most 2.8e-14 absolute. No study-a, study-b or SVG digest moved. The
+results.csv and summary.json digests of all three runs were then made with
+each table's true variance read from the design's factor as
+||R (c - c_0)||^2 / N^2 instead of enumerated over the support (every design
+of these runs has one group size m and propensities m/N). That moved only
+relative_bias and the mc_se it divides: appendix-c results.csv 2,901 of 7,200
+values by at most 2.8e-14 absolute (on a value of 33; 3.4e-16 absolute on
+the smallest moved value, 1.0e-6), its summary.json 132 values by at most
+2.8e-14 absolute; study-a results.csv 24 of 48 values by at most 1.3e-15
+absolute, its summary.json 70 values by at most 1.3e-15 absolute; study-b
+results.csv 36 of 72 values by at most 4.2e-16 absolute (mc_se 5.9e-16
+relative), its summary.json 63 values by at most 4.2e-16 absolute. No sd
+and no SVG digest moved; the summary's quantiles from one sort and the
+box plots drawn into cached frames left every other byte the same. All on
 numpy 2.4.
 
 The study-a digests, of a two-replication run, were made with the code
@@ -56,8 +69,8 @@ GOLDEN = {
             "boxplot-scenario-4.svg": "e1b8e42028eb11f03a42cf74aa9cc9cf1f1dfd9c7ec948e660b3dfea4a36bd18",
             "boxplot-scenario-5.svg": "b9a7fbd1f91bd91c6858d84d7c553e11326fef2204b2c7cb59146c158a3481d9",
             "boxplot-scenario-6.svg": "8207c19ca5e75d34b83b468bbecfeeb641009ea7051f2ca3488a4d56930894e4",
-            "results.csv": "380f38e033bb7b558e70902b534e380ce70587645b3ec4cb1036c2c120f37af2",
-            "summary.json": "d0fe5c0f7e0c1878c7e1eb4cf909b9445282bd7bb9e444af375364e2ab1023ab",
+            "results.csv": "f3e5b26888922f058d44ef466cd55897943704dfddc60e3a071f144534a39f23",
+            "summary.json": "11ed3f51b27cd463964c6a74048cd72121b2a95c5156dde4e572fb4184d741a0",
         },
     ),
     "study-a": (
@@ -67,8 +80,8 @@ GOLDEN = {
             "boxplot-study-a-constant_random.svg": "527ede4aaf31e9ddb8e2d31dc3c2b8a65781dbc4974f3c8f666cc2e192bcfefe",
             "boxplot-study-a-heterogeneous.svg": "624a64989d93d8991dd3ef02a468e15a85d610c2e7e93af388025fb63dd7f9cf",
             "boxplot-study-a-no_effect.svg": "77a03b9508629e3db9a3273d9f2610edbb37d0c00707f0ead43d5886a17eb862",
-            "results.csv": "96d96f20d1e9b23f0d95a4568465201d2af9e06f49abedde5c64b5853ce2df6e",
-            "summary.json": "bdcdb1362fd208aa6088f9ef049f49d7057708acae2fd0c73e4942257c2f22d2",
+            "results.csv": "38a6c42fdb08c543b962303a6f5334b9e6fd96c9814ae1e1996ac7a2b8b1231b",
+            "summary.json": "f32674ef90bc509d7e82c3b8751b69accd0aa0de34886845cd93d76d2c53cfc5",
         },
     ),
     "study-b": (
@@ -78,8 +91,8 @@ GOLDEN = {
             "boxplot-study-b-constant_random.svg": "79f814b7c05dd45210f13451f38405e8e5639aff0191917cba2c4dda573b06d2",
             "boxplot-study-b-heterogeneous.svg": "3d649bb0387c3fadb42ff36d0c1e5cbf847542a3814f919f8083f429320fe16d",
             "boxplot-study-b-no_effect.svg": "3af1c3065064d5978987a35dc4b49c86c82982c1dbda5c2413baabc680130770",
-            "results.csv": "d7e3905b4fd6af9ba69b252f99cc0ce042886f547d6d4be842a6cf96a1cc55bc",
-            "summary.json": "e9c6b23028e905aafbd32f1796ae563cbda2420c2fefd4b314d7ed4fb977a0e8",
+            "results.csv": "d62b782a67b96d5dc198e54793d99a1495a763dd013185259920f5029e7e34a3",
+            "summary.json": "a35f35f068c851448eb86e1d3fbbe7031792aebb27f4f71f666e3b81a7f90a90",
         },
     ),
 }

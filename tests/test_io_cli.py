@@ -219,6 +219,22 @@ class TestCliDesignInspect:
         assert [e["rows"] for e in summary] == [counts.count(c) for c in first_seen]
         assert sum(e["rows"] for e in summary) == payload["support_size"] == d.support_size
 
+    @pytest.mark.parametrize("spec, summary", [
+        ({"kind": "crd", "n": 8, "n_treated": 4}, [{"count": 36, "rows": 70}]),
+        ({"kind": "matched_pair", "pairs": [[1, 2], [3, 4], [5, 6], [7, 8]]},
+         [{"count": 6, "rows": 16}]),
+    ], ids=["crd-8-4", "pairs-4"])
+    def test_one_size_complete_support_has_one_count(self, spec, summary, tmp_path, capsys,
+                                                     monkeypatch):
+        # read from the per-size count, with no pass over the rows' counts
+        import designvar.cli as cli
+
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(spec))
+        monkeypatch.setattr(cli, "substitute_counts", None)
+        assert main(["design-inspect", "--design", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["substitute_counts"] == summary
+
     def test_substitutes_listing(self, crossed_pairs_file, capsys):
         code = main(
             ["design-inspect", "--design", crossed_pairs_file, "--substitutes-for", "1100", "--json"]

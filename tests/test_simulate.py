@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -610,3 +611,181 @@ class TestAppendixCSmoke:
             if r.estimator == "imputation:theta-loo" and r.scenario == "scenario-1"
         ]
         assert loo and all(abs(b - 0.25) < 1e-10 for b in loo)
+
+
+def _shifted(po: PotentialOutcomes, offset: float) -> PotentialOutcomes:
+    return PotentialOutcomes(y1=po.y1 + offset, y0=po.y0 + offset)
+
+
+class TestFactorVariance:
+    """The study loops read each table's true variance from the design's psi
+    factor, ||R (c - c_0)||^2 / N^2, wherever D_w . 1 = 0 on every support
+    row; enumeration stays the reference."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_matches_enumeration_on_every_study_b_table(self, offset, monkeypatch):
+        import designvar.simulate as sim
+        from designvar.oracles import _variance_route
+
+        seen = []  # (design, table) of every true-variance call
+
+        def spy(d):
+            variance = _variance_route(d)
+            return lambda po: seen.append((d, po)) or variance(po)
+
+        monkeypatch.setattr(sim, "_variance_route", spy)
+        run_study_b(seed=1, n_replications=2, n_inner_draws=300, n_outer=40)
+        assert len(seen) == 8 and len({id(d) for d, _ in seen}) == 1
+        variance = _variance_route(seen[0][0])
+        assert not isinstance(variance, partial)  # the factor route
+        for d, po in seen:
+            po = _shifted(po, offset)
+            assert variance(po) == pytest.approx(dv.true_variance(d, po), rel=EST_RTOL)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("design", [
+        *(f"crd-{n}-{m}" for _, n, m, _ in dv.simulate._APPENDIX_C_LAYOUT), "study-a"])
+    def test_matches_enumeration_on_the_exact_studies_designs(self, design, offset):
+        from designvar.oracles import _variance_route
+
+        d = study_a_design(0)[0] if design == "study-a" else build_crd(
+            *map(int, design.split("-")[1:]))
+        variance = _variance_route(d)
+        assert not isinstance(variance, partial)
+        rng = np.random.default_rng(11)
+        for model in study_models():
+            for _ in range(5):
+                po = _shifted(gen_outcomes(model, d.n, rng), offset)
+                assert variance(po) == pytest.approx(dv.true_variance(d, po), rel=EST_RTOL)
+
+    @pytest.mark.parametrize("design", ["crd-8-5", "study-a", "matched-pairs-4"])
+    def test_is_at_least_as_accurate_as_enumeration(self, design):
+        # against psi(c) in exact rationals at an offset of 1e6, where the
+        # enumerated sum loses digits (on matched pairs, more than EST_RTOL)
+        from fractions import Fraction
+
+        from designvar.oracles import _variance_route
+
+        d = {"crd-8-5": lambda: build_crd(8, 5), "study-a": lambda: study_a_design(0)[0],
+             "matched-pairs-4": lambda: dv.build_matched_pair([(0, 5), (1, 2), (3, 7), (4, 6)]),
+             }[design]()
+        variance, rows = _variance_route(d), support_matrix(d).astype(int).tolist()
+        pi = [Fraction(p) for p in d.propensities.tolist()]
+        weights = [Fraction(w) for w in d._weights.tolist()]
+        rng = np.random.default_rng(12)
+        route_err = enum_err = 0.0
+        for _ in range(4):
+            po = _shifted(gen_outcomes(OutcomeModel.heterogeneous(), d.n, rng), 1e6)
+            c = [Fraction(x) for x in dv.c_vector(po, d.propensities).tolist()]
+            exact = sum(w * sum(ci / q if b else -ci / (1 - q) for ci, q, b in zip(c, pi, row)) ** 2
+                        for w, row in zip(weights, rows)) / sum(weights) / d.n**2
+            route_err = max(route_err, float(abs(Fraction(variance(po)) - exact) / exact))
+            enum_err = max(enum_err, float(abs(Fraction(dv.true_variance(d, po)) - exact) / exact))
+        assert route_err <= min(enum_err, 1e-14)
+
+    def test_other_designs_enumerate(self):
+        from designvar.oracles import _variance_route
+
+        two_sizes = build_explicit(["10", "01", "11", "00"], [0.25] * 4)
+        float_weights = _float_weight_design()
+        assert np.ptp(float_weights.propensities) > 0.0
+        for d in (two_sizes, float_weights):
+            variance = _variance_route(d)
+            assert isinstance(variance, partial) and variance.func is dv.true_variance
+
+    @pytest.mark.parametrize("level", [0.1, 1e3 + 0.1, 1e6 / 3])
+    def test_constant_c_scores_exactly_zero(self, level):
+        from designvar.oracles import _variance_route
+
+        for d in (build_crd(8, 5), study_a_design(0)[0], _study_b_empirical(300)):
+            pi = d.propensities[0]
+            # c = (1 - pi) y1 + pi y0 is the same at every unit, y1 != y0
+            po = PotentialOutcomes(y1=np.full(d.n, level + pi), y0=np.full(d.n, level + pi - 1.0))
+            assert np.ptp(dv.c_vector(po, d.propensities)) == 0.0
+            assert _variance_route(d)(po) == 0.0
+
+    def test_constant_c_tables_are_excluded(self, monkeypatch):
+        import designvar.simulate as sim
+
+        monkeypatch.setattr(sim, "gen_outcomes", lambda model, n, seed=None: PotentialOutcomes(
+            y1=np.full(n, 1e6 / 3 + 5.0), y0=np.full(n, 1e6 / 3 + 5.0)))
+        spec = ScenarioSpec("flat", build_crd(8, 5), OutcomeModel.no_effect(), n_replications=3)
+        for res, tables in ((run_study(spec), 3), (dv.run_study_a(n_replications=2), 8),
+                            (run_study_b(n_replications=2, n_inner_draws=50, n_outer=5), 8)):
+            assert res.excluded_zero_variance == tables
+            assert res.records == ()
+
+
+class TestBlockedStudyB:
+    """run_study_b scores its tables in blocks, one kernel call a block; the
+    values are those of one call per table, to the bit."""
+
+    def _run(self, monkeypatch, row_block):
+        import designvar.simulate as sim
+
+        monkeypatch.setattr(sim, "ROW_BLOCK", row_block)
+        calls, kernel = [], sim._batch_kernel
+
+        def spy(names, d, **options):
+            k = kernel(names, d, **options)
+
+            def counted(w, y):
+                calls.append(len(w))
+                return k(w, y)
+
+            return counted
+
+        monkeypatch.setattr(sim, "_batch_kernel", spy)
+        return run_study_b(seed=1, n_replications=2, n_inner_draws=300, n_outer=7), calls
+
+    def test_blocks_equal_per_table_calls(self, monkeypatch):
+        table = 8 * 7 * 50  # ROW_BLOCK for one table per block
+        per_table, calls = self._run(monkeypatch, table)
+        assert calls == [7] * 8
+        for tables in (3, 8):  # blocks of 3, 3 and 2 tables, across models; one block
+            blocked, calls = self._run(monkeypatch, tables * table)
+            assert calls == [7 * min(tables, 8 - start) for start in range(0, 8, tables)]
+            assert blocked == per_table
+            for a, b in zip(blocked.records, per_table.records):
+                assert _bits(a.relative_bias, a.sd, a.mc_se) == _bits(b.relative_bias, b.sd, b.mc_se)
+
+    def test_default_block_scores_a_small_run_in_one_call(self, monkeypatch):
+        res, calls = self._run(monkeypatch, dv.simulate.ROW_BLOCK)
+        assert calls == [7 * 8]
+        assert [(r.scenario, r.replication, r.estimator) for r in res.records] == [
+            (f"study-b:{m.label}", rep, name)
+            for m in study_models() for rep in range(2) for name in dv.simulate.STUDY_ESTIMATORS]
+
+
+def _bits(*values: float) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestSortedQuantiles:
+    """_summarize's quantiles come from one sort and equal np.quantile's
+    default (linear) method to the bit."""
+
+    @pytest.mark.parametrize("kind", ["magnitudes", "ties", "constant"])
+    def test_equal_np_quantile_to_the_bit(self, kind):
+        from designvar.simulate import _QUANTILES, _sorted_quantiles
+
+        rng = np.random.default_rng(7)
+        qs = [q for _, q in _QUANTILES]
+        for count in range(1, 201):
+            if kind == "magnitudes":  # signs and scales from 1e-9 to 1e6 mixed in one row
+                arr = rng.normal(size=(3, 2, count)) * 10.0 ** rng.integers(-9, 7, size=(3, 2, count))
+            elif kind == "ties":
+                arr = rng.integers(-3, 4, size=(3, 2, count)) * 0.1
+            else:
+                arr = np.full((3, 2, count), 1e6 / 3)
+            want = np.moveaxis(np.quantile(arr, qs, axis=-1), 0, -1)
+            assert _sorted_quantiles(arr).tobytes() == want.tobytes(), count
+
+    def test_nan_rows_give_nan(self):
+        from designvar.simulate import _QUANTILES, _sorted_quantiles
+
+        arr = np.array([[[1.0, np.nan, 3.0], [1.0, 2.0, 3.0]]])
+        want = np.moveaxis(np.quantile(arr, [q for _, q in _QUANTILES], axis=-1), 0, -1)
+        got = _sorted_quantiles(arr)
+        assert np.isnan(got[0, 0]).all()
+        assert got[0, 1].tobytes() == want[0, 1].tobytes()
